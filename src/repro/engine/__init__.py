@@ -6,8 +6,8 @@ with ``--engine`` on the CLI, see docs/engine.md):
 ``object``
     The reference model — one Python object per cache block/set, plain
     method dispatch everywhere.  Supports every feature: tracing, fault
-    injection, invariant checkers, immediate L1 fills, the ``stt-relaxed``
-    L2 and externally-built L2 instances.
+    injection, invariant checkers, the ``stt-relaxed`` L2 and
+    externally-built L2 instances.
 
 ``soa``
     The batched structure-of-arrays model — flat vectors for tags,
@@ -34,6 +34,7 @@ a ready-to-run simulator.
 
 from __future__ import annotations
 
+import inspect
 from typing import Optional
 
 from repro.config import GPUConfig
@@ -50,7 +51,6 @@ ENGINES = ("object", "soa", "sharded")
 def _soa_blockers(
     config: GPUConfig,
     l2: Optional[object],
-    deferred_l1_fills: bool,
     tracer: Optional[object],
     invariant_checker: Optional[object],
 ) -> list:
@@ -60,8 +60,6 @@ def _soa_blockers(
         blockers.append("stt-relaxed L2")
     if l2 is not None:
         blockers.append("externally-built L2")
-    if not deferred_l1_fills:
-        blockers.append("immediate L1 fills")
     if tracer is not None and getattr(tracer, "enabled", True):
         blockers.append("tracing")
     if invariant_checker is not None:
@@ -73,7 +71,6 @@ def resolve_engine(
     config: GPUConfig,
     engine: Optional[str] = None,
     l2: Optional[object] = None,
-    deferred_l1_fills: bool = True,
     tracer: Optional[object] = None,
     invariant_checker: Optional[object] = None,
 ) -> str:
@@ -90,9 +87,7 @@ def resolve_engine(
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
         )
-    blockers = _soa_blockers(
-        config, l2, deferred_l1_fills, tracer, invariant_checker
-    )
+    blockers = _soa_blockers(config, l2, tracer, invariant_checker)
     # sharded workers resolve engines themselves, but the sharded front
     # end shares the soa blocker list: every blocked feature needs a
     # single in-process L2 object, which a process-pool run cannot offer
@@ -107,25 +102,6 @@ def resolve_engine(
     return engine
 
 
-def build_engine_l2(engine, config, track_intervals=False, tech=None,
-                    tracer=None):
-    """Build the L2 model for ``engine`` from an :class:`L2Config`.
-
-    Thin indirection over :func:`repro.core.factory.build_l2` so callers
-    holding only an engine name need not know the class mapping.
-    """
-    from repro.areapower.technology import TECH_40NM
-    from repro.core.factory import build_l2
-
-    return build_l2(
-        config,
-        track_intervals=track_intervals,
-        tech=tech if tech is not None else TECH_40NM,
-        tracer=tracer,
-        engine=engine,
-    )
-
-
 def make_simulator(
     config: GPUConfig,
     workload: Workload,
@@ -134,18 +110,26 @@ def make_simulator(
 ):
     """Construct the simulator for ``engine`` (resolved per the run's features).
 
-    Accepts the same keyword arguments as
-    :class:`repro.gpu.simulator.GPUSimulator`; the ones the ``soa`` engine
-    cannot honour (a pre-built ``l2``, ``deferred_l1_fills=False``, an
-    enabled ``tracer``, an ``invariant_checker``) force or validate the
-    engine choice via :func:`resolve_engine`.  ``shards``/``workers`` are
-    accepted only with ``engine="sharded"``.
+    Accepts the keyword arguments of
+    :class:`repro.gpu.simulator.GPUSimulator`, plus ``shards``/``workers``
+    with ``engine="sharded"`` only; any other keyword raises
+    :class:`~repro.errors.ConfigurationError` on every engine.  The ones
+    the ``soa`` engine cannot honour (a pre-built ``l2``, an enabled
+    ``tracer``, an ``invariant_checker``) force or validate the engine
+    choice via :func:`resolve_engine`.
     """
+    from repro.gpu.simulator import GPUSimulator
+
+    accepted = set(inspect.signature(GPUSimulator).parameters)
+    unknown = sorted(set(kwargs) - accepted - {"shards", "workers"})
+    if unknown:
+        raise ConfigurationError(
+            "unknown simulator option(s): " + ", ".join(unknown)
+        )
     resolved = resolve_engine(
         config,
         engine=engine,
         l2=kwargs.get("l2"),
-        deferred_l1_fills=kwargs.get("deferred_l1_fills", True),
         tracer=kwargs.get("tracer"),
         invariant_checker=kwargs.get("invariant_checker"),
     )
@@ -173,6 +157,4 @@ def make_simulator(
             if key in ("track_intervals", "time_dilation", "start_time_s")
         }
         return SoaGPUSimulator(config, workload, **soa_kwargs)
-    from repro.gpu.simulator import GPUSimulator
-
     return GPUSimulator(config, workload, **kwargs)

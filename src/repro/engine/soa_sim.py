@@ -36,8 +36,7 @@ component objects at the end of the run.  L2 vectors, LRU orders and
 buffers are mutated in place and need no flush.
 
 Not supported (the registry falls back to the object engine): tracing,
-invariant checkers, fault injection, immediate (non-deferred) L1 fills
-and the ``stt-relaxed`` L2 kind.
+invariant checkers, fault injection and the ``stt-relaxed`` L2 kind.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from repro.core.factory import build_l2
 from repro.engine.soa_l2 import SoaTwoPartL2
 from repro.errors import SimulationError
 from repro.gpu.metrics import SimulationResult
-from repro.gpu.occupancy import compute_occupancy
 from repro.gpu.simulator import (
     BANK_WAIT_CAP_FACTOR,
     L1_HIT_CYCLES,
@@ -82,8 +80,8 @@ class SoaGPUSimulator(GPUSimulator):
 
         Narrower signature than :class:`GPUSimulator` on purpose: the
         features the extra parameters enable (tracers, checkers, pre-built
-        L2s, immediate fills) are object-engine-only, and
-        :func:`repro.engine.make_simulator` routes them there.
+        L2s) are object-engine-only, and :func:`repro.engine.make_simulator`
+        routes them there.
         """
         l2 = build_l2(
             config.l2, track_intervals=track_intervals, tech=config.tech,
@@ -95,7 +93,6 @@ class SoaGPUSimulator(GPUSimulator):
             l2=l2,
             track_intervals=track_intervals,
             time_dilation=time_dilation,
-            deferred_l1_fills=True,
             start_time_s=start_time_s,
         )
 
@@ -103,7 +100,6 @@ class SoaGPUSimulator(GPUSimulator):
         """Replay the trace on the fused loop and roll up IPC and L2 power."""
         config = self.config
         kernel = self.workload.kernel
-        occupancy = compute_occupancy(kernel, config)
         cycle_s = 1.0 / config.core_clock_hz
         dt = kernel.compute_intensity * cycle_s / config.num_sms
         noc_rt_cycles = self.noc.round_trip_cycles(
@@ -1147,13 +1143,11 @@ class SoaGPUSimulator(GPUSimulator):
             texture_stats.fills += t_fills[s]
             texture_stats.evictions_clean += t_evc[s]
 
-        return self._roll_up(
-            occupancy=occupancy,
-            cycle_s=cycle_s,
-            reads=reads,
-            stall_sum_s=stall_sum_s,
-            read_latency_sum_s=read_latency_sum_s,
-            l2_requests=l2_requests,
-            l2_service_sum_s=l2_service_sum_s,
-            dram_writebacks=dram_writebacks,
-        )
+        return self._finish({
+            "reads": reads,
+            "stall_sum_s": stall_sum_s,
+            "read_latency_sum_s": read_latency_sum_s,
+            "l2_requests": l2_requests,
+            "l2_service_sum_s": l2_service_sum_s,
+            "dram_writebacks": dram_writebacks,
+        })

@@ -23,7 +23,7 @@ across L2 organizations), not absolute GPGPU-Sim numbers.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.cache.banked import BankedCache
 from repro.config import GPUConfig
@@ -75,7 +75,6 @@ class GPUSimulator:
         l2: Optional[L2Interface] = None,
         track_intervals: bool = False,
         time_dilation: float = TIME_DILATION,
-        deferred_l1_fills: bool = True,
         start_time_s: float = 0.0,
         tracer: Optional[TraceCollector] = None,
         invariant_checker=None,
@@ -87,7 +86,6 @@ class GPUSimulator:
         self.config = config
         self.workload = workload
         self.time_dilation = time_dilation
-        self.deferred_l1_fills = deferred_l1_fills
         self.start_time_s = start_time_s
         #: optional repro.faults.InvariantChecker; it observes the L2 on
         #: its own cadence and never mutates state, so attaching one
@@ -98,6 +96,8 @@ class GPUSimulator:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: replay-clock time when run() finished (kernel chaining)
         self.end_time_s = start_time_s
+        #: the last run()'s :func:`replay_counters` record
+        self.counters: dict = {}
         # when chaining kernels over a shared L2, exclude energy spent
         # before this kernel from its power roll-up
         self._energy_baseline_j = l2.energy.total_j if l2 is not None else 0.0
@@ -107,7 +107,7 @@ class GPUSimulator:
             tracer=tracer,
         )
         self.l1s = [
-            GPUL1Cache(config.l1, name=f"l1-sm{i}", deferred_fills=deferred_l1_fills,
+            GPUL1Cache(config.l1, name=f"l1-sm{i}", deferred_fills=True,
                        tracer=self.tracer)
             for i in range(config.num_sms)
         ]
@@ -143,7 +143,6 @@ class GPUSimulator:
         """Replay the trace and roll up IPC and L2 power."""
         config = self.config
         kernel = self.workload.kernel
-        occupancy = compute_occupancy(kernel, config)
         cycle_s = 1.0 / config.core_clock_hz
 
         # merged memory-instruction inter-arrival: each of the SMs issues a
@@ -176,7 +175,6 @@ class GPUSimulator:
         const_caches = self.const_caches
         texture_caches = self.texture_caches
         time_dilation = self.time_dilation
-        deferred_fills = self.deferred_l1_fills
         l1_hit_s = L1_HIT_CYCLES * cycle_s
         noc_rt_s = noc_rt_cycles * cycle_s
         ro_mask = FLAG_CONST | FLAG_TEXTURE
@@ -239,8 +237,7 @@ class GPUSimulator:
                     total_latency = latency + noc_rt_s
                     stall_sum_s += total_latency
                     read_latency_sum_s += total_latency
-                    if deferred_fills:
-                        l1.complete_fetch(request.address, now + total_latency)
+                    l1.complete_fetch(request.address, now + total_latency)
                 elif request.kind == "write":
                     # a store retires once its L2 bank accepts it; queueing
                     # behind slow writes backpressures the SM (finite store
@@ -252,155 +249,231 @@ class GPUSimulator:
         if checker is not None:
             checker.finalize(now * time_dilation)
         self.end_time_s = now
-        return self._roll_up(
-            occupancy=occupancy,
-            cycle_s=cycle_s,
-            reads=reads,
-            stall_sum_s=stall_sum_s,
-            read_latency_sum_s=read_latency_sum_s,
-            l2_requests=l2_requests,
-            l2_service_sum_s=l2_service_sum_s,
-            dram_writebacks=dram_writebacks,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _roll_up(
-        self,
-        occupancy,
-        cycle_s: float,
-        reads: int,
-        stall_sum_s: float,
-        read_latency_sum_s: float,
-        l2_requests: int,
-        l2_service_sum_s: float,
-        dram_writebacks: int,
-    ) -> SimulationResult:
-        config = self.config
-        kernel = self.workload.kernel
-        n_mem_insts = len(self.workload.trace)
-        total_warp_insts = n_mem_insts * kernel.compute_intensity
-
-        #: raw replay sums, pre-roll-up — the sharded engine's merge
-        #: (repro.shard.merge) re-runs this method's algebra over summed
-        #: per-bank inputs, so workers export them instead of the derived
-        #: SimulationResult fields
-        self.rollup_inputs = {
+        return self._finish({
             "reads": reads,
             "stall_sum_s": stall_sum_s,
             "read_latency_sum_s": read_latency_sum_s,
             "l2_requests": l2_requests,
             "l2_service_sum_s": l2_service_sum_s,
             "dram_writebacks": dram_writebacks,
-        }
+        })
 
-        avg_read_latency_cycles = (
-            read_latency_sum_s / max(1, reads) / cycle_s if reads else L1_HIT_CYCLES
+    def _finish(self, sums) -> SimulationResult:
+        """Record the run's counters and roll them up (every engine's tail)."""
+        self.counters = replay_counters(
+            self.l2, self.dram, self.l1s, sums, len(self.workload.trace),
+            self._energy_baseline_j,
         )
-        avg_stall_cycles = stall_sum_s / max(1, n_mem_insts) / cycle_s
-
-        # --- latency-hiding issue utilization --------------------------
-        c = kernel.compute_intensity
-        w = occupancy.warps_per_sm
-        utilization = min(1.0, w * c / (c + avg_stall_cycles))
-        rate_latency = utilization * config.num_sms / cycle_s  # warp insts / s
-
-        # --- bandwidth / service-rate caps ---------------------------------
-        bound_by = "latency"
-        rate = rate_latency
-        # steady-state correction: dirty residents are deferred write-backs;
-        # charge them to the DRAM traffic so a short trace doesn't credit a
-        # large cache with write absorption it only postpones
-        dram_accesses = self.dram.stats.accesses + self.l2.dirty_lines()
-        if dram_accesses:
-            per_inst = dram_accesses / total_warp_insts
-            # aggregate line rate across all channels
-            line_rate = self.dram.num_channels / self.dram.service_time_s
-            rate_dram = line_rate / per_inst
-            if rate_dram < rate:
-                rate, bound_by = rate_dram, "dram-bandwidth"
-        if l2_requests:
-            per_inst = l2_requests / total_warp_insts
-            avg_service = l2_service_sum_s / l2_requests
-            bank_rate = config.l2.num_banks / max(avg_service, 1e-12)
-            rate_l2 = bank_rate / per_inst
-            if rate_l2 < rate:
-                rate, bound_by = rate_l2, "l2-banks"
-
-        ipc = config.warp_size * rate * cycle_s  # thread insts per core cycle
-        sim_time_s = total_warp_insts / rate
-
-        # --- L1 / L2 roll-ups ----------------------------------------------
-        l1_accesses = sum(l1.array.stats.accesses for l1 in self.l1s)
-        l1_hits = sum(l1.array.stats.hits for l1 in self.l1s)
-        l1_hit_rate = l1_hits / l1_accesses if l1_accesses else 0.0
-        l2_stats = self.l2.stats
-
-        dynamic_energy = self.l2.energy.total_j - self._energy_baseline_j
-        dynamic_power = dynamic_energy / sim_time_s if sim_time_s > 0 else 0.0
-
-        extras = {}
-        if isinstance(self.l2, TwoPartSTTL2):
-            overflow_attempts = (
-                self.l2.hr_to_lr.stats.pushes + self.l2.hr_to_lr.stats.overflows
-                + self.l2.lr_to_hr.stats.pushes + self.l2.lr_to_hr.stats.overflows
-            )
-            overflows = (
-                self.l2.hr_to_lr.stats.overflows + self.l2.lr_to_hr.stats.overflows
-            )
-            extras = {
-                "lr_write_share": self.l2.lr_write_share,
-                "migrations_to_lr": self.l2.migrations_to_lr,
-                "refresh_writes": self.l2.refresh_writes,
-                "data_losses": self.l2.data_losses,
-                "buffer_overflow_rate": (
-                    overflows / overflow_attempts if overflow_attempts else 0.0
-                ),
-            }
-
+        result = roll_up(
+            self.config, self.workload, self.counters,
+            tuple(self.banks.per_bank),
+        )
         if self.tracer.enabled:
             # fold aggregate gauges into the trace so its counters reconcile
             # exactly with the SimulationResult fields (tested)
             tracer = self.tracer
-            tracer.set_counter("l1.accesses", l1_accesses)
-            tracer.set_counter("l1.hits", l1_hits)
-            tracer.set_counter("l2.reads", l2_stats.reads)
-            tracer.set_counter("l2.writes", l2_stats.writes)
-            tracer.set_counter("dram.accesses_charged", dram_accesses)
+            tracer.set_counter("l1.accesses", self.counters["l1_accesses"])
+            tracer.set_counter("l1.hits", self.counters["l1_hits"])
+            tracer.set_counter("l2.reads", result.l2_reads)
+            tracer.set_counter("l2.writes", result.l2_writes)
+            tracer.set_counter("dram.accesses_charged", result.dram_accesses)
             tracer.metadata["result"] = {
-                "ipc": ipc,
-                "utilization": utilization,
-                "bound_by": bound_by,
-                "sim_time_s": sim_time_s,
+                "ipc": result.ipc,
+                "utilization": result.utilization,
+                "bound_by": result.bound_by,
+                "sim_time_s": result.sim_time_s,
             }
+        return result
 
-        return SimulationResult(
-            workload=self.workload.name,
-            config=config.name,
-            ipc=ipc,
-            utilization=utilization,
-            warps_per_sm=occupancy.warps_per_sm,
-            occupancy_limiter=occupancy.limiter,
-            bound_by=bound_by,
-            sim_time_s=sim_time_s,
-            total_warp_insts=total_warp_insts,
-            avg_read_latency_cycles=avg_read_latency_cycles,
-            l1_hit_rate=l1_hit_rate,
-            l2_hit_rate=l2_stats.hit_rate,
-            l2_reads=l2_stats.reads,
-            l2_writes=l2_stats.writes,
-            l2_requests=l2_requests,
-            dram_accesses=dram_accesses,
-            dram_row_hit_rate=self.dram.stats.row_hit_rate,
-            dram_writebacks=dram_writebacks,
-            l2_dynamic_energy_j=dynamic_energy,
-            l2_dynamic_power_w=dynamic_power,
-            l2_leakage_power_w=self.l2.leakage_power,
-            l2_area_m2=self.l2.area,
-            energy_breakdown=self.l2.energy.as_dict(),
-            bank_stats=tuple(self.banks.per_bank),
-            **extras,
+
+#: Replay sums of an empty trace (an idle shard's), typed as the run loops
+#: accumulate them: counts are ints, time sums are floats.
+EMPTY_SUMS = {
+    "reads": 0,
+    "stall_sum_s": 0.0,
+    "read_latency_sum_s": 0.0,
+    "l2_requests": 0,
+    "l2_service_sum_s": 0.0,
+    "dram_writebacks": 0,
+}
+
+
+def replay_counters(
+    l2: L2Interface,
+    dram: DRAMModel,
+    l1s,
+    sums: Mapping[str, Any],
+    accesses: int,
+    energy_baseline_j: float,
+) -> Dict[str, Any]:
+    """The raw counters one replay leaves behind, as a JSON-safe record.
+
+    ``sums`` are the run loop's accumulators (the keys of
+    :data:`EMPTY_SUMS`); ``energy_baseline_j`` is the L2 energy already
+    spent before this run (kernel chaining).  :func:`roll_up` turns a
+    record into a :class:`SimulationResult`.  Records of disjoint
+    sub-streams add up key by key into the record of their union, which
+    is how the sharded engine merges its workers (:mod:`repro.shard.merge`).
+    """
+    stats = l2.stats
+    twopart = None
+    if isinstance(l2, TwoPartSTTL2):
+        twopart = {
+            "lr_data_writes": l2.lr_data_writes,
+            "hr_data_writes": l2.hr_data_writes,
+            "migrations_to_lr": l2.migrations_to_lr,
+            "refresh_writes": l2.refresh_writes,
+            "data_losses": l2.data_losses,
+            "h2l_pushes": l2.hr_to_lr.stats.pushes,
+            "h2l_overflows": l2.hr_to_lr.stats.overflows,
+            "l2h_pushes": l2.lr_to_hr.stats.pushes,
+            "l2h_overflows": l2.lr_to_hr.stats.overflows,
+        }
+    return {
+        "accesses": accesses,
+        "rollup": dict(sums),
+        "l1_accesses": sum(l1.array.stats.accesses for l1 in l1s),
+        "l1_hits": sum(l1.array.stats.hits for l1 in l1s),
+        "l2": {
+            "reads": stats.reads,
+            "writes": stats.writes,
+            "read_hits": stats.read_hits,
+            "write_hits": stats.write_hits,
+        },
+        "dirty_lines": l2.dirty_lines(),
+        "dram": {
+            "reads": dram.stats.reads,
+            "writes": dram.stats.writes,
+            "row_hits": dram.stats.row_hits,
+        },
+        "energy": l2.energy.as_dict(),
+        "energy_baseline_j": energy_baseline_j,
+        "leakage_power_w": l2.leakage_power,
+        "area_m2": l2.area,
+        "twopart": twopart,
+    }
+
+
+def roll_up(
+    config: GPUConfig,
+    workload: Workload,
+    counters: Mapping[str, Any],
+    bank_stats: tuple,
+) -> SimulationResult:
+    """IPC, ``bound_by``, energy and power from a :func:`replay_counters` record.
+
+    The one home of the latency-hiding utilization, the DRAM-bandwidth and
+    L2-bank service-rate caps, and the L2 energy/power roll-up.
+    """
+    kernel = workload.kernel
+    occupancy = compute_occupancy(kernel, config)
+    cycle_s = 1.0 / config.core_clock_hz
+    n_mem_insts = counters["accesses"]
+    total_warp_insts = n_mem_insts * kernel.compute_intensity
+    sums = counters["rollup"]
+    reads = sums["reads"]
+    l2_requests = sums["l2_requests"]
+
+    avg_read_latency_cycles = (
+        sums["read_latency_sum_s"] / max(1, reads) / cycle_s
+        if reads else L1_HIT_CYCLES
+    )
+    avg_stall_cycles = sums["stall_sum_s"] / max(1, n_mem_insts) / cycle_s
+
+    # --- latency-hiding issue utilization --------------------------
+    c = kernel.compute_intensity
+    w = occupancy.warps_per_sm
+    utilization = min(1.0, w * c / (c + avg_stall_cycles))
+    rate_latency = utilization * config.num_sms / cycle_s  # warp insts / s
+
+    # --- bandwidth / service-rate caps ---------------------------------
+    bound_by = "latency"
+    rate = rate_latency
+    dram = counters["dram"]
+    dram_transfers = dram["reads"] + dram["writes"]
+    # steady-state correction: dirty residents are deferred write-backs;
+    # charge them to the DRAM traffic so a short trace doesn't credit a
+    # large cache with write absorption it only postpones
+    dram_accesses = dram_transfers + counters["dirty_lines"]
+    if dram_accesses:
+        per_inst = dram_accesses / total_warp_insts
+        # aggregate line rate across all channels, from a model built as
+        # the replay's own
+        channels = DRAMModel(
+            num_channels=config.num_mem_controllers,
+            line_size=config.l2.line_size,
+            base_latency_s=config.dram_latency_s,
         )
+        line_rate = channels.num_channels / channels.service_time_s
+        rate_dram = line_rate / per_inst
+        if rate_dram < rate:
+            rate, bound_by = rate_dram, "dram-bandwidth"
+    if l2_requests:
+        per_inst = l2_requests / total_warp_insts
+        avg_service = sums["l2_service_sum_s"] / l2_requests
+        bank_rate = config.l2.num_banks / max(avg_service, 1e-12)
+        rate_l2 = bank_rate / per_inst
+        if rate_l2 < rate:
+            rate, bound_by = rate_l2, "l2-banks"
+
+    ipc = config.warp_size * rate * cycle_s  # thread insts per core cycle
+    sim_time_s = total_warp_insts / rate
+
+    # --- L1 / L2 / energy roll-ups -------------------------------------
+    l1_accesses = counters["l1_accesses"]
+    l1_hit_rate = counters["l1_hits"] / l1_accesses if l1_accesses else 0.0
+    l2 = counters["l2"]
+    l2_accesses = l2["reads"] + l2["writes"]
+    l2_hits = l2["read_hits"] + l2["write_hits"]
+    energy = counters["energy"]
+    dynamic_energy = energy["total_j"] - counters["energy_baseline_j"]
+    dynamic_power = dynamic_energy / sim_time_s if sim_time_s > 0 else 0.0
+
+    extras = {}
+    twopart = counters["twopart"]
+    if twopart is not None:
+        data_writes = twopart["lr_data_writes"] + twopart["hr_data_writes"]
+        overflows = twopart["h2l_overflows"] + twopart["l2h_overflows"]
+        attempts = overflows + twopart["h2l_pushes"] + twopart["l2h_pushes"]
+        extras = {
+            "lr_write_share": (
+                twopart["lr_data_writes"] / data_writes if data_writes else 0.0
+            ),
+            "migrations_to_lr": twopart["migrations_to_lr"],
+            "refresh_writes": twopart["refresh_writes"],
+            "data_losses": twopart["data_losses"],
+            "buffer_overflow_rate": overflows / attempts if attempts else 0.0,
+        }
+
+    return SimulationResult(
+        workload=workload.name,
+        config=config.name,
+        ipc=ipc,
+        utilization=utilization,
+        warps_per_sm=occupancy.warps_per_sm,
+        occupancy_limiter=occupancy.limiter,
+        bound_by=bound_by,
+        sim_time_s=sim_time_s,
+        total_warp_insts=total_warp_insts,
+        avg_read_latency_cycles=avg_read_latency_cycles,
+        l1_hit_rate=l1_hit_rate,
+        l2_hit_rate=l2_hits / l2_accesses if l2_accesses else 0.0,
+        l2_reads=l2["reads"],
+        l2_writes=l2["writes"],
+        l2_requests=l2_requests,
+        dram_accesses=dram_accesses,
+        dram_row_hit_rate=(
+            dram["row_hits"] / dram_transfers if dram_transfers else 0.0
+        ),
+        dram_writebacks=sums["dram_writebacks"],
+        l2_dynamic_energy_j=dynamic_energy,
+        l2_dynamic_power_w=dynamic_power,
+        l2_leakage_power_w=counters["leakage_power_w"],
+        l2_area_m2=counters["area_m2"],
+        energy_breakdown=dict(energy),
+        bank_stats=bank_stats,
+        **extras,
+    )
 
 
 def simulate(

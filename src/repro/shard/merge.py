@@ -1,7 +1,9 @@
 """Deterministic merge: per-shard payloads -> one SimulationResult.
 
-The merge is a transcription of :meth:`repro.gpu.simulator.GPUSimulator._roll_up`
-run over *summed* per-shard inputs.  Determinism and parity rest on two
+Every payload carries its shard's
+:func:`~repro.gpu.simulator.replay_counters` record.  The merge sums the
+records key by key into one record and hands it to the single roll-up,
+:func:`repro.gpu.simulator.roll_up`.  Determinism and parity rest on two
 rules (docs/performance.md, docs/sharding.md):
 
 * integer counters commute — they are summed in any order;
@@ -9,32 +11,45 @@ rules (docs/performance.md, docs/sharding.md):
   0.0**, regardless of which worker finished first.  For a single shard
   the fold is ``0.0 + x``, which is bitwise ``x`` for the non-negative
   sums involved — that is the ``sharded --shards 1`` == ``soa``
-  byte-identity.
+  byte-identity.  The fold is an explicit loop: ``sum()`` on floats is
+  compensated on Python >= 3.12 and would round differently.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, List, Mapping, Sequence
 
 from repro.cache.banked import BankStats
 from repro.config import GPUConfig
 from repro.errors import SimulationError
-from repro.gpu.dram import DRAMModel
 from repro.gpu.metrics import SimulationResult
-from repro.gpu.occupancy import compute_occupancy
-from repro.gpu.simulator import L1_HIT_CYCLES
+from repro.gpu.simulator import roll_up
 from repro.units import log2_int
 from repro.workloads.trace import Workload
 
-#: Float accumulators folded in shard order (everything else is an int).
-_FLOAT_ROLLUP_KEYS = ("stall_sum_s", "read_latency_sum_s", "l2_service_sum_s")
-_INT_ROLLUP_KEYS = ("reads", "l2_requests", "dram_writebacks")
-_ENERGY_KEYS = ("demand_j", "migration_j", "refresh_j", "fill_j", "total_j")
+#: Payload keys that describe the shard rather than count its replay.
+_SHARD_KEYS = ("shard", "shards", "idle", "bank_stats")
 
 
-def _fold(values: Sequence[float]) -> float:
-    """Left fold from 0.0 in the given (shard) order."""
-    total = 0.0
+def _fold(values: Sequence[Any], name: str = "") -> Any:
+    """Sum one counter across shards, in the given (shard) order.
+
+    Dicts fold key by key, ints add, floats left-fold from ``0.0``, and
+    ``None`` (a counter group the L2 kind lacks) must be ``None`` on every
+    shard.
+    """
+    if any(value is None for value in values):
+        if not all(value is None for value in values):
+            raise SimulationError(
+                f"inconsistent shard payloads: some carry {name!r} counters "
+                "and some do not"
+            )
+        return None
+    first = values[0]
+    if isinstance(first, dict):
+        return {key: _fold([value[key] for value in values], key)
+                for key in first}
+    total = 0.0 if isinstance(first, float) else 0
     for value in values:
         total += value
     return total
@@ -67,141 +82,12 @@ def merge_bank_payloads(
             f"{sum(p['accesses'] for p in ordered)} accesses across shards "
             f"vs {n_mem_insts} in the workload"
         )
-
-    kernel = workload.kernel
-    occupancy = compute_occupancy(kernel, config)
-    cycle_s = 1.0 / config.core_clock_hz
-    total_warp_insts = n_mem_insts * kernel.compute_intensity
-
-    rollup: Dict[str, Any] = {}
-    for key in _INT_ROLLUP_KEYS:
-        rollup[key] = sum(p["rollup"][key] for p in ordered)
-    for key in _FLOAT_ROLLUP_KEYS:
-        rollup[key] = _fold([p["rollup"][key] for p in ordered])
-    reads = rollup["reads"]
-    l2_requests = rollup["l2_requests"]
-
-    # --- the _roll_up algebra over merged inputs -----------------------
-    avg_read_latency_cycles = (
-        rollup["read_latency_sum_s"] / max(1, reads) / cycle_s
-        if reads else L1_HIT_CYCLES
-    )
-    avg_stall_cycles = rollup["stall_sum_s"] / max(1, n_mem_insts) / cycle_s
-
-    c = kernel.compute_intensity
-    w = occupancy.warps_per_sm
-    utilization = min(1.0, w * c / (c + avg_stall_cycles))
-    rate_latency = utilization * config.num_sms / cycle_s
-
-    bound_by = "latency"
-    rate = rate_latency
-    dram_reads = sum(p["dram"]["reads"] for p in ordered)
-    dram_writes = sum(p["dram"]["writes"] for p in ordered)
-    dram_row_hits = sum(p["dram"]["row_hits"] for p in ordered)
-    dirty_lines = sum(p["dirty_lines"] for p in ordered)
-    dram_accesses = dram_reads + dram_writes + dirty_lines
-    # a reference DRAM model of the *full* config supplies the identical
-    # channel count / line service time every worker used
-    dram = DRAMModel(
-        num_channels=config.num_mem_controllers,
-        line_size=config.l2.line_size,
-        base_latency_s=config.dram_latency_s,
-    )
-    if dram_accesses:
-        per_inst = dram_accesses / total_warp_insts
-        line_rate = dram.num_channels / dram.service_time_s
-        rate_dram = line_rate / per_inst
-        if rate_dram < rate:
-            rate, bound_by = rate_dram, "dram-bandwidth"
-    if l2_requests:
-        per_inst = l2_requests / total_warp_insts
-        avg_service = rollup["l2_service_sum_s"] / l2_requests
-        bank_rate = config.l2.num_banks / max(avg_service, 1e-12)
-        rate_l2 = bank_rate / per_inst
-        if rate_l2 < rate:
-            rate, bound_by = rate_l2, "l2-banks"
-
-    ipc = config.warp_size * rate * cycle_s
-    sim_time_s = total_warp_insts / rate
-
-    # --- L1 / L2 / energy roll-ups -------------------------------------
-    l1_accesses = sum(p["l1_accesses"] for p in ordered)
-    l1_hits = sum(p["l1_hits"] for p in ordered)
-    l1_hit_rate = l1_hits / l1_accesses if l1_accesses else 0.0
-    l2_reads = sum(p["l2"]["reads"] for p in ordered)
-    l2_writes = sum(p["l2"]["writes"] for p in ordered)
-    l2_hits = sum(
-        p["l2"]["read_hits"] + p["l2"]["write_hits"] for p in ordered
-    )
-    l2_accesses = l2_reads + l2_writes
-    l2_hit_rate = l2_hits / l2_accesses if l2_accesses else 0.0
-
-    energy_breakdown = {
-        key: _fold([p["energy"][key] for p in ordered])
-        for key in _ENERGY_KEYS
-    }
-    dynamic_energy = energy_breakdown["total_j"]
-    dynamic_power = dynamic_energy / sim_time_s if sim_time_s > 0 else 0.0
-    leakage_power = _fold([p["leakage_power_w"] for p in ordered])
-    area = _fold([p["area_m2"] for p in ordered])
-
-    extras: Dict[str, Any] = {}
-    twoparts = [p["twopart"] for p in ordered]
-    if any(t is not None for t in twoparts):
-        if any(t is None for t in twoparts):
-            raise SimulationError(
-                "inconsistent shard payloads: some carry two-part counters "
-                "and some do not"
-            )
-        lr_dw = sum(t["lr_data_writes"] for t in twoparts)
-        hr_dw = sum(t["hr_data_writes"] for t in twoparts)
-        overflows = sum(
-            t["h2l_overflows"] + t["l2h_overflows"] for t in twoparts
-        )
-        attempts = overflows + sum(
-            t["h2l_pushes"] + t["l2h_pushes"] for t in twoparts
-        )
-        extras = {
-            "lr_write_share": (
-                lr_dw / (lr_dw + hr_dw) if (lr_dw + hr_dw) else 0.0
-            ),
-            "migrations_to_lr": sum(t["migrations_to_lr"] for t in twoparts),
-            "refresh_writes": sum(t["refresh_writes"] for t in twoparts),
-            "data_losses": sum(t["data_losses"] for t in twoparts),
-            "buffer_overflow_rate": (
-                overflows / attempts if attempts else 0.0
-            ),
-        }
-
-    return SimulationResult(
-        workload=workload.name,
-        config=config.name,
-        ipc=ipc,
-        utilization=utilization,
-        warps_per_sm=occupancy.warps_per_sm,
-        occupancy_limiter=occupancy.limiter,
-        bound_by=bound_by,
-        sim_time_s=sim_time_s,
-        total_warp_insts=total_warp_insts,
-        avg_read_latency_cycles=avg_read_latency_cycles,
-        l1_hit_rate=l1_hit_rate,
-        l2_hit_rate=l2_hit_rate,
-        l2_reads=l2_reads,
-        l2_writes=l2_writes,
-        l2_requests=l2_requests,
-        dram_accesses=dram_accesses,
-        dram_row_hit_rate=(
-            dram_row_hits / (dram_reads + dram_writes)
-            if (dram_reads + dram_writes) else 0.0
-        ),
-        dram_writebacks=rollup["dram_writebacks"],
-        l2_dynamic_energy_j=dynamic_energy,
-        l2_dynamic_power_w=dynamic_power,
-        l2_leakage_power_w=leakage_power,
-        l2_area_m2=area,
-        energy_breakdown=energy_breakdown,
-        bank_stats=_merged_bank_stats(config, ordered, shards),
-        **extras,
+    counters = _fold([
+        {key: value for key, value in p.items() if key not in _SHARD_KEYS}
+        for p in ordered
+    ])
+    return roll_up(
+        config, workload, counters, _merged_bank_stats(config, ordered, shards)
     )
 
 

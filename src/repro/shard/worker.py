@@ -3,20 +3,21 @@
 This mirrors the experiment battery's JobSpec/compute contract
 (:mod:`repro.experiments.parallel`): a :class:`BankJob` is plain frozen
 data, :func:`run_bank_job` is a module-level function any process can
-execute, and the payload is a dict of raw counters — *not* a rolled-up
-:class:`~repro.gpu.metrics.SimulationResult` — because the merge
-(:mod:`repro.shard.merge`) re-runs the roll-up algebra over the summed
-inputs of every shard.
+execute, and the payload is the replay's raw counter record — *not* a
+rolled-up :class:`~repro.gpu.metrics.SimulationResult` — because the merge
+(:mod:`repro.shard.merge`) sums the records of every shard and rolls the
+sum up once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, List
 
+from repro.cache.banked import BankedCache
 from repro.config import GPUConfig
-from repro.core.twopart import TwoPartSTTL2
-from repro.gpu.simulator import TIME_DILATION
+from repro.gpu.dram import DRAMModel
+from repro.gpu.simulator import EMPTY_SUMS, TIME_DILATION, replay_counters
 from repro.workloads.trace import Workload
 
 
@@ -35,62 +36,20 @@ class BankJob:
     start_time_s: float = 0.0
 
 
-def _payload_from_simulator(shard: int, shards: int, sim) -> Dict[str, Any]:
-    """Extract the merge's raw-counter surface from a finished simulator."""
-    l2 = sim.l2
-    stats = l2.stats
-    dram_stats = sim.dram.stats
-    twopart = None
-    if isinstance(l2, TwoPartSTTL2):
-        twopart = {
-            "lr_data_writes": l2.lr_data_writes,
-            "hr_data_writes": l2.hr_data_writes,
-            "migrations_to_lr": l2.migrations_to_lr,
-            "refresh_writes": l2.refresh_writes,
-            "data_losses": l2.data_losses,
-            "h2l_pushes": l2.hr_to_lr.stats.pushes,
-            "h2l_overflows": l2.hr_to_lr.stats.overflows,
-            "l2h_pushes": l2.lr_to_hr.stats.pushes,
-            "l2h_overflows": l2.lr_to_hr.stats.overflows,
-        }
-    return {
-        "shard": shard,
-        "shards": shards,
-        "idle": False,
-        "accesses": len(sim.workload.trace),
-        "rollup": dict(sim.rollup_inputs),
-        "l1_accesses": sum(l1.array.stats.accesses for l1 in sim.l1s),
-        "l1_hits": sum(l1.array.stats.hits for l1 in sim.l1s),
-        "l2": {
-            "reads": stats.reads,
-            "writes": stats.writes,
-            "read_hits": stats.read_hits,
-            "write_hits": stats.write_hits,
-        },
-        "dirty_lines": l2.dirty_lines(),
-        "dram": {
-            "reads": dram_stats.reads,
-            "writes": dram_stats.writes,
-            "row_hits": dram_stats.row_hits,
-        },
-        "energy": l2.energy.as_dict(),
-        "leakage_power_w": l2.leakage_power,
-        "area_m2": l2.area,
-        "twopart": twopart,
-        "bank_stats": [
-            [b.requests, b.conflicts, b.total_wait]
-            for b in sim.banks.per_bank
-        ],
-    }
+def _bank_rows(banks: BankedCache) -> List[list]:
+    """Per-bank ``[requests, conflicts, total_wait]`` rows (JSON-safe)."""
+    return [[b.requests, b.conflicts, b.total_wait] for b in banks.per_bank]
 
 
 def run_bank_job(job: BankJob) -> Dict[str, Any]:
     """Replay one shard's sub-stream and return its raw-counter payload.
 
-    The engine resolves per shard exactly like a standalone run
-    (``engine=None``): SoA when the scaled config supports it, the object
-    engine otherwise — the blocker-based fallback the registry already
-    implements.
+    The payload is the simulator's
+    :func:`~repro.gpu.simulator.replay_counters` record plus the shard's
+    identity and per-bank stats.  The engine resolves per shard exactly
+    like a standalone run (``engine=None``): SoA when the scaled config
+    supports it, the object engine otherwise — the blocker-based fallback
+    the registry already implements.
     """
     from repro.engine import make_simulator
 
@@ -103,55 +62,36 @@ def run_bank_job(job: BankJob) -> Dict[str, Any]:
         start_time_s=job.start_time_s,
     )
     sim.run()
-    return _payload_from_simulator(job.shard, job.shards, sim)
+    return {
+        "shard": job.shard,
+        "shards": job.shards,
+        "idle": False,
+        **sim.counters,
+        "bank_stats": _bank_rows(sim.banks),
+    }
 
 
 def idle_payload(shard: int, shards: int, config: GPUConfig) -> Dict[str, Any]:
     """The payload of a shard that owns no accesses.
 
-    Leakage power and area are *static* figures of the shard's L2 slice —
-    an idle bank still leaks and still occupies die area, so they are
-    computed from a freshly-built (never accessed) L2 rather than
-    reported as zero.  Everything event-driven is zero.
+    The counters of a freshly built (never accessed) L2 and DRAM: every
+    event count is zero, while leakage power and area — *static* figures
+    of the shard's L2 slice, which still leaks and still occupies die
+    area — keep their real values.
     """
     from repro.core.factory import build_l2
 
-    l2 = build_l2(config.l2, tech=config.tech)
-    is_twopart = isinstance(l2, TwoPartSTTL2)
-    twopart = None
-    if is_twopart:
-        twopart = {
-            "lr_data_writes": 0, "hr_data_writes": 0,
-            "migrations_to_lr": 0, "refresh_writes": 0, "data_losses": 0,
-            "h2l_pushes": 0, "h2l_overflows": 0,
-            "l2h_pushes": 0, "l2h_overflows": 0,
-        }
+    # only the DRAM's (zero) counters are read, so its geometry is moot
+    counters = replay_counters(
+        build_l2(config.l2, tech=config.tech), DRAMModel(), (), EMPTY_SUMS,
+        0, 0.0,
+    )
     return {
         "shard": shard,
         "shards": shards,
         "idle": True,
-        "accesses": 0,
-        "rollup": {
-            "reads": 0,
-            "stall_sum_s": 0.0,
-            "read_latency_sum_s": 0.0,
-            "l2_requests": 0,
-            "l2_service_sum_s": 0.0,
-            "dram_writebacks": 0,
-        },
-        "l1_accesses": 0,
-        "l1_hits": 0,
-        "l2": {"reads": 0, "writes": 0, "read_hits": 0, "write_hits": 0},
-        "dirty_lines": 0,
-        "dram": {"reads": 0, "writes": 0, "row_hits": 0},
-        "energy": {
-            "demand_j": 0.0, "migration_j": 0.0, "refresh_j": 0.0,
-            "fill_j": 0.0, "total_j": 0.0,
-        },
-        "leakage_power_w": l2.leakage_power,
-        "area_m2": l2.area,
-        "twopart": twopart,
-        "bank_stats": [
-            [0, 0, 0.0] for _ in range(config.l2.num_banks)
-        ],
+        **counters,
+        "bank_stats": _bank_rows(
+            BankedCache(config.l2.num_banks, config.l2.line_size)
+        ),
     }

@@ -183,7 +183,6 @@ def test_engine_resolution_fallbacks_and_errors():
     assert resolve_engine(config) == "soa"
     assert resolve_engine(config, engine="object") == "object"
     assert resolve_engine(config, tracer=_Tracer()) == "object"
-    assert resolve_engine(config, deferred_l1_fills=False) == "object"
     assert resolve_engine(config, invariant_checker=object()) == "object"
     with pytest.raises(ConfigurationError):
         resolve_engine(config, engine="soa", tracer=_Tracer())

@@ -97,27 +97,6 @@ class TestReplayHelper:
         # write-throughs must appear (bfs writes a lot)
         assert any(w for _, w in seen)
 
-    def test_replay_matches_simulator_l2_demand(self):
-        """replay_through_l1 and GPUSimulator see identical L2 streams."""
-        wl = build_workload("nn", num_accesses=2000, seed=0)
-        stream_a = []
-        replay_through_l1(wl, lambda a, w, n: stream_a.append((a, w)))
-
-        from repro.gpu.simulator import GPUSimulator
-
-        captured = []
-
-        class Recorder(TwoPartSTTL2):
-            def access(self, address, is_write, now):
-                captured.append((address, is_write))
-                return super().access(address, is_write, now)
-
-        l2 = Recorder(32 * 1024, 4, 8 * 1024, 2)
-        # with immediate L1 fills both paths see identical L2 streams; the
-        # default deferred mode additionally coalesces in-flight misses
-        GPUSimulator(baseline_sram(), wl, l2=l2, deferred_l1_fills=False).run()
-        assert stream_a == captured
-
 
 class TestBaselineVsTwoPartEquivalence:
     def test_hit_rates_similar_for_same_capacity(self):

@@ -38,12 +38,14 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.io import simulation_result_to_dict
 from repro.oracle import make_pair, pressure_config, run_diff
 from repro.shard import (
+    BankJob,
     ShardedGPUSimulator,
     ShardedL2Router,
     idle_payload,
     merge_bank_payloads,
     partition_trace,
     plan_shards,
+    run_bank_job,
     shard_l2_config,
 )
 from repro.workloads import build_workload
@@ -169,6 +171,19 @@ class TestShardedParity:
                 config, workload, payloads[:-1] + [payloads[0]]
             )
 
+    def test_merge_rejects_mixed_two_part_and_uniform_payloads(self):
+        config = all_configs()["C1"]
+        workload = build_workload(
+            "bfs", num_accesses=2000, num_sms=config.num_sms, seed=0
+        )
+        sim = ShardedGPUSimulator(config, workload, shards=2, workers=1)
+        sim.run()
+        uniform = dict(sim.bank_payloads[1], twopart=None)
+        with pytest.raises(SimulationError, match="twopart"):
+            merge_bank_payloads(
+                config, workload, [sim.bank_payloads[0], uniform]
+            )
+
     def test_merged_bank_stats_cover_every_global_bank(self):
         scenario = QUICK_SCENARIOS[0]
         config = all_configs()[scenario.config]
@@ -201,6 +216,27 @@ class TestEngineSeam:
         with pytest.raises(ConfigurationError):
             make_simulator(config, workload, workers=2)
 
+    @pytest.mark.parametrize("engine", ["object", "soa", "sharded"])
+    def test_unknown_keywords_are_rejected_on_every_engine(self, engine):
+        config = all_configs()["C1"]
+        workload = build_workload(
+            "bfs", num_accesses=200, num_sms=config.num_sms, seed=0
+        )
+        extra = {"shards": 2} if engine == "sharded" else {}
+        with pytest.raises(ConfigurationError, match="track_interval"):
+            make_simulator(
+                config, workload, engine=engine, track_interval=True, **extra
+            )
+        with pytest.raises(ConfigurationError, match="deferred_l1_fills"):
+            make_simulator(
+                config, workload, engine=engine, deferred_l1_fills=False,
+                **extra,
+            )
+        # the CLI's untraced path passes tracer=None to every engine
+        sim = make_simulator(config, workload, engine=engine, tracer=None,
+                             **extra)
+        assert sim.run().workload == workload.name
+
     def test_sharded_is_never_auto_selected(self):
         config = all_configs()["C1"]
         workload = build_workload(
@@ -228,6 +264,26 @@ class TestIdleShards:
         assert payload["area_m2"] > 0
         assert payload["energy"]["total_j"] == 0.0
         assert all(v == 0 for v in payload["rollup"].values())
+
+    @pytest.mark.parametrize("config_name", ["C1", "stt-baseline"])
+    def test_idle_payload_has_the_live_payload_schema(self, config_name):
+        def schema(payload):
+            return {
+                key: schema(value) if isinstance(value, dict) else None
+                for key, value in payload.items()
+            }
+
+        config = all_configs()[config_name]
+        plan = plan_shards(config, 2)
+        workload = build_workload(
+            "bfs", num_accesses=500, num_sms=config.num_sms, seed=0
+        )
+        live = run_bank_job(BankJob(
+            shard=0, shards=2, config=plan.sub_config, workload=workload,
+        ))
+        idle = idle_payload(1, 2, plan.sub_config)
+        assert schema(idle) == schema(live)
+        assert len(idle["bank_stats"]) == len(live["bank_stats"])
 
     def test_single_sm_trace_leaves_idle_shards_idle(self):
         """A trace touching one address only populates one shard; the
