@@ -65,6 +65,22 @@ class AddressMapper:
             return line >> self._set_bits, line & self._set_mask
         return divmod(line, self.num_sets)[0], line % self.num_sets
 
+    def split_columns(self, addresses) -> tuple:
+        """Vectorized :meth:`split` over a NumPy address column.
+
+        Returns ``(line_addresses, tags, set_indices)`` as Python lists, the
+        form the replay loops iterate; addresses must be non-negative (a
+        :class:`~repro.workloads.trace.Trace` guarantees it).
+        """
+        line = addresses >> self._offset_bits
+        if self._pow2:
+            tags = line >> self._set_bits
+            sets = line & self._set_mask
+        else:
+            tags = line // self.num_sets
+            sets = line % self.num_sets
+        return (line << self._offset_bits).tolist(), tags.tolist(), sets.tolist()
+
     def line_address(self, address: int) -> int:
         """The line-aligned address containing ``address``."""
         if address < 0:

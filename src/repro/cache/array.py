@@ -10,11 +10,13 @@ write-backs without the array knowing about the rest of the hierarchy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Optional, Tuple
 
 from repro.cache.address import AddressMapper
 from repro.cache.block import CacheBlock
 from repro.cache.cacheset import CacheSet
+from repro.cache.replacement import make_policy
 from repro.cache.stats import CacheStats
 from repro.errors import GeometryError
 from repro.tracing import NULL_TRACER, TraceCollector
@@ -69,6 +71,10 @@ class SetAssociativeCache:
                 f"of {line_size}B lines"
             )
         num_sets = capacity_bytes // (associativity * line_size)
+        make_policy(policy, associativity, seed=seed)  # reject a bad name now
+        self._num_sets = num_sets
+        self._policy = policy
+        self._seed = seed
         self.name = name
         self.capacity_bytes = capacity_bytes
         self.associativity = associativity
@@ -80,10 +86,6 @@ class SetAssociativeCache:
         #: (probe/access/fill/invalidate/evict/extract/block_at) — bound once
         #: so a geometry change can never desynchronize them
         self._split = self.mapper.split
-        self.sets: List[CacheSet] = [
-            CacheSet(associativity, policy=policy, seed=seed + i)
-            for i in range(num_sets)
-        ]
         self.stats = CacheStats()
         # AccessOutcome is frozen, so identical outcomes are shareable:
         # pre-build the plain-hit and unallocated-miss records per location
@@ -95,12 +97,24 @@ class SetAssociativeCache:
         #: replacement-victim count per set (eviction-pressure profile)
         self.set_evictions: List[int] = [0] * num_sets
 
+    @cached_property
+    def sets(self) -> List[CacheSet]:
+        """The per-set way objects, built on first use.
+
+        Arrays whose state lives elsewhere (the ``soa`` engine's L1 and
+        read-only caches keep flat per-SM vectors) never pay for them.
+        """
+        return [
+            CacheSet(self.associativity, policy=self._policy, seed=self._seed + i)
+            for i in range(self._num_sets)
+        ]
+
     # --- geometry ---------------------------------------------------------
 
     @property
     def num_sets(self) -> int:
         """Number of sets."""
-        return len(self.sets)
+        return self._num_sets
 
     @property
     def num_lines(self) -> int:
@@ -345,6 +359,12 @@ class SetAssociativeCache:
         residencies (fills and write hits both wear the cells).
         """
         return [list(s.frame_writes) for s in self.sets]
+
+    def dirty_count(self) -> int:
+        """Number of valid dirty lines (the array's write-back debt)."""
+        return sum(
+            1 for _, _, block in self.iter_blocks() if block.valid and block.dirty
+        )
 
     def occupancy(self) -> float:
         """Fraction of lines currently valid."""

@@ -165,10 +165,7 @@ class RelaxedUniformL2(L2Interface):
         )
 
     def dirty_lines(self) -> int:
-        return sum(
-            1 for _, _, block in self.array.iter_blocks()
-            if block.valid and block.dirty
-        )
+        return self.array.dirty_count()
 
     @property
     def stats(self) -> CacheStats:

@@ -168,8 +168,6 @@ class TwoPartSTTL2(L2Interface):
         self._line_address = self.hr_array.mapper.line_address
         self._lr_split = self.lr_array.mapper.split
         self._hr_split = self.hr_array.mapper.split
-        self._lr_sets = self.lr_array.sets
-        self._hr_sets = self.hr_array.sets
         models = {"lr": self.lr_model, "hr": self.hr_model}
         self._probe_energy_table: Dict[bool, Dict[int, float]] = {}
         for write_access in (False, True):
@@ -215,7 +213,7 @@ class TwoPartSTTL2(L2Interface):
         faults = self.faults
         block = None
         tag, index = self._lr_split(line)
-        cache_set = self._lr_sets[index]
+        cache_set = self.lr_array.sets[index]
         way = cache_set.lookup(tag)
         if way is not None:
             block = cache_set.blocks[way]
@@ -241,7 +239,7 @@ class TwoPartSTTL2(L2Interface):
                 return "lr", block
         block = None
         tag, index = self._hr_split(line)
-        cache_set = self._hr_sets[index]
+        cache_set = self.hr_array.sets[index]
         way = cache_set.lookup(tag)
         if way is not None:
             block = cache_set.blocks[way]
@@ -624,12 +622,7 @@ class TwoPartSTTL2(L2Interface):
 
     def dirty_lines(self) -> int:
         """Dirty residents across both parts (eventual write-back debt)."""
-        count = 0
-        for array in (self.lr_array, self.hr_array):
-            for _, _, block in array.iter_blocks():
-                if block.valid and block.dirty:
-                    count += 1
-        return count
+        return self.lr_array.dirty_count() + self.hr_array.dirty_count()
 
     @property
     def stats(self) -> CacheStats:

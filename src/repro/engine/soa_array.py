@@ -19,6 +19,7 @@ sweeps, state snapshots, per-set analyses) runs unmodified on SoA state.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.address import AddressMapper
@@ -258,14 +259,6 @@ class SoaCacheArray:
             list(range(associativity)) for _ in range(num_sets)
         ]
 
-        #: write-through cold-path views (one per line / per set)
-        self.block_views: List[SoaBlockView] = [
-            SoaBlockView(self, slot) for slot in range(num_lines)
-        ]
-        self.sets: List[SoaSetView] = [
-            SoaSetView(self, index) for index in range(num_sets)
-        ]
-
         # shared-outcome caches, exactly like the object array's
         self._hit_outcomes: dict = {}
         self._miss_outcomes: dict = {}
@@ -276,6 +269,18 @@ class SoaCacheArray:
         self._set_bits = self.mapper._set_bits
         self._set_mask = self.mapper._set_mask
         self._num_sets = num_sets
+
+    # --- cold-path views, built on first use ------------------------------
+
+    @cached_property
+    def block_views(self) -> List[SoaBlockView]:
+        """Write-through views, one per line (analysis and audits only)."""
+        return [SoaBlockView(self, slot) for slot in range(self.num_lines)]
+
+    @cached_property
+    def sets(self) -> List[SoaSetView]:
+        """Set views, one per set (analysis and audits only)."""
+        return [SoaSetView(self, index) for index in range(self._num_sets)]
 
     # --- geometry ---------------------------------------------------------
 
@@ -505,7 +510,7 @@ class SoaCacheArray:
         way = self.tag_to_way[index].get(tag)
         if way is None:
             return None
-        return self.block_views[index * self.associativity + way]
+        return SoaBlockView(self, index * self.associativity + way)
 
     def flush(self) -> int:
         """Invalidate everything; returns the number of dirty lines dropped."""
@@ -553,6 +558,11 @@ class SoaCacheArray:
             self.frame_writes_vec[index * assoc:(index + 1) * assoc]
             for index in range(self._num_sets)
         ]
+
+    def dirty_count(self) -> int:
+        """Number of valid dirty lines (the array's write-back debt)."""
+        pairs = zip(self.valid_vec, self.dirty_vec)
+        return sum(1 for valid, dirty in pairs if valid and dirty)
 
     def occupancy(self) -> float:
         """Fraction of lines currently valid."""

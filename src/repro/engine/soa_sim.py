@@ -136,18 +136,6 @@ class SoaGPUSimulator(GPUSimulator):
         route_np[const_np] = 1
         route_list = route_np.tolist()
 
-        def _decode(off_bits: int, pow2: bool, set_bits: int, set_mask: int,
-                    nsets: int):
-            """Line-address / tag / set-index columns for one geometry."""
-            line_no = addr_np >> off_bits
-            if pow2:
-                tags = line_no >> set_bits
-                sets_ = line_no & set_mask
-            else:
-                tags = line_no // nsets
-                sets_ = line_no % nsets
-            return (line_no << off_bits).tolist(), tags.tolist(), sets_.tolist()
-
         l1_geom = self.l1s[0].array.mapper
         l1_off = l1_geom.offset_bits
         l1_pow2 = l1_geom.pow2_sets
@@ -155,25 +143,17 @@ class SoaGPUSimulator(GPUSimulator):
         l1_mask = l1_geom._set_mask
         l1_nsets = self.l1s[0].array.num_sets
         l1_assoc = self.l1s[0].array.associativity
-        l1_line_list, l1_tag_list, l1_set_list = _decode(
-            l1_off, l1_pow2, l1_bits, l1_mask, l1_nsets
-        )
+        l1_line_list, l1_tag_list, l1_set_list = l1_geom.split_columns(addr_np)
         have_const = bool(const_np.any())
         have_texture = bool(texture_np.any())
         if have_const:
-            cg = self.const_caches[0].array.mapper
-            c_nsets = self.const_caches[0].array.num_sets
-            c_line_list, c_tag_list, c_set_list = _decode(
-                cg.offset_bits, cg.pow2_sets, cg._set_bits, cg._set_mask,
-                c_nsets,
-            )
+            c_array = self.const_caches[0].array
+            c_nsets = c_array.num_sets
+            c_line_list, c_tag_list, c_set_list = c_array.mapper.split_columns(addr_np)
         if have_texture:
-            tg = self.texture_caches[0].array.mapper
-            t_nsets = self.texture_caches[0].array.num_sets
-            t_line_list, t_tag_list, t_set_list = _decode(
-                tg.offset_bits, tg.pow2_sets, tg._set_bits, tg._set_mask,
-                t_nsets,
-            )
+            t_array = self.texture_caches[0].array
+            t_nsets = t_array.num_sets
+            t_line_list, t_tag_list, t_set_list = t_array.mapper.split_columns(addr_np)
 
         # --- flat per-SM state -------------------------------------------
         S = max_sm

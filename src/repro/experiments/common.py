@@ -7,8 +7,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.tables import format_table, to_csv
+from repro.cache.address import AddressMapper
 from repro.config import GPUConfig, baseline_sram
-from repro.gpu.l1 import GPUL1Cache
+from repro.errors import SimulationError
+from repro.gpu.simulator import TIME_DILATION
 from repro.workloads.trace import FLAG_LOCAL, FLAG_WRITE, Workload
 
 #: Default trace length for experiment harnesses (benches); tests shrink it.
@@ -96,30 +98,98 @@ def geomean(values: Iterable[float]) -> float:
 
 def replay_through_l1(
     workload: Workload,
-    l2_access: Callable[[int, bool, float], None],
+    l2_access: Callable[[int, bool, float], object],
     config: Optional[GPUConfig] = None,
-    time_dilation: float = 10.0,
-) -> List[GPUL1Cache]:
+    time_dilation: float = TIME_DILATION,
+) -> None:
     """Replay a trace through per-SM L1s, forwarding L2 traffic to a callback.
 
-    Used by the characterization experiments (Figs. 3-6), which need the
-    L1-filtered L2 access stream but not the full timing/power roll-up.
-    ``l2_access(address, is_write, now)`` is called per L2 request; ``now``
-    runs on the dilated (sampled-trace) timebase, matching what the full
-    simulator hands the L2 — see ``repro.gpu.simulator.TIME_DILATION``.
+    Used by the characterization experiments (Figs. 3-6, the energy
+    breakdown and the surrogate's features), which need the L1-filtered L2
+    access stream but not the full timing/power roll-up.
+    ``l2_access(address, is_write, now)`` is called per L2 request, in
+    order; its return value is ignored.  ``now`` runs on the dilated
+    (sampled-trace) timebase, matching what the full simulator hands the
+    L2 — see :data:`repro.gpu.simulator.TIME_DILATION`.
+
+    The L1s apply the paper's write policies (:mod:`repro.gpu.l1`) with
+    fills landing at once (no MSHR file): a global store is written through
+    and evicts any L1 copy; a global read or any local access allocates on
+    a miss (LRU, invalid ways first), a dirty victim is written back before
+    the fetch, and a local store dirties its line.  Const and texture
+    records take the data-L1 path here.  State lives in flat per-SM lists
+    with the line/set split pre-decoded by NumPy, like
+    :class:`repro.engine.soa_sim.SoaGPUSimulator`.
     """
     config = config or baseline_sram()
-    l1s = [GPUL1Cache(config.l1, name=f"l1-sm{i}") for i in range(config.num_sms)]
+    geometry = config.l1
+    assoc = geometry.associativity
+    nsets = geometry.capacity_bytes // (assoc * geometry.line_size)
+    mapper = AddressMapper(line_size=geometry.line_size, num_sets=nsets)
+    trace = workload.trace
+    if int(trace.sm.max()) >= config.num_sms:
+        raise SimulationError(
+            f"trace SM id {int(trace.sm.max())} exceeds configured "
+            f"{config.num_sms} SMs"
+        )
+    lines, _, set_indices = mapper.split_columns(trace.address)
+    writes = ((trace.flags & FLAG_WRITE) != 0).tolist()
+    local = ((trace.flags & FLAG_LOCAL) != 0).tolist()
+
+    # per-(SM, set) line->way maps and LRU orders (LRU first); per-way
+    # resident line address (-1 when empty) and dirty bit, indexed
+    # (SM * nsets + set) * assoc + way
+    groups = config.num_sms * nsets
+    resident = [-1] * (groups * assoc)
+    dirty = [False] * (groups * assoc)
+    way_of = [dict() for _ in range(groups)]
+    lru = [list(range(assoc)) for _ in range(groups)]
+
     cycle_s = 1.0 / config.core_clock_hz
     dt = (
         workload.kernel.compute_intensity * cycle_s / config.num_sms * time_dilation
     )
     now = 0.0
-    for sm, address, flag in zip(*workload.trace.columns()):
+    for sm, is_write, is_local, line, set_index in zip(
+        trace.sm.tolist(), writes, local, lines, set_indices
+    ):
         now += dt
-        requests = l1s[sm].access(
-            address, bool(flag & FLAG_WRITE), bool(flag & FLAG_LOCAL), now
-        )
-        for request in requests:
-            l2_access(request.address, request.is_write, now)
-    return l1s
+        group = sm * nsets + set_index
+        ways = way_of[group]
+        way = ways.get(line)
+        if is_write and not is_local:
+            # global store: write-evict on a hit, write-no-allocate on a miss
+            if way is not None:
+                del ways[line]
+                slot = group * assoc + way
+                resident[slot] = -1
+                dirty[slot] = False
+            l2_access(line, True, now)
+            continue
+        order = lru[group]
+        if way is not None:
+            if is_write:
+                dirty[group * assoc + way] = True
+            order.remove(way)
+            order.append(way)
+            continue
+        base = group * assoc
+        way = -1
+        for candidate in range(assoc):
+            if resident[base + candidate] < 0:
+                way = candidate
+                break
+        if way < 0:
+            way = order[0]
+        slot = base + way
+        victim = resident[slot]
+        if victim >= 0:
+            del ways[victim]
+            if dirty[slot]:
+                l2_access(victim, True, now)
+        resident[slot] = line
+        dirty[slot] = is_write
+        ways[line] = way
+        order.remove(way)
+        order.append(way)
+        l2_access(line, False, now)

@@ -36,7 +36,7 @@ def compute(
 ) -> Dict[str, Any]:
     """One job: C1 energy-ledger buckets for ``benchmark``."""
     workload = build_workload(benchmark, num_accesses=trace_length, seed=seed)
-    l2 = build_l2(config_c1().l2)
+    l2 = build_l2(config_c1().l2, engine="soa")
     assert isinstance(l2, TwoPartSTTL2)
     replay_through_l1(workload, l2.access)
     ledger = l2.energy

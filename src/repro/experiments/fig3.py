@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.cov import write_variation
-from repro.cache.array import SetAssociativeCache
+from repro.engine.soa_array import SoaCacheArray
 from repro.experiments.common import (
     DEFAULT_TRACE_LENGTH,
     ExperimentResult,
@@ -42,7 +42,7 @@ def compute(
     on disk and shipped across process boundaries unchanged.
     """
     workload = build_workload(benchmark, num_accesses=trace_length, seed=seed)
-    l2 = SetAssociativeCache(384 * KB, 8, 256, name="fig3-l2")
+    l2 = SoaCacheArray(384 * KB, 8, 256, name="fig3-l2")
     replay_through_l1(workload, l2.access)
     variation = write_variation(l2)
     pct = variation.as_percentages()

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.config import config_c1
-from repro.core.twopart import TwoPartSTTL2
+from repro.engine.soa_l2 import SoaTwoPartL2
 from repro.experiments.common import (
     DEFAULT_TRACE_LENGTH,
     ExperimentResult,
@@ -36,10 +36,10 @@ from repro.workloads.suite import build_workload, suite_names
 THRESHOLDS = (1, 3, 7, 15)
 
 
-def _build_twopart(threshold: int) -> TwoPartSTTL2:
+def _build_twopart(threshold: int) -> SoaTwoPartL2:
     l2cfg = config_c1().l2
     assert l2cfg.lr is not None
-    return TwoPartSTTL2(
+    return SoaTwoPartL2(
         hr_capacity_bytes=l2cfg.main.capacity_bytes,
         hr_associativity=l2cfg.main.associativity,
         lr_capacity_bytes=l2cfg.lr.capacity_bytes,

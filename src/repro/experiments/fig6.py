@@ -38,7 +38,7 @@ def compute(
 ) -> Dict[str, Any]:
     """One job: LR rewrite-interval buckets for ``benchmark``."""
     workload = build_workload(benchmark, num_accesses=trace_length, seed=seed)
-    l2 = build_l2(config_c1().l2, track_intervals=True)
+    l2 = build_l2(config_c1().l2, track_intervals=True, engine="soa")
     replay_through_l1(workload, l2.access)
     distribution = rewrite_interval_distribution(l2.rewrite_intervals)
     fractions = distribution.fractions()

@@ -16,12 +16,13 @@ data by construction — the eviction path needs no space tag.
 ``access`` returns the list of L2 requests the access generated, so the
 simulator owns all inter-level routing and timing.
 
-With ``deferred_fills=True`` the cache also models its MSHR file: a read
-miss registers in the MSHRs and the line is installed only when the owner
-reports the fetch latency via :meth:`GPUL1Cache.complete_fetch`; further
-misses to an in-flight line *coalesce* (no duplicate L2 request).  The
-default (immediate fills, no MSHR) keeps unit-level behaviour simple; the
-simulator enables deferral.
+The cache also models its MSHR file: a read miss registers in the MSHRs
+and the line is installed only when the owner reports the fetch latency
+via :meth:`GPUL1Cache.complete_fetch`; further misses to an in-flight line
+*coalesce* (no duplicate L2 request).  The characterization replays
+(Figs. 3-6) need only the filtered L2 stream with fills landing at once;
+:func:`repro.experiments.common.replay_through_l1` runs that filter on
+flat per-SM state instead of these objects.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Dict, List, Optional
 from repro.cache.array import SetAssociativeCache
 from repro.cache.mshr import MSHRFile
 from repro.config import L1Config
-from repro.errors import SimulationError
 from repro.tracing import NULL_TRACER, TraceCollector
 
 
@@ -75,9 +75,6 @@ class GPUL1Cache:
     ----------
     config:
         Geometry.
-    deferred_fills:
-        Model the MSHR file: misses register, fills land when the owner
-        calls :meth:`complete_fetch`, secondary misses coalesce.
     mshr_entries:
         MSHR file depth (GPU L1s typically hold 32-64 outstanding lines).
     tracer:
@@ -90,7 +87,6 @@ class GPUL1Cache:
         self,
         config: L1Config,
         name: str = "l1",
-        deferred_fills: bool = False,
         mshr_entries: int = 32,
         tracer: Optional[TraceCollector] = None,
     ) -> None:
@@ -103,7 +99,6 @@ class GPUL1Cache:
         )
         self.gpu_stats = L1Stats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.deferred_fills = deferred_fills
         self.mshr = MSHRFile(mshr_entries)
         #: line -> (ready_time, fill_dirty) for in-flight fetches
         self._pending: Dict[int, List] = {}
@@ -124,10 +119,10 @@ class GPUL1Cache:
     ) -> List[L2Request]:
         """Perform one access; returns L2 requests generated (possibly none).
 
-        In deferred mode, fills whose fetch completed by ``now`` land first;
-        any dirty lines they evict come back as ``writeback`` requests.
+        Fills whose fetch completed by ``now`` land first; any dirty lines
+        they evict come back as ``writeback`` requests.
         """
-        requests = self._drain_fills(now) if self.deferred_fills else []
+        requests = self._drain_fills(now)
         if is_local:
             requests.extend(self._access_local(address, is_write, now))
         else:
@@ -184,15 +179,11 @@ class GPUL1Cache:
         return [L2Request("fetch", line)]
 
     def complete_fetch(self, line_address: int, ready_time: float) -> None:
-        """Report when an issued fetch's data arrives (deferred mode).
+        """Report when an issued fetch's data arrives.
 
         Unknown lines are ignored: fetches issued past a full MSHR file are
         uncached and fill nothing.
         """
-        if not self.deferred_fills:
-            raise SimulationError(
-                "complete_fetch is only meaningful with deferred fills"
-            )
         entry = self._pending.get(line_address)
         if entry is not None and entry[0] is None:
             entry[0] = ready_time
@@ -219,21 +210,9 @@ class GPUL1Cache:
                 self.mshr.complete(line)
             return [L2Request("write", line)]
         self.gpu_stats.global_reads += 1
-        if self.deferred_fills:
-            outcome = self.array.access(address, False, now, allocate=False)
-            if outcome.hit:
-                return []
-            return self._register_fetch(line, dirty=False)
-        outcome = self.array.access(address, False, now)
-        requests = []
-        if outcome.evicted_dirty:
-            assert outcome.evicted_address is not None
-            requests.append(L2Request("writeback", outcome.evicted_address))
-            self.gpu_stats.local_writebacks += 1
-            self.tracer.count("l1.local_writebacks")
-        if not outcome.hit:
-            requests.append(L2Request("fetch", line))
-        return requests
+        if self.array.access(address, False, now, allocate=False).hit:
+            return []
+        return self._register_fetch(line, dirty=False)
 
     def _access_local(self, address: int, is_write: bool, now: float) -> List[L2Request]:
         line = self.array.mapper.line_address(address)
@@ -241,22 +220,8 @@ class GPUL1Cache:
             self.gpu_stats.local_writes += 1
         else:
             self.gpu_stats.local_reads += 1
-        if self.deferred_fills:
-            outcome = self.array.access(address, is_write, now, allocate=False)
-            if outcome.hit:
-                return []
-            # write misses allocate once the fetch lands (fill-dirty merges
-            # the pending store into the incoming line)
-            return self._register_fetch(line, dirty=is_write)
-        outcome = self.array.access(address, is_write, now)
-        requests: List[L2Request] = []
-        if outcome.evicted_dirty:
-            assert outcome.evicted_address is not None
-            requests.append(L2Request("writeback", outcome.evicted_address))
-            self.gpu_stats.local_writebacks += 1
-            self.tracer.count("l1.local_writebacks")
-        if not outcome.hit:
-            # write misses allocate (write-back policy for local data), but
-            # the line must still be fetched before it is partially written
-            requests.append(L2Request("fetch", line))
-        return requests
+        if self.array.access(address, is_write, now, allocate=False).hit:
+            return []
+        # write misses allocate once the fetch lands (fill-dirty merges the
+        # pending store into the incoming line)
+        return self._register_fetch(line, dirty=is_write)

@@ -107,8 +107,7 @@ class GPUSimulator:
             tracer=tracer,
         )
         self.l1s = [
-            GPUL1Cache(config.l1, name=f"l1-sm{i}", deferred_fills=True,
-                       tracer=self.tracer)
+            GPUL1Cache(config.l1, name=f"l1-sm{i}", tracer=self.tracer)
             for i in range(config.num_sms)
         ]
         self.const_caches = [

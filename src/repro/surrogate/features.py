@@ -32,9 +32,9 @@ from typing import Any, Dict, Mapping, Optional
 from repro.analysis.cov import write_variation
 from repro.analysis.intervals import rewrite_interval_distribution
 from repro.analysis.wws import weighted_wws_fraction, write_working_set
-from repro.cache.array import SetAssociativeCache
 from repro.config import config_c1
 from repro.core.factory import build_l2
+from repro.engine.soa_array import SoaCacheArray
 from repro.errors import AnalysisError, SurrogateError
 from repro.experiments.common import replay_through_l1
 from repro.telemetry import (
@@ -152,8 +152,8 @@ def characterize_workload(
     )
 
     # one replay through the L1 front end feeds both measurement caches
-    cov_array = SetAssociativeCache(384 * KB, 8, 256, name="surrogate-cov")
-    twopart = build_l2(config_c1().l2, track_intervals=True)
+    cov_array = SoaCacheArray(384 * KB, 8, 256, name="surrogate-cov")
+    twopart = build_l2(config_c1().l2, track_intervals=True, engine="soa")
     counts = {"requests": 0, "writes": 0}
 
     def tap(address: int, is_write: bool, now: float) -> None:

@@ -1,5 +1,6 @@
 """Tests for address slicing and bank hashing."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -64,6 +65,17 @@ class TestAddressMapper:
         tag, index = mapper.split(address)
         assert 0 <= index < num_sets
         assert mapper.rebuild(tag, index) == mapper.line_address(address)
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**40), min_size=1),
+           st.sampled_from([64, 128, 256]),
+           st.sampled_from([1, 4, 64, 768, 1024]))
+    def test_split_columns_matches_split(self, addresses, line_size, num_sets):
+        mapper = AddressMapper(line_size=line_size, num_sets=num_sets)
+        lines, tags, indices = mapper.split_columns(
+            np.array(addresses, dtype=np.int64)
+        )
+        assert lines == [mapper.line_address(a) for a in addresses]
+        assert list(zip(tags, indices)) == [mapper.split(a) for a in addresses]
 
 
 class TestBankIndex:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.array import SetAssociativeCache
-from repro.errors import GeometryError
+from repro.errors import ConfigurationError, GeometryError
 from repro.units import KB
 
 
@@ -28,6 +28,12 @@ class TestGeometry:
     def test_seven_way_non_pow2_sets(self):
         cache = make_cache(1344 * KB, 7, 256)
         assert cache.num_sets == 768
+
+    def test_unknown_policy_rejected_at_construction(self):
+        # the per-set objects are built on first use; a bad policy name
+        # must still fail where the array is made
+        with pytest.raises(ConfigurationError):
+            SetAssociativeCache(16 * KB, 4, 256, policy="clock")
 
 
 class TestBasicAccess:

@@ -203,3 +203,34 @@ def test_make_simulator_returns_the_resolved_engine():
     )
     explicit = make_simulator(config, workload, engine="object")
     assert type(explicit) is GPUSimulator
+
+
+@pytest.mark.parametrize("config_name", ["C1", "baseline"])
+def test_soa_builds_no_per_line_objects(config_name):
+    """``soa`` keeps every cache's state flat, through construction and run.
+
+    Its loop holds the L1 and read-only caches in per-SM lists and reads
+    the L2 vectors directly, so no object array may build its ``CacheSet``
+    list and no SoA array its set or block views.  The trace is long enough
+    for C1's LR refresh sweeps to refresh lines.
+    """
+    config = all_configs()[config_name]
+    workload = build_workload(
+        "bfs", num_accesses=20_000, num_sms=config.num_sms, seed=0
+    )
+    sim = make_simulator(config, workload, engine="soa")
+    sim.run()
+    object_arrays = [
+        cache.array
+        for caches in (sim.l1s, sim.const_caches, sim.texture_caches)
+        for cache in caches
+    ]
+    assert not [a.name for a in object_arrays if "sets" in vars(a)]
+    l2 = sim.l2
+    soa_arrays = (
+        [l2.lr_array, l2.hr_array] if isinstance(l2, SoaTwoPartL2) else [l2.array]
+    )
+    if config_name == "C1":
+        assert l2.refresh_engine.stats.lr_refreshes > 0
+    for array in soa_arrays:
+        assert "sets" not in vars(array) and "block_views" not in vars(array)

@@ -1,14 +1,11 @@
-"""Tests for the L1's deferred-fill (MSHR) mode."""
-
-import pytest
+"""Tests for the L1's deferred fills (its MSHR model)."""
 
 from repro.config import L1Config
-from repro.errors import SimulationError
 from repro.gpu.l1 import GPUL1Cache, L2Request
 
 
 def make_l1(**kwargs):
-    return GPUL1Cache(L1Config(), deferred_fills=True, **kwargs)
+    return GPUL1Cache(L1Config(), **kwargs)
 
 
 class TestDeferredFills:
@@ -98,11 +95,6 @@ class TestDeferredFills:
         requests = l1.access(0x9000, False, False, now=now)
         writebacks = [r for r in requests if r.kind == "writeback"]
         assert writebacks == [L2Request("writeback", conflicting[0])]
-
-    def test_complete_fetch_requires_deferred_mode(self):
-        l1 = GPUL1Cache(L1Config())
-        with pytest.raises(SimulationError):
-            l1.complete_fetch(0x1000, ready_time=0.0)
 
     def test_mshr_occupancy_returns_to_zero(self):
         l1 = make_l1()
