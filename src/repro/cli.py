@@ -353,7 +353,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     tmp = None
     try:
-        pool = ShardedWorkerPool(shards=args.pool_shards, kind=args.pool_kind)
+        pool = ShardedWorkerPool(shards=args.pool_shards)
         store_dir = args.store_dir
         if store_dir is None:
             tmp = tempfile.TemporaryDirectory(prefix="repro-service-")
@@ -612,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "docs/sharding.md)")
     p_sim.add_argument("--workers", type=int, default=None, metavar="N",
                        help="worker processes for --engine sharded "
-                            "(default: min(shards, cpu count))")
+                            "(default: min(shards, usable CPUs))")
     p_sim.add_argument("--trace", action="store_true",
                        help="collect an execution trace (Chrome/Perfetto JSON)")
     p_sim.add_argument("--trace-sample", type=int, default=1, metavar="N",
@@ -678,7 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "oracle.divergence event on the DUT timeline")
     p_diff.set_defaults(func=_cmd_diff)
 
-    from repro.service.pool import POOL_KINDS
     from repro.service.protocol import DEFAULT_PORT
     from repro.service.server import DEFAULT_DRAIN_TIMEOUT_S
 
@@ -704,9 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--pool-shards", type=int, default=2, metavar="N",
                        help="worker pool shards; jobs route by digest "
                             "(default 2)")
-    p_srv.add_argument("--pool-kind", choices=POOL_KINDS, default="thread",
-                       help="worker kind per shard (default thread; "
-                            "process gives true parallelism)")
     p_srv.add_argument("--drain-timeout", type=float,
                        default=DEFAULT_DRAIN_TIMEOUT_S, metavar="SECONDS",
                        help="max seconds a draining shutdown waits for "

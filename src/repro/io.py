@@ -62,8 +62,9 @@ def simulation_result_to_dict(result: SimulationResult) -> Dict[str, Any]:
     """Flatten a simulation result to plain JSON-able types.
 
     ``bank_stats`` is observability-only and deliberately excluded: the
-    canonical dict feeds result digests (BENCH_replay.json, the parity
-    gates), and per-bank counters must not perturb digests pinned before
+    canonical dict feeds result digests (the tier-1 digest table in
+    ``tests/pinned.py``, the repo benchmark's ``bench/digests.json``),
+    and per-bank counters must not perturb digests pinned before
     per-bank accounting existed — nor differ between engines that do and
     do not populate them.
     """

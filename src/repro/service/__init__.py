@@ -15,21 +15,19 @@ result store and request coalescing:
 * :mod:`repro.service.pool` — :class:`ShardedWorkerPool`, long-lived
   digest-routed single-worker executors;
 * :mod:`repro.service.server` — :class:`SimulationServer` (the asyncio
-  server) and :class:`ServerThread` (run it inside a test or bench
+  server) and :class:`ServerThread` (run it inside a test or host
   process);
 * :mod:`repro.service.client` — :class:`ServiceClient`, the blocking
-  client the CLI and load harness use;
-* :mod:`repro.service.bench` — the load-test harness behind
-  ``scripts/bench_service.py`` and the ``load-smoke`` CI gate.
+  client the CLI and the repo benchmark's ``service-mixed`` workload use.
 
 Results are byte-identical to the direct library calls for the same
 normalized parameters; see docs/service.md for the protocol, dedup
-semantics, eviction policy, and gate policy.
+semantics and eviction policy.
 """
 
 from repro.service.client import ServiceClient
 from repro.service.dedup import InflightTable
-from repro.service.pool import POOL_KINDS, ShardedWorkerPool
+from repro.service.pool import ShardedWorkerPool
 from repro.service.protocol import (
     DEFAULT_PORT,
     PROTOCOL_VERSION,
@@ -43,7 +41,6 @@ from repro.service.store import SharedResultStore
 __all__ = [
     "DEFAULT_PORT",
     "PROTOCOL_VERSION",
-    "POOL_KINDS",
     "REQUEST_KINDS",
     "InflightTable",
     "ServerThread",

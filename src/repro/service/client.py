@@ -2,9 +2,10 @@
 
 :class:`ServiceClient` wraps one TCP connection speaking the
 newline-delimited JSON protocol of :mod:`repro.service.protocol`.  It is
-deliberately synchronous — the CLI, the load-test harness (which wants
-one thread per connection measuring real end-to-end latency) and test
-code all prefer plain blocking calls; concurrency lives server-side.
+deliberately synchronous — the CLI, the repo benchmark's
+``service-mixed`` workload (one client per connection measuring real
+end-to-end latency) and test code all prefer plain blocking calls;
+concurrency lives server-side.
 
 Transport failures (refused connection, timeout, server gone away) raise
 :class:`~repro.errors.ServiceConnectionError` with a one-line message —

@@ -13,30 +13,25 @@ submission-order collection:
 * **Per-digest serialization** — duplicates of one digest can never run
   on two workers at once even if coalescing is bypassed.
 
-Worker kinds: ``"process"`` shards are single-worker
-``ProcessPoolExecutor`` instances (true parallelism, the serve default);
-``"thread"`` shards are single-worker threads — no pickling, shared
-memory, ideal for tests and single-CPU hosts, and still enough
-concurrency for request coalescing to be observable because the
-interpreter's preemptive thread switching keeps the event loop
+Each shard is a single-worker thread: no pickling, shared memory, and
+still enough concurrency for request coalescing to be observable because
+the interpreter's preemptive thread switching keeps the event loop
 responsive while a worker thread replays.
 
 The compute functions mirror the ``JobSpec``/compute contract of
 :mod:`repro.experiments.parallel`: module-level, picklable, plain-dict
 in / JSON-safe dict out, so the same function runs inline, on a thread,
-or in a worker process — and the results are byte-identical either way.
+or in a battery worker process — and the results are byte-identical
+either way.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.errors import ServiceError
-
-#: Worker kinds (executor flavors) the pool can shard over.
-POOL_KINDS = ("thread", "process")
 
 
 def compute_simulate(request: Mapping[str, Any]) -> Dict[str, Any]:
@@ -85,24 +80,16 @@ def compute_experiment_job(spec_fields: Tuple) -> Dict[str, Any]:
 
 
 class ShardedWorkerPool:
-    """``shards`` long-lived single-worker executors, routed by digest."""
+    """``shards`` long-lived single-worker threads, routed by digest."""
 
-    def __init__(self, shards: int = 2, kind: str = "thread") -> None:
-        """Create the pool: ``shards`` executors of ``kind`` workers."""
+    def __init__(self, shards: int = 2) -> None:
+        """Create the pool: ``shards`` single-worker thread executors."""
         if shards < 1:
             raise ServiceError(f"pool shards must be >= 1, got {shards}")
-        if kind not in POOL_KINDS:
-            raise ServiceError(
-                f"unknown pool kind {kind!r}; choose from {POOL_KINDS}"
-            )
         self.shards = shards
-        self.kind = kind
-        self._executors: List[Executor] = []
-        for _ in range(shards):
-            if kind == "process":
-                self._executors.append(ProcessPoolExecutor(max_workers=1))
-            else:
-                self._executors.append(ThreadPoolExecutor(max_workers=1))
+        self._executors: List[ThreadPoolExecutor] = [
+            ThreadPoolExecutor(max_workers=1) for _ in range(shards)
+        ]
 
     def shard_for(self, digest: str) -> int:
         """The shard index a digest routes to (pure function of digest)."""
@@ -121,4 +108,4 @@ class ShardedWorkerPool:
 
     def describe(self) -> Dict[str, Any]:
         """JSON-safe pool topology for stats responses."""
-        return {"shards": self.shards, "kind": self.kind}
+        return {"shards": self.shards}

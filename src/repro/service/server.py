@@ -418,8 +418,8 @@ class SimulationServer:
 class ServerThread:
     """Run a :class:`SimulationServer` on a background thread.
 
-    The embedding used by the load-test harness, the test suite, and any
-    host application that wants the service in-process::
+    The embedding used by the test suite and by any host application
+    that wants the service in-process::
 
         with ServerThread(SimulationServer(port=0)) as server:
             client = ServiceClient(port=server.port)

@@ -12,10 +12,10 @@ guidance (short answer: >= 2 physical cores and >= ~1M accesses).
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from typing import Optional
 
+from repro.benchmarks import usable_cpus
 from repro.config import GPUConfig
 from repro.errors import ConfigurationError
 from repro.gpu.metrics import SimulationResult
@@ -44,7 +44,7 @@ class ShardedGPUSimulator:
         self.plan = plan_shards(config, shards)
         self.shards = shards
         if workers is None:
-            workers = min(shards, os.cpu_count() or 1)
+            workers = min(shards, usable_cpus())
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         #: process-pool width; results are merge-order deterministic for

@@ -232,7 +232,7 @@ class TestServiceDocs:
         assert "## Dedup semantics (request coalescing)" in text
         assert "## The shared result store" in text
         assert "## Draining shutdown" in text
-        assert "## The load-test harness and its gate" in text
+        assert "## Load measurement and pinned payloads" in text
         assert "Digest changes always fail" in text
 
     def test_quickstart_runs_against_a_live_server(self):
@@ -253,7 +253,7 @@ class TestServiceDocs:
             server = SimulationServer(
                 port=0,
                 store=SharedResultStore(tmp),
-                pool=ShardedWorkerPool(shards=1, kind="thread"),
+                pool=ShardedWorkerPool(shards=1),
                 log=lambda line: None,
             )
             with ServerThread(server) as running:

@@ -4,11 +4,11 @@ The SoA engine (``repro.engine``, see docs/engine.md) re-implements the
 replay hot path over flat vectors; its entire claim to correctness is that
 no observable output changes.  These tests enforce that claim three ways:
 
-* **Pinned bench scenarios** — every scenario in the committed replay
-  benchmark (``repro.benchmarks.PINNED_SCENARIOS`` + ``QUICK_SCENARIOS``)
-  is run under both engines and the full canonical
-  :class:`~repro.gpu.metrics.SimulationResult` dicts, their SHA-256
-  digests, and the component counter surfaces must match exactly.
+* **Pinned scenarios** — every scenario of the tier-1 digest table
+  (``tests/pinned.py``) is run under both engines; both must produce the
+  pinned SHA-256 digest, and the full canonical
+  :class:`~repro.gpu.metrics.SimulationResult` dicts and the component
+  counter surfaces must match exactly.
 * **Randomized pressure profiles** — seeded workloads on the tiny
   ``oracle-small`` two-part config (capacity pressure ⇒ migrations,
   buffer traffic and refresh sweeps within tens of accesses) are replayed
@@ -19,20 +19,16 @@ no observable output changes.  These tests enforce that claim three ways:
   same order) on a shared access-and-maintenance schedule.
 
 Engine selection itself (fallbacks, explicit-request errors) is covered at
-the bottom; the regression *speed* gate lives in ``scripts/bench_replay.py``,
-not here — tier-1 only proves equivalence.
+the bottom; speed is measured by the repo benchmark (``bench/``), not
+here — tier-1 only proves equivalence.
 """
 
 import random
 
 import pytest
 
-from repro.benchmarks import (
-    PINNED_SCENARIOS,
-    QUICK_SCENARIOS,
-    all_configs,
-    result_digest,
-)
+from repro.benchmarks import result_digest
+from repro.config import all_configs
 from repro.engine import ENGINES, make_simulator, resolve_engine
 from repro.engine.soa_l2 import SoaTwoPartL2
 from repro.engine.soa_sim import SoaGPUSimulator
@@ -47,8 +43,7 @@ from repro.oracle import (
     run_diff,
 )
 from repro.workloads import build_workload
-
-ALL_SCENARIOS = tuple(PINNED_SCENARIOS) + tuple(QUICK_SCENARIOS)
+from tests.pinned import ALL_SCENARIOS, RESULT_DIGESTS
 
 
 def _run(scenario_workload, config, trace_length, seed, engine):
@@ -91,7 +86,8 @@ def _counter_surface(simulator):
     "scenario", ALL_SCENARIOS, ids=lambda s: s.key.replace("/", "-")
 )
 def test_pinned_scenarios_are_engine_invariant(scenario):
-    """Both engines produce byte-identical results on every pinned scenario."""
+    """Both engines produce the pinned digest on every pinned scenario,
+    with byte-identical results and counter surfaces."""
     config = all_configs()[scenario.config]
     obj_result, obj_sim = _run(
         scenario.workload, config, scenario.trace_length, scenario.seed,
@@ -104,7 +100,9 @@ def test_pinned_scenarios_are_engine_invariant(scenario):
     assert isinstance(soa_sim, SoaGPUSimulator)
     assert simulation_result_to_dict(obj_result) == \
         simulation_result_to_dict(soa_result)
-    assert result_digest(obj_result) == result_digest(soa_result)
+    pinned = RESULT_DIGESTS[scenario.key]["exact"]
+    assert result_digest(obj_result) == pinned
+    assert result_digest(soa_result) == pinned
     assert _counter_surface(obj_sim) == _counter_surface(soa_sim)
 
 

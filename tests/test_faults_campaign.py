@@ -2,7 +2,6 @@
 no-injection digest gate (checker attached => results byte-identical)."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -16,8 +15,6 @@ from repro.faults import (
     write_report,
 )
 from repro.io import canonical_json, load_json
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Short trace for test speed; campaigns still inject hundreds of faults.
 FAST = {"trace_length": 1500}
@@ -166,25 +163,14 @@ class TestDigestGateWithCheckerAttached:
     """Injection off + checker on must leave pinned results untouched."""
 
     def test_quick_bench_digest_unchanged(self):
-        from repro.benchmarks import QUICK_SCENARIOS, result_digest
+        from repro.benchmarks import result_digest
         from repro.config import all_configs
         from repro.faults import InvariantChecker
         from repro.gpu.simulator import GPUSimulator
         from repro.workloads import build_workload
+        from tests.pinned import QUICK_SCENARIOS, RESULT_DIGESTS
 
-        baseline_doc = load_json(REPO_ROOT / "BENCH_replay.json")
-        # multi-shard records pin a different (documented) digest, so key
-        # only the engines in the digest-equivalence set
-        baseline = {
-            (s["workload"], s["config"], s["trace_length"], s["seed"]):
-                s["result_sha256"]
-            for s in baseline_doc["scenarios"]
-            if s.get("shards", 1) == 1
-        }
         scenario = QUICK_SCENARIOS[0]
-        key = (scenario.workload, scenario.config,
-               scenario.trace_length, scenario.seed)
-        assert key in baseline, "pinned quick scenario missing from baseline"
         config = all_configs()[scenario.config]
         workload = build_workload(
             scenario.workload, num_accesses=scenario.trace_length,
@@ -194,6 +180,6 @@ class TestDigestGateWithCheckerAttached:
         checker = InvariantChecker(simulator.l2)
         simulator.invariant_checker = checker
         digest = result_digest(simulator.run())
-        assert digest == baseline[key]
+        assert digest == RESULT_DIGESTS[scenario.key]["exact"]
         assert checker.ok
         assert checker.checks_run > 0

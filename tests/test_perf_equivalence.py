@@ -1,18 +1,13 @@
 """Equivalence gates for the replay hot-path optimizations.
 
-Two families of checks:
-
-* **Dict-vs-scan cache equivalence** — the optimized demand path
-  (``SetAssociativeCache.access``: cached address split, per-set tag→way
-  dict, shared :class:`AccessOutcome` records) must be observationally
-  identical to the pre-optimization reference (``_slow_access``: fresh
-  outcomes, linear way scans).  Randomized access sequences are replayed
-  through twin caches and every externally visible artifact is compared —
-  the outcome stream, the aggregate stats, and the per-set / per-way /
-  per-frame counters the experiments read.
-* **Benchmark harness** — schema validation, baseline comparison
-  (regression + digest-change verdicts) and scenario plumbing for
-  ``repro.benchmarks`` / ``scripts/bench_replay.py``.
+**Dict-vs-scan cache equivalence** — the optimized demand path
+(``SetAssociativeCache.access``: cached address split, per-set tag→way
+dict, shared :class:`AccessOutcome` records) must be observationally
+identical to the pre-optimization reference (``_slow_access``: fresh
+outcomes, linear way scans).  Randomized access sequences are replayed
+through twin caches and every externally visible artifact is compared —
+the outcome stream, the aggregate stats, and the per-set / per-way /
+per-frame counters the experiments read.
 
 See ``docs/performance.md`` for why byte-identical results are the
 non-negotiable acceptance bar for any replay speedup.
@@ -22,15 +17,6 @@ import random
 
 import pytest
 
-from repro.benchmarks import (
-    BENCH_KIND,
-    BENCH_SCHEMA_VERSION,
-    BenchScenario,
-    BenchmarkError,
-    compare_bench,
-    run_scenario,
-    validate_bench,
-)
 from repro.cache.array import SetAssociativeCache
 
 #: (capacity, associativity, line_size) geometries under test; 3072 B with
@@ -181,95 +167,3 @@ def test_shared_outcomes_are_value_equal_not_identity_dependent():
     assert hit_a == hit_b
     assert hit_a.set_index == first.set_index and hit_a.way == first.way
 
-
-# --- benchmark harness -----------------------------------------------------
-
-
-def _bench_document(rps=1000.0, digest="a" * 64, quick=False):
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "kind": BENCH_KIND,
-        "quick": quick,
-        "host": {"platform": "test", "python": "3.x", "cpus": 1},
-        "scenarios": [
-            {
-                "workload": "bfs",
-                "config": "C1",
-                "trace_length": 8000,
-                "seed": 0,
-                "repeats": 2,
-                "best_wall_s": 8000.0 / rps,
-                "mean_wall_s": 8000.0 / rps,
-                "requests_per_s": rps,
-                "result_sha256": digest,
-            }
-        ],
-    }
-
-
-def test_validate_bench_accepts_wellformed_document():
-    validate_bench(_bench_document())
-
-
-@pytest.mark.parametrize(
-    "mutation",
-    [
-        lambda d: d.update(schema_version=99),
-        lambda d: d.update(kind="not-a-bench"),
-        lambda d: d.pop("host"),
-        lambda d: d.update(scenarios=[]),
-        lambda d: d["scenarios"][0].pop("result_sha256"),
-        lambda d: d["scenarios"][0].update(requests_per_s=0.0),
-        lambda d: d["scenarios"][0].update(trace_length="8000"),
-    ],
-)
-def test_validate_bench_rejects_malformed_documents(mutation):
-    document = _bench_document()
-    mutation(document)
-    with pytest.raises(BenchmarkError):
-        validate_bench(document)
-
-
-def test_compare_bench_flags_regression():
-    report = compare_bench(
-        _bench_document(rps=700.0), _bench_document(rps=1000.0), threshold=0.2
-    )
-    assert report["regressed"] == ["bfs/C1/8000/s0"]
-    assert not report["ok"]
-
-
-def test_compare_bench_accepts_within_threshold():
-    report = compare_bench(
-        _bench_document(rps=850.0), _bench_document(rps=1000.0), threshold=0.2
-    )
-    assert report["ok"] and not report["regressed"]
-    assert report["matched"]["bfs/C1/8000/s0"]["digest_match"]
-
-
-def test_compare_bench_flags_digest_change_even_when_faster():
-    report = compare_bench(
-        _bench_document(rps=5000.0, digest="b" * 64), _bench_document(rps=1000.0)
-    )
-    assert report["results_changed"] == ["bfs/C1/8000/s0"]
-    assert not report["ok"]
-
-
-def test_compare_bench_rejects_bad_threshold():
-    with pytest.raises(BenchmarkError):
-        compare_bench(_bench_document(), _bench_document(), threshold=1.5)
-
-
-def test_bench_scenario_key_and_run_scenario_errors():
-    scenario = BenchScenario("bfs", "C1", 8000, 0)
-    assert scenario.key == "bfs/C1/8000/s0"
-    with pytest.raises(BenchmarkError):
-        run_scenario(scenario, repeats=0)
-    with pytest.raises(BenchmarkError):
-        run_scenario(BenchScenario("bfs", "no-such-config", 100, 0))
-
-
-def test_run_scenario_digests_agree_across_repeats():
-    record = run_scenario(BenchScenario("bfs", "C1", 1500, 0), repeats=2)
-    assert record["repeats"] == 2
-    assert record["requests_per_s"] > 0
-    assert len(record["result_sha256"]) == 64

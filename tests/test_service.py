@@ -12,13 +12,12 @@ Covers the service contracts docs/service.md promises:
   under a real concurrent burst, draining shutdown, error responses;
 * the ``serve`` / ``submit`` CLI including the dead-server exit-2
   convention;
-* the load-test harness document schema and its digest-pinned gate
-  against the committed ``BENCH_service.json``.
+* the coalescing digest and payload SHA-256 of six pinned ``soa``
+  requests, against the tier-1 digest table (``tests/pinned.py``).
 """
 
 import asyncio
 import hashlib
-import json
 import os
 import socket
 import threading
@@ -26,7 +25,7 @@ import threading
 import pytest
 
 from repro.errors import ServiceConnectionError, ServiceError
-from repro.io import canonical_json, load_json
+from repro.io import canonical_json
 from repro.service import (
     InflightTable,
     ServerThread,
@@ -36,18 +35,13 @@ from repro.service import (
     request_digest,
     validate_request,
 )
-from repro.service.bench import (
-    LOAD_SCENARIOS,
-    _build_plan,
-    compare_service_bench,
-    validate_service_bench,
-)
-from repro.service.pool import ShardedWorkerPool
+from repro.service.pool import ShardedWorkerPool, compute_simulate
 from repro.service.protocol import (
     decode_line,
     encode_message,
     read_response,
 )
+from tests.pinned import SERVICE_DIGESTS, SERVICE_TRACE_LENGTH
 
 TRACE_LENGTH = 600  # small but non-trivial replay for live-server tests
 
@@ -302,7 +296,7 @@ def live_server(tmp_path_factory):
     server = SimulationServer(
         port=0,
         store=store,
-        pool=ShardedWorkerPool(shards=2, kind="thread"),
+        pool=ShardedWorkerPool(shards=2),
         log=lambda line: None,
     )
     with ServerThread(server) as running:
@@ -396,7 +390,7 @@ class TestServerEndToEnd:
         for field in ("protocol", "cache", "jobs", "dedup", "pool", "store",
                       "latency", "simulations_run", "predict"):
             assert field in stats, field
-        assert stats["pool"] == {"shards": 2, "kind": "thread"}
+        assert stats["pool"] == {"shards": 2}
         assert stats["store"]["entries"] >= 1
         assert set(stats["predict"]) == {
             "hits", "misses", "coalesced", "fitted_pairs"
@@ -492,7 +486,7 @@ class TestDrainingShutdown:
         server = SimulationServer(
             port=0,
             store=SharedResultStore(tmp_path),
-            pool=ShardedWorkerPool(shards=1, kind="thread"),
+            pool=ShardedWorkerPool(shards=1),
             log=lambda line: None,
         )
         with ServerThread(server) as running:
@@ -569,68 +563,18 @@ class TestCli:
         assert "nope" in capsys.readouterr().err
 
 
-class TestBenchHarness:
-    def test_plan_is_deterministic_and_covers_every_scenario(self):
-        plan_a = _build_plan(40, LOAD_SCENARIOS, seed=0)
-        plan_b = _build_plan(40, LOAD_SCENARIOS, seed=0)
-        assert plan_a == plan_b
-        assert set(plan_a) == set(LOAD_SCENARIOS)
-        assert _build_plan(40, LOAD_SCENARIOS, seed=1) != plan_a
-
-    def test_plan_must_cover_scenarios(self):
-        with pytest.raises(ServiceError):
-            _build_plan(2, LOAD_SCENARIOS, seed=0)
-
-    def test_committed_baseline_is_schema_valid(self):
-        document = load_json(
-            os.path.join(os.path.dirname(__file__), "..", "BENCH_service.json")
-        )
-        validate_service_bench(document)
-        assert {
-            (r["benchmark"], r["config"]) for r in document["scenarios"]
-        } == set(LOAD_SCENARIOS)
-
-    def test_committed_digests_reproduce(self):
-        """One pinned scenario recomputed from scratch must match the
-        committed payload digest — the load gate's byte-identity anchor."""
-        from repro import simulate
-        from repro.config import all_configs
-        from repro.io import simulation_result_to_dict
-        from repro.workloads.suite import build_workload
-
-        document = load_json(
-            os.path.join(os.path.dirname(__file__), "..", "BENCH_service.json")
-        )
-        record = next(
-            r for r in document["scenarios"] if r["benchmark"] == "bfs"
-        )
-        config = all_configs()[record["config"]]
-        workload = build_workload(
-            record["benchmark"],
-            num_accesses=record["trace_length"],
-            num_sms=config.num_sms,
-            seed=record["seed"],
-        )
-        payload = simulation_result_to_dict(
-            simulate(config, workload, engine=record["engine"])
-        )
-        digest = hashlib.sha256(
+class TestPinnedDigests:
+    @pytest.mark.parametrize("workload, config", sorted(SERVICE_DIGESTS))
+    def test_request_and_payload_digests_are_pinned(self, workload, config):
+        """The worker computes exactly the pinned payload for the pinned
+        coalescing key; the server adds nothing to either."""
+        request = validate_request({
+            "kind": "simulate", "benchmark": workload, "config": config,
+            "trace_length": SERVICE_TRACE_LENGTH, "seed": 0, "engine": "soa",
+        })
+        payload = compute_simulate(request)
+        pinned = SERVICE_DIGESTS[(workload, config)]
+        assert request_digest(request) == pinned["request"]
+        assert hashlib.sha256(
             canonical_json(payload).encode("utf-8")
-        ).hexdigest()
-        assert digest == record["payload_sha256"]
-
-    def test_digest_change_fails_the_gate(self):
-        document = load_json(
-            os.path.join(os.path.dirname(__file__), "..", "BENCH_service.json")
-        )
-        tampered = json.loads(json.dumps(document))
-        tampered["scenarios"][0]["payload_sha256"] = "0" * 64
-        report = compare_service_bench(document, tampered)
-        assert report["ok"] is False
-        assert report["digests_changed"]
-
-    def test_validation_rejects_malformed_documents(self):
-        with pytest.raises(ServiceError):
-            validate_service_bench({"schema_version": 999})
-        with pytest.raises(ServiceError):
-            validate_service_bench([])
+        ).hexdigest() == pinned["payload"]

@@ -8,31 +8,28 @@ two load-bearing claims:
 
 * **Degenerate parity** — ``--engine sharded --shards 1`` is
   byte-identical to the ``soa`` engine (same canonical dict, same
-  SHA-256 digest) on every pinned bench scenario.
+  pinned SHA-256 digest) on every scenario of the tier-1 digest table
+  (``tests/pinned.py``), and four shards reproduce their own pinned
+  digests.
 * **Deterministic merge** — the merged result is a pure function of the
   payload *set*: shuffling bank completion order, or changing the worker
   count, never moves the digest.
 
-Plus the satellite behaviours this PR introduced: idle-bank-aware
+Plus the engine's supporting behaviours: idle-bank-aware
 ``BankStats`` (``None`` rates for idle banks, idle banks excluded from
 ``summarize_banks`` averages), idle-shard payload synthesis, shard-plan
 validation errors, the lockstep oracle with a sharded DUT, and the
-bench-harness record shape for sharded runs.
+default worker count.
 """
 
+import os
 import random
 
 import pytest
 
-from repro.benchmarks import (
-    PINNED_SCENARIOS,
-    QUICK_SCENARIOS,
-    BenchmarkError,
-    all_configs,
-    result_digest,
-    run_scenario,
-)
+from repro.benchmarks import host_metadata, result_digest
 from repro.cache.banked import BankStats, BankedCache, summarize_banks
+from repro.config import all_configs
 from repro.engine import make_simulator
 from repro.errors import ConfigurationError, SimulationError
 from repro.io import simulation_result_to_dict
@@ -49,8 +46,7 @@ from repro.shard import (
     shard_l2_config,
 )
 from repro.workloads import build_workload
-
-ALL_SCENARIOS = tuple(PINNED_SCENARIOS) + tuple(QUICK_SCENARIOS)
+from tests.pinned import ALL_SCENARIOS, QUICK_SCENARIOS, RESULT_DIGESTS
 
 
 def _workload(scenario, config):
@@ -124,7 +120,20 @@ class TestShardedParity:
         sharded = sharded_sim.run()
         assert simulation_result_to_dict(soa) == \
             simulation_result_to_dict(sharded)
-        assert result_digest(soa) == result_digest(sharded)
+        pinned = RESULT_DIGESTS[scenario.key]["exact"]
+        assert result_digest(soa) == pinned
+        assert result_digest(sharded) == pinned
+
+    @pytest.mark.parametrize(
+        "scenario", ALL_SCENARIOS, ids=lambda s: s.key.replace("/", "-")
+    )
+    def test_shards_4_digest_is_pinned(self, scenario):
+        """Four shards approximate ``soa``; their result is still pinned."""
+        config = all_configs()[scenario.config]
+        result = make_simulator(
+            config, _workload(scenario, config), engine="sharded", shards=4
+        ).run()
+        assert result_digest(result) == RESULT_DIGESTS[scenario.key]["shards4"]
 
     def test_worker_count_never_changes_the_digest(self):
         scenario = QUICK_SCENARIOS[0]
@@ -253,6 +262,23 @@ class TestEngineSeam:
         with pytest.raises(ConfigurationError):
             ShardedGPUSimulator(config, workload, shards=2, workers=0)
 
+    def test_default_workers_follow_the_cpu_affinity_mask(self, monkeypatch):
+        """A process pinned to one CPU of a larger host gets one worker."""
+        config = all_configs()["C1"]
+        workload = build_workload(
+            "bfs", num_accesses=200, num_sms=config.num_sms, seed=0
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        assert ShardedGPUSimulator(config, workload, shards=4).workers == 1
+        assert host_metadata()["cpus"] == 1
+        # without an affinity call the host's CPU count is the fallback
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert ShardedGPUSimulator(config, workload, shards=4).workers == 4
+        assert host_metadata()["cpus"] == 8
+
 
 class TestIdleShards:
     def test_idle_payload_keeps_static_figures_and_zero_activity(self):
@@ -366,17 +392,3 @@ class TestShardedOracle:
         assert report["engine"] == "sharded"
         assert report["divergence"] is None
 
-
-class TestBenchRecords:
-    def test_sharded_record_carries_the_shard_count(self):
-        scenario = QUICK_SCENARIOS[0]
-        record = run_scenario(scenario, repeats=1, engine="sharded",
-                              shards=2)
-        assert record["engine"] == "sharded"
-        assert record["shards"] == 2
-        assert record["result_sha256"]
-
-    def test_shards_kwarg_is_rejected_for_other_engines(self):
-        scenario = QUICK_SCENARIOS[0]
-        with pytest.raises(BenchmarkError):
-            run_scenario(scenario, repeats=1, engine="soa", shards=2)
