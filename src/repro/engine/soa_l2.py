@@ -3,14 +3,17 @@
 :class:`SoaTwoPartL2` and :class:`SoaUniformL2` subclass the object-model
 L2 classes, swapping the behavioural array for
 :class:`~repro.engine.soa_array.SoaCacheArray` through the
-``ARRAY_FACTORY`` seam and overriding only the demand hot path with a
-monolithic, allocation-free transcription of the object code.  Everything
-rare — misses, migrations, refresh sweeps, snapshots — is *inherited
-unchanged* and runs against the SoA arrays through their drop-in API and
-write-through block views, which keeps the equivalence surface small
-(docs/engine.md explains the proof protocol).
+``ARRAY_FACTORY`` seam.  The demand path, the two-part L2's HR->LR
+migration (with the LR victim's return to HR) and its buffer drains and
+due refresh sweeps are flat transcriptions of the object code over the
+vectors and buffer deques: no per-line views, no per-event objects.
+What stays inherited runs against the SoA arrays through their drop-in
+API: the two-part miss path of :meth:`SoaTwoPartL2.access` (the fused
+loop in :mod:`repro.engine.soa_sim` has its own copy), ``fill_from_dram``,
+snapshots and the roll-up properties (docs/engine.md explains the proof
+protocol).
 
-Each inlined path preserves the object model's exact operation order,
+Each transcribed path preserves the object model's exact operation order,
 including float accumulation order, so results are byte-identical, not
 just statistically equivalent.
 
@@ -23,93 +26,14 @@ for those configurations.
 
 from __future__ import annotations
 
+from itertools import count
+
 from repro.core.interface import L2AccessResult
-from repro.core.refresh import RefreshActions, RefreshEngine
+from repro.core.refresh import RefreshActions, _next_on_grid
 from repro.core.twopart import TwoPartSTTL2
 from repro.core.uniform import UniformL2
 from repro.engine.soa_array import SoaCacheArray
 from repro.errors import ConfigurationError, GeometryError
-
-
-class SoaRefreshEngine(RefreshEngine):
-    """Retention sweeps over the flat vectors instead of per-block views.
-
-    A sweep walks every frame of an array; on the SoA arrays the inherited
-    sweeps would build one :class:`~repro.engine.soa_array.SoaBlockView`
-    per frame and pay a property call per field.  These overrides read the
-    vectors directly.  Scan order is identical (sets in index order, ways
-    in way order), so the action lists — and therefore the refresh
-    decisions the oracle diffs — match the object engine exactly.
-    """
-
-    def _sweep_lr(self, now: float, actions: RefreshActions) -> None:
-        self.stats.scans += 1
-        spec = self.lr_spec
-        assert spec is not None  # caller guards
-        retention = spec.retention_s
-        refresh_age = spec.refresh_age_s
-        array = self.lr_array
-        rebuild = array.mapper.rebuild
-        valid = array.valid_vec
-        tags = array.tag_vec
-        ins = array.insert_time_vec
-        lwt = array.last_write_time_vec
-        assoc = array.associativity
-        lost = actions.lr_lost
-        refresh = actions.lr_refresh
-        expiries = refreshes = 0
-        slot = 0
-        for index in range(array.num_sets):
-            for _ in range(assoc):
-                if valid[slot]:
-                    last = ins[slot]
-                    written = lwt[slot]
-                    if written > last:
-                        last = written
-                    age = now - last
-                    if age >= retention:
-                        lost.append(rebuild(tags[slot], index))
-                        expiries += 1
-                    elif age >= refresh_age:
-                        refresh.append(rebuild(tags[slot], index))
-                        refreshes += 1
-                slot += 1
-        self.stats.lr_expiries += expiries
-        self.stats.lr_refreshes += refreshes
-
-    def _sweep_hr(self, now: float, actions: RefreshActions) -> None:
-        spec = self.hr_spec
-        refresh_age = spec.refresh_age_s
-        array = self.hr_array
-        rebuild = array.mapper.rebuild
-        valid = array.valid_vec
-        tags = array.tag_vec
-        dirty = array.dirty_vec
-        ins = array.insert_time_vec
-        lwt = array.last_write_time_vec
-        assoc = array.associativity
-        drop_dirty = actions.hr_drop_dirty
-        drop_clean = actions.hr_drop_clean
-        dirty_drops = clean_drops = 0
-        slot = 0
-        for index in range(array.num_sets):
-            for _ in range(assoc):
-                if valid[slot]:
-                    last = ins[slot]
-                    written = lwt[slot]
-                    if written > last:
-                        last = written
-                    if now - last >= refresh_age:
-                        address = rebuild(tags[slot], index)
-                        if dirty[slot]:
-                            drop_dirty.append(address)
-                            dirty_drops += 1
-                        else:
-                            drop_clean.append(address)
-                            clean_drops += 1
-                slot += 1
-        self.stats.hr_expirations_dirty += dirty_drops
-        self.stats.hr_expirations_clean += clean_drops
 
 
 class SoaUniformL2(UniformL2):
@@ -205,9 +129,10 @@ class SoaTwoPartL2(TwoPartSTTL2):
 
     ``access`` fuses maintenance gating, the HR/LR locate (with retention
     expiry), the search-selector accounting and the three hit serve paths
-    into one function over the flat vectors.  Misses, migrations and due
-    refresh sweeps delegate to the inherited object-model methods, which
-    operate on the SoA arrays through their compatible API.
+    into one function over the flat vectors.  Migrations
+    (:meth:`_migrate_fast`) and due refresh sweeps (:meth:`maintenance`)
+    are flat too; only misses delegate to the inherited object-model
+    method, which runs on the SoA arrays through their compatible API.
     """
 
     ARRAY_FACTORY = SoaCacheArray
@@ -259,23 +184,28 @@ class SoaTwoPartL2(TwoPartSTTL2):
         self._mon_stats = self.monitor.stats
         self._threshold = self.monitor.threshold
         self._hr_sat = hr.write_counter_saturation
-        # re-home the refresh engine on the flat vectors; freshly built, so
-        # its counters and schedule match the one super().__init__ made
-        previous = self.refresh_engine
-        self.refresh_engine = SoaRefreshEngine(
-            lr, hr, self.lr_spec, self.hr_spec,
-            tracer=previous.tracer, faults=previous.faults,
-        )
+        # refresh schedule and thresholds (the refresh engine keeps the
+        # schedule and counters; maintenance() runs its sweeps)
+        self._hr_tick = self.hr_spec.tick_s
+        self._hr_refresh_age = self.hr_spec.refresh_age_s
+        if self.lr_spec is not None:
+            self._lr_tick = self.lr_spec.tick_s
+            self._lr_refresh_age = self.lr_spec.refresh_age_s
+        # one LR refresh reads the line out and writes it back
+        self._lr_refresh_en = self._lr_r_en + self._lr_w_en
 
     def _migrate_and_write(
         self, line: int, now: float, energy: float, tag_latency: float
     ) -> L2AccessResult:
         """HR write hit above threshold: move the line to LR, write there."""
-        latency, writebacks = self._migrate_fast(line, now, energy, tag_latency)
+        latency, writebacks, migration_energy = self._migrate_fast(
+            line, now, energy, tag_latency
+        )
         return L2AccessResult(
-            hit=True, part="lr",
+            hit=True,
+            part="lr",
             latency_s=latency,
-            energy_j=energy + self._hr_r_en + self._lr_w_en,
+            energy_j=energy + migration_energy,
             dram_writebacks=writebacks,
             migrated=True,
         )
@@ -285,65 +215,213 @@ class SoaTwoPartL2(TwoPartSTTL2):
     ) -> tuple:
         """:meth:`TwoPartSTTL2._migrate_and_write` minus the result object.
 
-        Returns ``(latency_s, dram_writebacks)`` for the fused replay loop.
-        The HR demand write-hit accounting and the extract are inlined over
-        the vectors (the caller already located the line in HR); the buffer
-        push, LR fill and any LR-eviction return ride the shared methods —
-        they are rare and already SoA-backed.
+        Returns ``(latency_s, dram_writebacks, migration_energy_j)``; the
+        fused replay loop calls it directly.  The whole chain is unrolled
+        over the vectors and buffer deques: the HR demand write hit and
+        extract, the HR->LR push (forcing the oldest entry out when the
+        buffer is full), the dirty LR fill and, when that fill evicts,
+        :meth:`TwoPartSTTL2._return_to_hr` (LR->HR push, HR fill, dirty HR
+        eviction).  The caller located the line in HR, so LR holds no
+        copy of it.
         """
+        off = self._soa_offset_bits
+        lineno = line >> off
+        led = self._energy
         writebacks = 0
-        migration_energy = self._hr_r_en  # read out of HR
+
+        # --- HR demand write hit, then extract ----------------------------
+        # The extract zeroes every per-line field the write hit sets, so
+        # only the hit's stats, wear counters and LRU move remain.
         hr = self.hr_array
-        lineno = line >> self._soa_offset_bits
         if self._hr_pow2:
             tag = lineno >> self._hr_bits
             index = lineno & self._hr_mask
         else:
             tag, index = divmod(lineno, self._hr_nsets)
         way = hr.tag_to_way[index][tag]
-        slot = index * self._hr_assoc + way
-        # the HR demand write-hit is accounted before the line leaves
-        # (keeps the merged hit/miss statistics exact)
         stats = hr.stats
         stats.writes += 1
         stats.write_hits += 1
-        hr.dirty_vec[slot] = True
-        hr.total_writes_vec[slot] += 1
-        saturate_at = self._hr_sat
-        if saturate_at <= 0 or hr.write_count_vec[slot] < saturate_at:
-            hr.write_count_vec[slot] += 1
-        hr.last_write_time_vec[slot] = now
-        hr.last_access_time_vec[slot] = now
         hr.set_writes_vec[index] += 1
-        hr.frame_writes_vec[slot] += 1
+        hr.frame_writes_vec[index * self._hr_assoc + way] += 1
         order = hr.lru[index]
         order.remove(way)
         order.append(way)
-        hr._reset_slot(index, way)  # extract: no eviction/invalidation stats
-        writebacks += self._buffer_push(self.hr_to_lr, line, True, now)
+        hr._reset_slot(index, way)
+
+        # --- HR->LR push; a full buffer first forces its oldest entry out -
+        buffer = self.hr_to_lr
+        entries = buffer._entries
+        stats = buffer.stats
+        if len(entries) >= buffer.capacity_lines:
+            stats.overflows += 1
+            if entries.popleft()[1]:
+                writebacks += 1
+                self.dram_writebacks_total += 1
+        ready = buffer._port_free_at
+        if now > ready:
+            ready = now
+        ready += buffer.drain_service_time
+        buffer._port_free_at = ready
+        entries.append((line, True, ready))
+        stats.pushes += 1
+        if len(entries) > stats.peak_occupancy:
+            stats.peak_occupancy = len(entries)
         self.migrations_to_lr += 1
-        fill = self.lr_array.fill(line, now, dirty=True)
-        migration_energy += self._lr_w_en
+
+        # --- dirty LR fill into the victim way ----------------------------
+        lr = self.lr_array
+        if self._lr_pow2:
+            tag = lineno >> self._lr_bits
+            index = lineno & self._lr_mask
+        else:
+            tag, index = divmod(lineno, self._lr_nsets)
+        base = index * self._lr_assoc
+        valid = lr.valid_vec
+        for way in range(self._lr_assoc):
+            if not valid[base + way]:
+                break
+        else:
+            way = lr.lru[index][0]
+        slot = base + way
+        tag_map = lr.tag_to_way[index]
+        stats = lr.stats
+        evicted = valid[slot]
+        if evicted:
+            victim_tag = lr.tag_vec[slot]
+            victim_dirty = lr.dirty_vec[slot]
+            lr.set_evictions[index] += 1
+            if victim_dirty:
+                stats.evictions_dirty += 1
+            else:
+                stats.evictions_clean += 1
+            del tag_map[victim_tag]
+            if self._lr_pow2:
+                victim_lineno = (victim_tag << self._lr_bits) | index
+            else:
+                victim_lineno = victim_tag * self._lr_nsets + index
+        lr.tag_vec[slot] = tag
+        valid[slot] = True
+        lr.dirty_vec[slot] = True
+        lr.write_count_vec[slot] = 1
+        lr.total_writes_vec[slot] = 1
+        lr.total_reads_vec[slot] = 0
+        lr.last_write_time_vec[slot] = now
+        lr.last_access_time_vec[slot] = now
+        lr.insert_time_vec[slot] = now
+        tag_map[tag] = way
+        order = lr.lru[index]
+        order.remove(way)
+        order.append(way)
+        lr.frame_writes_vec[slot] += 1
+        lr.set_writes_vec[index] += 1
+        stats.fills += 1
+        # read out of HR, written into LR
+        migration_energy = self._hr_r_en + self._lr_w_en
         self.lr_data_writes += 1
-        if fill.evicted_address is not None:
-            writebacks += self._return_to_hr(
-                fill.evicted_address, fill.evicted_dirty, now
-            )
-        self._energy.demand_j += energy
-        self._energy.migration_j += migration_energy
-        return tag_latency + self._lr_w_lat, writebacks
+
+        if evicted:
+            # --- the LR victim returns to HR through the LR->HR buffer ----
+            victim_line = victim_lineno << off
+            led.migration_j += self._lr_r_en
+            buffer = self.lr_to_hr
+            entries = buffer._entries
+            stats = buffer.stats
+            if len(entries) >= buffer.capacity_lines:
+                stats.overflows += 1
+                if entries.popleft()[1]:
+                    writebacks += 1
+                    self.dram_writebacks_total += 1
+            ready = buffer._port_free_at
+            if now > ready:
+                ready = now
+            ready += buffer.drain_service_time
+            buffer._port_free_at = ready
+            entries.append((victim_line, victim_dirty, ready))
+            stats.pushes += 1
+            if len(entries) > stats.peak_occupancy:
+                stats.peak_occupancy = len(entries)
+            self.returns_to_hr += 1
+            # HR fill (SoaCacheArray.fill semantics)
+            if self._hr_pow2:
+                tag = victim_lineno >> self._hr_bits
+                index = victim_lineno & self._hr_mask
+            else:
+                tag, index = divmod(victim_lineno, self._hr_nsets)
+            base = index * self._hr_assoc
+            tag_map = hr.tag_to_way[index]
+            way = tag_map.get(tag)
+            if way is not None:
+                # already resident (fill_from_dram can duplicate a line)
+                slot = base + way
+                if victim_dirty:
+                    hr.dirty_vec[slot] = True
+                    hr.total_writes_vec[slot] += 1
+                    saturate_at = self._hr_sat
+                    if saturate_at <= 0 or hr.write_count_vec[slot] < saturate_at:
+                        hr.write_count_vec[slot] += 1
+                    hr.last_write_time_vec[slot] = now
+                    hr.last_access_time_vec[slot] = now
+                    hr.set_writes_vec[index] += 1
+                    hr.frame_writes_vec[slot] += 1
+            else:
+                valid = hr.valid_vec
+                for way in range(self._hr_assoc):
+                    if not valid[base + way]:
+                        break
+                else:
+                    way = hr.lru[index][0]
+                slot = base + way
+                stats = hr.stats
+                if valid[slot]:
+                    hr.set_evictions[index] += 1
+                    if hr.dirty_vec[slot]:
+                        stats.evictions_dirty += 1
+                        writebacks += 1
+                        self.dram_writebacks_total += 1
+                    else:
+                        stats.evictions_clean += 1
+                    del tag_map[hr.tag_vec[slot]]
+                hr.tag_vec[slot] = tag
+                valid[slot] = True
+                hr.dirty_vec[slot] = victim_dirty
+                initial = 1 if victim_dirty else 0
+                hr.write_count_vec[slot] = initial
+                hr.total_writes_vec[slot] = initial
+                hr.total_reads_vec[slot] = 0
+                hr.last_write_time_vec[slot] = now if victim_dirty else 0.0
+                hr.last_access_time_vec[slot] = now
+                hr.insert_time_vec[slot] = now
+                tag_map[tag] = way
+                hr.frame_writes_vec[slot] += 1
+                if victim_dirty:
+                    hr.set_writes_vec[index] += 1
+                stats.fills += 1
+            order = hr.lru[index]
+            order.remove(way)
+            order.append(way)
+            led.migration_j += self._hr_w_en
+            self.hr_data_writes += 1
+        led.demand_j += energy
+        led.migration_j += migration_energy
+        return tag_latency + self._lr_w_lat, writebacks, migration_energy
 
     def maintenance(self, now: float) -> int:
         """Drain buffers and run due retention sweeps; returns write-backs.
 
-        Hot path: both buffer drains are inlined deque pops and the
-        due-check is two float compares.  When a sweep *is* due (rare —
-        once per retention tick), the inherited object-model maintenance
-        runs unchanged over the SoA arrays' block views.
+        Flat transcription of :meth:`TwoPartSTTL2.maintenance` and
+        :meth:`~repro.core.refresh.RefreshEngine.sweep`.  The drains are
+        inlined deque pops and the due check is two float compares.  A due
+        sweep walks the flat vectors in the object engine's scan order
+        (sets in index order, ways in way order) and applies each decision
+        as it makes it -- LR refresh, lost-LR invalidation, HR expiry --
+        where the object engine collects every decision first.  Each
+        decision reads and writes only its own slot, so the outcome is the
+        same, and refresh joules are still added LR refreshes first, then
+        HR write-backs, each in scan order.  The decisions are recorded in
+        ``refresh_engine.last_actions`` exactly as the object engine
+        records them.
         """
-        engine = self.refresh_engine
-        if now >= engine._next_lr_scan or now >= engine._next_hr_scan:
-            return TwoPartSTTL2.maintenance(self, now)
         buffer = self.hr_to_lr
         entries = buffer._entries
         if entries:
@@ -358,7 +436,96 @@ class SoaTwoPartL2(TwoPartSTTL2):
             while entries and entries[0][2] <= now:
                 entries.popleft()
                 stats.drains += 1
-        return 0
+        engine = self.refresh_engine
+        # an SRAM LR part schedules no LR sweep (its next scan is inf)
+        sweep_lr = now >= engine._next_lr_scan
+        sweep_hr = now >= engine._next_hr_scan
+        if not (sweep_lr or sweep_hr):
+            return 0
+        actions = RefreshActions()
+        counters = engine.stats
+        refresh_j = self._energy.refresh_j
+        off = self._soa_offset_bits
+        writebacks = 0
+        if sweep_lr:
+            counters.scans += 1
+            lr = self.lr_array
+            valid = lr.valid_vec
+            tags = lr.tag_vec
+            dirty = lr.dirty_vec
+            ins = lr.insert_time_vec
+            reset = lr._reset_slot
+            retention = self._lr_ret
+            refresh_age = self._lr_refresh_age
+            refresh_en = self._lr_refresh_en
+            assoc = self._lr_assoc
+            pow2 = self._lr_pow2
+            bits = self._lr_bits
+            nsets = self._lr_nsets
+            lost = actions.lr_lost
+            refresh = actions.lr_refresh
+            for slot, last, written in zip(count(), ins, lr.last_write_time_vec):
+                if written > last:
+                    last = written
+                age = now - last
+                # refresh_age < retention: this test admits both outcomes
+                if age >= refresh_age and valid[slot]:
+                    index, way = divmod(slot, assoc)
+                    tag = tags[slot]
+                    line = (tag << bits) | index if pow2 else tag * nsets + index
+                    if age >= retention:
+                        lost.append(line << off)
+                        if dirty[slot]:
+                            self.data_losses += 1
+                        reset(index, way)
+                        lr.stats.invalidations += 1
+                    else:
+                        refresh.append(line << off)
+                        ins[slot] = now
+                        refresh_j += refresh_en
+                        self.refresh_writes += 1
+            counters.lr_expiries += len(lost)
+            counters.lr_refreshes += len(refresh)
+            engine._next_lr_scan = _next_on_grid(now, self._lr_tick)
+        if sweep_hr:
+            hr = self.hr_array
+            valid = hr.valid_vec
+            tags = hr.tag_vec
+            dirty = hr.dirty_vec
+            reset = hr._reset_slot
+            refresh_age = self._hr_refresh_age
+            read_en = self._hr_r_en
+            assoc = self._hr_assoc
+            pow2 = self._hr_pow2
+            bits = self._hr_bits
+            nsets = self._hr_nsets
+            drop_dirty = actions.hr_drop_dirty
+            drop_clean = actions.hr_drop_clean
+            for slot, last, written in zip(
+                count(), hr.insert_time_vec, hr.last_write_time_vec
+            ):
+                if written > last:
+                    last = written
+                if now - last >= refresh_age and valid[slot]:
+                    index, way = divmod(slot, assoc)
+                    tag = tags[slot]
+                    line = (tag << bits) | index if pow2 else tag * nsets + index
+                    if dirty[slot]:
+                        # forced write-back before the data decays
+                        drop_dirty.append(line << off)
+                        refresh_j += read_en
+                        writebacks += 1
+                    else:
+                        drop_clean.append(line << off)
+                    reset(index, way)
+                    hr.stats.invalidations += 1
+            counters.hr_expirations_dirty += len(drop_dirty)
+            counters.hr_expirations_clean += len(drop_clean)
+            engine._next_hr_scan = _next_on_grid(now, self._hr_tick)
+        engine.last_actions = actions
+        self._energy.refresh_j = refresh_j
+        self.dram_writebacks_total += writebacks
+        return writebacks
 
     def access(self, address: int, is_write: bool, now: float) -> L2AccessResult:
         """Monolithic transcription of :meth:`TwoPartSTTL2.access`."""

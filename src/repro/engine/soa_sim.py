@@ -9,9 +9,11 @@ state vectors with zero per-access object allocation.  The L2 state lives
 in the SoA model built by :func:`repro.core.factory.build_l2`
 (``engine="soa"``); its demand paths are transcribed *inline* into a
 per-L2-kind ``process`` closure here, so the hot path makes no Python
-calls at all — only the rare cold paths (writes that migrate, refresh
-sweeps, buffer force-pops) delegate to the SoA L2's methods, which operate
-on the same flat vectors.
+calls at all — only the two rare cold paths call the SoA L2: a write that
+migrates a line from HR to LR (``_migrate_fast``, which also returns any
+LR victim to HR and force-pops full swap buffers) and a due refresh sweep
+(``maintenance``).  Both are flat code over the same vectors and buffer
+deques.
 
 Equivalence contract (docs/engine.md): every counter update, float
 accumulation and state transition happens in the object engine's order, so
@@ -35,8 +37,10 @@ the read-only caches — while aggregate ``CacheStats``, ``L1Stats``,
 component objects at the end of the run.  L2 vectors, LRU orders and
 buffers are mutated in place and need no flush.
 
-Not supported (the registry falls back to the object engine): tracing,
-invariant checkers, fault injection and the ``stt-relaxed`` L2 kind.
+Not supported (the registry falls back to the object engine, see
+``repro.engine._soa_blockers``): tracing, invariant checkers, the
+``stt-relaxed`` L2 kind and externally built L2s, which is how fault
+injection arrives.
 """
 
 from __future__ import annotations
@@ -459,7 +463,7 @@ class SoaGPUSimulator(GPUSimulator):
                             n_mon_mig += 1
                             led.demand_j = demand_j
                             led.fill_j = fill_j
-                            latency, mig_wb = migrate(
+                            latency, mig_wb, _ = migrate(
                                 line, now2, energy, tag_latency
                             )
                             demand_j = led.demand_j

@@ -2,7 +2,7 @@
 
 The SoA engine (``repro.engine``, see docs/engine.md) re-implements the
 replay hot path over flat vectors; its entire claim to correctness is that
-no observable output changes.  These tests enforce that claim three ways:
+no observable output changes.  These tests enforce that claim four ways:
 
 * **Pinned scenarios** — every scenario of the tier-1 digest table
   (``tests/pinned.py``) is run under both engines; both must produce the
@@ -10,13 +10,17 @@ no observable output changes.  These tests enforce that claim three ways:
   :class:`~repro.gpu.metrics.SimulationResult` dicts and the component
   counter surfaces must match exactly.
 * **Randomized pressure profiles** — seeded workloads on the tiny
-  ``oracle-small`` two-part config (capacity pressure ⇒ migrations,
-  buffer traffic and refresh sweeps within tens of accesses) are replayed
-  through both engines and through the oracle's lockstep runner with the
-  SoA L2 as the DUT.
+  ``oracle-small`` two-part config (capacity pressure ⇒ migrations and
+  buffer pushes within tens of accesses) are replayed through both
+  engines and through the oracle's lockstep runner with the SoA L2 as
+  the DUT.
 * **Refresh-sweep decisions** — both engines' refresh engines must emit
   identical action lists (same lines refreshed/expired/dropped, in the
   same order) on a shared access-and-maintenance schedule.
+* **Cold branches** — the object and SoA two-part L2s run in lockstep
+  through a schedule that overflows one-line swap buffers, refreshes and
+  loses LR lines and drops clean and dirty HR lines, and the test
+  asserts each of those branches was taken.
 
 Engine selection itself (fallbacks, explicit-request errors) is covered at
 the bottom; speed is measured by the repo benchmark (``bench/``), not
@@ -130,6 +134,16 @@ def test_soa_l2_survives_the_lockstep_oracle(profile):
     assert report["divergence"] is None
 
 
+def test_soa_migration_energy_keeps_the_object_sum():
+    """A migrating write reports ``energy + (HR read + LR write)``, summed
+    as the object model sums it; on lbm/C1 a reassociated sum diverged in
+    the last bit at the first migration."""
+    report = run_diff(
+        "lbm", all_configs()["C1"], seed=7, accesses=1500, engine="soa"
+    )
+    assert report["divergence"] is None
+
+
 def test_refresh_sweep_decisions_match():
     """Both refresh engines act on the same lines in the same order."""
     kwargs = l2_kwargs_from_config(pressure_config().l2)
@@ -157,6 +171,101 @@ def test_refresh_sweep_decisions_match():
             assert obj_actions.as_dict() == soa_actions.as_dict()
             sweeps += 1
     assert sweeps > 0, "schedule never triggered a refresh sweep"
+    assert dut_counters(obj) == dut_counters(soa)
+
+
+def _cold_branch_schedule(rng, accesses):
+    """Seeded (address, is_write, now) triples that hit every cold branch.
+
+    128 distinct lines, 70% writes.  Same-instant requests (30%) overflow
+    one-line swap buffers; 36 us gaps leave recently written LR lines in
+    their refresh window; 50 us gaps let LR lines outlive their retention
+    between sweeps; 45 ms gaps age HR lines past their refresh age.
+    """
+    now = 0.0
+    for _ in range(accesses):
+        draw = rng.random()
+        if draw < 0.3:
+            step = 0.0
+        elif draw < 0.305:
+            step = 36e-6
+        elif draw < 0.31:
+            step = 50e-6
+        elif draw < 0.3108:
+            step = 45e-3
+        else:
+            step = 0.3e-6
+        now += step
+        yield rng.randrange(0, 1 << 15), rng.random() < 0.7, now
+
+
+def _actions(l2):
+    actions = l2.refresh_engine.last_actions
+    if actions is None:
+        return None
+    return (actions.lr_refresh, actions.lr_lost,
+            actions.hr_drop_clean, actions.hr_drop_dirty)
+
+
+@pytest.mark.parametrize("variant", [
+    {},
+    {"write_threshold": 2},
+    {"lr_technology": "sram"},
+], ids=["paper", "threshold2", "sram-lr"])
+def test_cold_branches_match_in_lockstep(variant):
+    """Migrations, swap-buffer overflows and every refresh-sweep outcome,
+    access by access: one-line buffers under a bursty, gappy schedule."""
+    from repro.core.twopart import TwoPartSTTL2
+
+    kwargs = l2_kwargs_from_config(pressure_config().l2)
+    kwargs.update(buffer_lines=1, **variant)
+    obj = TwoPartSTTL2(**kwargs)
+    soa = SoaTwoPartL2(**kwargs)
+    for address, is_write, now in _cold_branch_schedule(
+        random.Random(5), 6000
+    ):
+        obj_res = obj.access(address, is_write, now)
+        soa_res = soa.access(address, is_write, now)
+        assert (obj_res.hit, obj_res.part, obj_res.latency_s,
+                obj_res.energy_j, obj_res.dram_writebacks, obj_res.probes) == \
+            (soa_res.hit, soa_res.part, soa_res.latency_s,
+             soa_res.energy_j, soa_res.dram_writebacks, soa_res.probes)
+        assert _actions(obj) == _actions(soa)
+    counters = dut_counters(obj)
+    assert counters == dut_counters(soa)
+    assert obj.state_snapshot() == soa.state_snapshot()
+    assert obj.energy.as_dict() == soa.energy.as_dict()
+    branches = [
+        "l2.migrations_to_lr", "l2.returns_to_hr",
+        "buffer.hr_to_lr.overflows", "buffer.lr_to_hr.overflows",
+        "refresh.hr_expirations_clean", "refresh.hr_expirations_dirty",
+    ]
+    if kwargs.get("lr_technology", "stt") == "stt":
+        branches += ["refresh.lr_refreshes", "refresh.lr_expiries"]
+    assert not [name for name in branches if counters[name] == 0]
+
+
+def test_lr_victim_already_in_hr_returns_as_a_fill_hit():
+    """``fill_from_dram`` can put an LR-resident line into HR as well;
+    when LR later evicts it, its return to HR hits the HR copy."""
+    from repro.core.twopart import TwoPartSTTL2
+
+    kwargs = l2_kwargs_from_config(pressure_config().l2)
+    models = (TwoPartSTTL2(**kwargs), SoaTwoPartL2(**kwargs))
+    line_size = kwargs["line_size"]
+    # lines 0, 4 and 8 share LR set 0; each write pair migrates its line
+    for l2 in models:
+        now = 0.0
+        for lineno in (0, 4, 8):
+            if lineno == 4:
+                l2.fill_from_dram(0, now)
+            for _ in range(2):
+                now += 1e-9
+                l2.access(lineno * line_size, True, now)
+    obj, soa = models
+    assert obj.returns_to_hr == soa.returns_to_hr == 1
+    assert soa.hr_array.stats.fills == 4  # three misses and fill_from_dram
+    assert obj.state_snapshot() == soa.state_snapshot()
     assert dut_counters(obj) == dut_counters(soa)
 
 
