@@ -1,9 +1,9 @@
 """STT-RAM data array model.
 
-Wraps :class:`repro.sttram.array.STTRAMArrayModel` (device-level energies at a
-given retention level) with geometry at a technology node and the H-tree wire
-overheads, exposing the same interface as :class:`SRAMArrayModel` so the cache
-roll-up can mix the two.
+Combines the device-level energies and latencies of a retention level
+(:class:`repro.sttram.retention.RetentionLevel`) with geometry at a technology
+node and the H-tree wire overheads, exposing the same interface as
+:class:`SRAMArrayModel` so the cache roll-up can mix the two.
 
 Leakage: MTJ cells do not leak; only the CMOS periphery does.  We charge a
 fixed fraction of what an equally sized SRAM array would leak, which matches

@@ -68,9 +68,9 @@ class AddressMapper:
     def split_columns(self, addresses) -> tuple:
         """Vectorized :meth:`split` over a NumPy address column.
 
-        Returns ``(line_addresses, tags, set_indices)`` as Python lists, the
-        form the replay loops iterate; addresses must be non-negative (a
-        :class:`~repro.workloads.trace.Trace` guarantees it).
+        Returns ``(line_addresses, tags, set_indices)`` as NumPy columns
+        (replay loops iterate their ``tolist()``); addresses must be
+        non-negative (a :class:`~repro.workloads.trace.Trace` guarantees it).
         """
         line = addresses >> self._offset_bits
         if self._pow2:
@@ -79,7 +79,7 @@ class AddressMapper:
         else:
             tags = line // self.num_sets
             sets = line % self.num_sets
-        return (line << self._offset_bits).tolist(), tags.tolist(), sets.tolist()
+        return line << self._offset_bits, tags, sets
 
     def line_address(self, address: int) -> int:
         """The line-aligned address containing ``address``."""

@@ -145,8 +145,7 @@ def make_simulator(
 
         shard_kwargs = {
             key: value for key, value in kwargs.items()
-            if key in ("track_intervals", "time_dilation", "start_time_s",
-                       "shards", "workers")
+            if key in ("time_dilation", "start_time_s", "shards", "workers")
         }
         return ShardedGPUSimulator(config, workload, **shard_kwargs)
     if resolved == "soa":
@@ -154,7 +153,7 @@ def make_simulator(
 
         soa_kwargs = {
             key: value for key, value in kwargs.items()
-            if key in ("track_intervals", "time_dilation", "start_time_s")
+            if key in ("time_dilation", "start_time_s")
         }
         return SoaGPUSimulator(config, workload, **soa_kwargs)
     return GPUSimulator(config, workload, **kwargs)

@@ -3,15 +3,16 @@
 :class:`SoaTwoPartL2` and :class:`SoaUniformL2` subclass the object-model
 L2 classes, swapping the behavioural array for
 :class:`~repro.engine.soa_array.SoaCacheArray` through the
-``ARRAY_FACTORY`` seam.  The demand path, the two-part L2's HR->LR
+``ARRAY_FACTORY`` seam.  The two-part L2's demand path, its HR->LR
 migration (with the LR victim's return to HR) and its buffer drains and
 due refresh sweeps are flat transcriptions of the object code over the
-vectors and buffer deques: no per-line views, no per-event objects.
-What stays inherited runs against the SoA arrays through their drop-in
-API: the two-part miss path of :meth:`SoaTwoPartL2.access` (the fused
-loop in :mod:`repro.engine.soa_sim` has its own copy), ``fill_from_dram``,
-snapshots and the roll-up properties (docs/engine.md explains the proof
-protocol).
+vectors and buffer deques: no per-line views, no per-event objects.  The
+fused loop in :mod:`repro.engine.soa_sim` inlines both L2s' demand paths
+and calls only the migration and the due sweeps.  What stays inherited
+runs against the SoA arrays through their API: the uniform L2's
+``access``, the two-part miss path of :meth:`SoaTwoPartL2.access`,
+``fill_from_dram``, snapshots and the roll-up properties (docs/engine.md
+explains the proof protocol).
 
 Each transcribed path preserves the object model's exact operation order,
 including float accumulation order, so results are byte-identical, not
@@ -37,7 +38,11 @@ from repro.errors import ConfigurationError, GeometryError
 
 
 class SoaUniformL2(UniformL2):
-    """Uniform (SRAM / naive STT) L2 with a monolithic SoA demand path."""
+    """Uniform (SRAM / naive STT) L2 over a SoA array.
+
+    The fused loop inlines its demand path; the inherited
+    :meth:`UniformL2.access` serves direct callers over the same array.
+    """
 
     ARRAY_FACTORY = SoaCacheArray
 
@@ -50,78 +55,6 @@ class SoaUniformL2(UniformL2):
                 "use the object engine"
             )
         super().__init__(*args, **kwargs)
-        array = self.array
-        self._soa_offset_bits = array.mapper.offset_bits
-        self._soa_pow2 = array.mapper.pow2_sets
-        self._soa_set_bits = array.mapper._set_bits
-        self._soa_set_mask = array.mapper._set_mask
-        self._soa_num_sets = array.num_sets
-        self._soa_assoc = array.associativity
-
-    def access(self, address: int, is_write: bool, now: float) -> L2AccessResult:
-        """Inlined transcription of :meth:`UniformL2.access` over vectors."""
-        if address < 0:
-            raise GeometryError(f"address must be non-negative, got {address}")
-        line = address >> self._soa_offset_bits
-        if self._soa_pow2:
-            tag = line >> self._soa_set_bits
-            index = line & self._soa_set_mask
-        else:
-            tag, index = divmod(line, self._soa_num_sets)
-        array = self.array
-        way = array.tag_to_way[index].get(tag)
-        stats = array.stats
-        if is_write:
-            stats.writes += 1
-        else:
-            stats.reads += 1
-        if way is not None:
-            slot = index * self._soa_assoc + way
-            if is_write:
-                stats.write_hits += 1
-                array.dirty_vec[slot] = True
-                array.total_writes_vec[slot] += 1
-                array.write_count_vec[slot] += 1  # saturation is 0 here
-                array.last_write_time_vec[slot] = now
-                array.last_access_time_vec[slot] = now
-                array.set_writes_vec[index] += 1
-                array.frame_writes_vec[slot] += 1
-                energy = self._write_hit_energy
-                latency = self._write_latency
-                self.data_writes += 1
-            else:
-                stats.read_hits += 1
-                array.total_reads_vec[slot] += 1
-                array.last_access_time_vec[slot] = now
-                energy = self._read_hit_energy
-                latency = self._read_latency
-            order = array.lru[index]
-            order.remove(way)
-            order.append(way)
-            self._energy.demand_j += energy
-            return L2AccessResult(
-                hit=True,
-                part="uniform",
-                latency_s=latency,
-                energy_j=energy,
-                dram_writebacks=0,
-            )
-        # miss: the uniform L2 always allocates (write-allocate array)
-        outcome = array._fill(index, tag, now, dirty=is_write)
-        writebacks = 1 if outcome.evicted_dirty else 0
-        probe = self._tag_probe_energy
-        fill = self._fill_energy
-        self.data_writes += 1
-        self._energy.demand_j += probe
-        self._energy.fill_j += fill
-        return L2AccessResult(
-            hit=False,
-            part="miss",
-            latency_s=self._read_latency,
-            energy_j=probe + fill,
-            dram_fetch=True,
-            dram_writebacks=writebacks,
-        )
 
 
 class SoaTwoPartL2(TwoPartSTTL2):

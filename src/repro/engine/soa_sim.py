@@ -2,18 +2,21 @@
 
 :class:`SoaGPUSimulator` subclasses :class:`repro.gpu.simulator.GPUSimulator`
 and overrides only :meth:`run`: the trace is pre-decoded with NumPy (flags,
-routes, L1 tag/set/line splits) and the per-record work — L1 write policies,
-MSHR coalescing, deferred fills, read-only caches, the L2 serve paths, bank
-scheduling and DRAM — is fused into one interpreter loop over flat per-SM
-state vectors with zero per-access object allocation.  The L2 state lives
-in the SoA model built by :func:`repro.core.factory.build_l2`
-(``engine="soa"``); its demand paths are transcribed *inline* into a
-per-L2-kind ``process`` closure here, so the hot path makes no Python
-calls at all — only the two rare cold paths call the SoA L2: a write that
-migrates a line from HR to LR (``_migrate_fast``, which also returns any
-LR victim to HR and force-pops full swap buffers) and a due refresh sweep
-(``maintenance``).  Both are flat code over the same vectors and buffer
-deques.
+read-only-cache set groups, L1 tag/set/line splits) and the per-record
+work — L1 write policies, MSHR coalescing, deferred fills, read-only
+caches, the L2 serve paths, bank scheduling and DRAM — is fused into one
+interpreter loop over flat per-SM state vectors with zero per-access
+object allocation.  The L2 state lives in the SoA model built by
+:func:`repro.core.factory.build_l2` (``engine="soa"``); its demand paths
+are transcribed *inline* into one ``process`` closure here, which serves
+a uniform L2 as an HR part alone and ends in one bank/DRAM/stall block,
+so the hot path makes no Python calls at all — only the two rare cold
+paths call the SoA L2: a write that migrates a line from HR to LR
+(``_migrate_fast``, which also returns any LR victim to HR and force-pops
+full swap buffers) and a due refresh sweep (``maintenance``).  Both are
+flat code over the same vectors and buffer deques.  One closure for both
+L2 kinds keeps its free variables few: a call copies every one of them
+into its frame.
 
 Equivalence contract (docs/engine.md): every counter update, float
 accumulation and state transition happens in the object engine's order, so
@@ -76,7 +79,6 @@ class SoaGPUSimulator(GPUSimulator):
         self,
         config: GPUConfig,
         workload: Workload,
-        track_intervals: bool = False,
         time_dilation: float = TIME_DILATION,
         start_time_s: float = 0.0,
     ) -> None:
@@ -87,15 +89,11 @@ class SoaGPUSimulator(GPUSimulator):
         L2s) are object-engine-only, and :func:`repro.engine.make_simulator`
         routes them there.
         """
-        l2 = build_l2(
-            config.l2, track_intervals=track_intervals, tech=config.tech,
-            engine="soa",
-        )
+        l2 = build_l2(config.l2, tech=config.tech, engine="soa")
         super().__init__(
             config,
             workload,
             l2=l2,
-            track_intervals=track_intervals,
             time_dilation=time_dilation,
             start_time_s=start_time_s,
         )
@@ -130,15 +128,6 @@ class SoaGPUSimulator(GPUSimulator):
         sm_list = sm_np.tolist()
         write_list = ((flags_np & FLAG_WRITE) != 0).tolist()
         local_list = ((flags_np & FLAG_LOCAL) != 0).tolist()
-        const_np = (flags_np & FLAG_CONST) != 0
-        texture_np = (flags_np & FLAG_TEXTURE) != 0
-        # route 0 = L1 data, 1 = const cache, 2 = texture cache; a record
-        # with both read-only flags goes to const (the object loop tests
-        # FLAG_CONST first)
-        route_np = np.zeros(n, dtype=np.int8)
-        route_np[texture_np] = 2
-        route_np[const_np] = 1
-        route_list = route_np.tolist()
 
         l1_geom = self.l1s[0].array.mapper
         l1_off = l1_geom.offset_bits
@@ -147,20 +136,45 @@ class SoaGPUSimulator(GPUSimulator):
         l1_mask = l1_geom._set_mask
         l1_nsets = self.l1s[0].array.num_sets
         l1_assoc = self.l1s[0].array.associativity
-        l1_line_list, l1_tag_list, l1_set_list = l1_geom.split_columns(addr_np)
-        have_const = bool(const_np.any())
-        have_texture = bool(texture_np.any())
-        if have_const:
-            c_array = self.const_caches[0].array
-            c_nsets = c_array.num_sets
-            c_line_list, c_tag_list, c_set_list = c_array.mapper.split_columns(addr_np)
-        if have_texture:
-            t_array = self.texture_caches[0].array
-            t_nsets = t_array.num_sets
-            t_line_list, t_tag_list, t_set_list = t_array.mapper.split_columns(addr_np)
+        line_np, l1_tag_np, l1_set_np = l1_geom.split_columns(addr_np)
+
+        # The const and texture caches of every SM share one read-only
+        # state, laid out back to back: one set group per (cache, set), the
+        # const caches' groups first.  A read-only record carries its group
+        # in ``ro_group`` and its line address in that cache's geometry in
+        # the line column; every other record has group -1.  A record with
+        # both read-only flags goes to const (the object loop tests
+        # FLAG_CONST first).
+        S = max_sm
+        const_np = (flags_np & FLAG_CONST) != 0
+        texture_np = ((flags_np & FLAG_TEXTURE) != 0) & ~const_np
+        ro_group_np = np.full(n, -1, dtype=np.int32)
+        have_ro = False
+        first_group = 0
+        for records, caches in (
+            (const_np, self.const_caches),
+            (texture_np, self.texture_caches),
+        ):
+            array = caches[0].array
+            if records.any():
+                have_ro = True
+                ro_lines, _, ro_sets = array.mapper.split_columns(addr_np[records])
+                ro_group_np[records] = (
+                    first_group
+                    + sm_np[records].astype(np.int32) * array.num_sets
+                    + ro_sets
+                )
+                line_np[records] = ro_lines
+            first_group += S * array.num_sets
+        # the loop reads only the lists: free the arrays as they are listed
+        ro_group_list = ro_group_np.tolist()
+        line_list = line_np.tolist()
+        del ro_group_np, line_np
+        l1_tag_list = l1_tag_np.tolist()
+        l1_set_list = l1_set_np.tolist()
+        del l1_tag_np, l1_set_np
 
         # --- flat per-SM state -------------------------------------------
-        S = max_sm
         n_l1_slots = S * l1_nsets * l1_assoc
         l1_tags = [-1] * n_l1_slots
         l1_valid = [False] * n_l1_slots
@@ -182,20 +196,20 @@ class SoaGPUSimulator(GPUSimulator):
         g_wev = [0] * S; g_lwb = [0] * S; g_coal = [0] * S; g_stall = [0] * S
         m_alloc = [0] * S; m_coal = [0] * S; m_stall = [0] * S; m_comp = [0] * S
 
-        c_assoc = self.const_caches[0].array.associativity
-        t_assoc = self.texture_caches[0].array.associativity
-        if have_const:
-            c_tags = [-1] * (S * c_nsets * c_assoc)
-            c_valid = [False] * (S * c_nsets * c_assoc)
-            c_t2w = [dict() for _ in range(S * c_nsets)]
-            c_lru = [list(range(c_assoc)) for _ in range(S * c_nsets)]
-        if have_texture:
-            t_tags = [-1] * (S * t_nsets * t_assoc)
-            t_valid = [False] * (S * t_nsets * t_assoc)
-            t_t2w = [dict() for _ in range(S * t_nsets)]
-            t_lru = [list(range(t_assoc)) for _ in range(S * t_nsets)]
-        c_reads = [0] * S; c_rh = [0] * S; c_fills = [0] * S; c_evc = [0] * S
-        t_reads = [0] * S; t_rh = [0] * S; t_fills = [0] * S; t_evc = [0] * S
+        # read-only state and counters, one entry per set group (none
+        # without read-only records): line -> way maps, resident line per
+        # way, LRU orders (LRU first)
+        ro_caches = self.const_caches + self.texture_caches
+        ro_assoc = [
+            cache.array.associativity
+            for cache in ro_caches for _ in range(cache.array.num_sets)
+        ] if have_ro else []
+        ro_ways = [dict() for _ in ro_assoc]
+        ro_resident = [[-1] * assoc for assoc in ro_assoc]
+        ro_lru = [list(range(assoc)) for assoc in ro_assoc]
+        ro_hits = [0] * len(ro_assoc)
+        ro_fills = [0] * len(ro_assoc)
+        ro_evictions = [0] * len(ro_assoc)
 
         # --- shared-component locals -------------------------------------
         bank_busy = self.banks._busy_until
@@ -212,6 +226,8 @@ class SoaGPUSimulator(GPUSimulator):
         bankv_conf = [0] * n_banks
         bankv_wait = [0.0] * n_banks
 
+        # the DRAM read path is inline: BankedCache rejects a line size
+        # that is not a power of two, so channels are line-interleaved
         dram = self.dram
         dram_stats = dram.stats
         dram_busy = dram._busy_until
@@ -224,10 +240,6 @@ class SoaGPUSimulator(GPUSimulator):
         dram_base_lat = dram.base_latency_s
         dram_rowhit_lat = dram.row_hit_latency_s
         dram_max_wait = dram.max_wait_s
-        # the inline DRAM read path assumes line-interleaved channels and
-        # no tracer; both always hold for SoA-built simulators
-        dram_inline = dram_line_shift is not None and not dram.tracer.enabled
-        dram_access = dram.access
         n_dram_r = n_dram_rh = n_dram_w = 0
         dram_wait_s = dram_stats.total_wait_s
 
@@ -242,11 +254,20 @@ class SoaGPUSimulator(GPUSimulator):
 
         l2 = self.l2
         led = l2._energy
-
-        if isinstance(l2, SoaTwoPartL2):
-            # ---- fused two-part L2 + bank + DRAM request handler --------
-            lr = l2.lr_array
+        demand_j = led.demand_j
+        fill_j = led.fill_j
+        # A uniform L2 is served as an HR part alone: its array binds to the
+        # HR names, its whole-access hit energies and latencies to the HR
+        # data ones, its lines never expire and its writes never migrate.
+        twopart = isinstance(l2, SoaTwoPartL2)
+        if twopart:
             hr = l2.hr_array
+            hr_w_en = l2._hr_w_en; hr_r_en = l2._hr_r_en
+            hr_w_lat = l2._hr_w_lat; hr_r_lat = l2._hr_r_lat
+            hr_fill_en = l2.hr_model.fill_energy
+            hr_ret = l2._hr_ret
+            mon = l2._mon_stats; threshold = l2._threshold
+            lr = l2.lr_array
             lr_t2w = lr.tag_to_way; lr_lru_v = lr.lru; lr_stats = lr.stats
             lr_dirty_v = lr.dirty_vec; lr_wc = lr.write_count_vec
             lr_tw = lr.total_writes_vec; lr_tr = lr.total_reads_vec
@@ -254,41 +275,21 @@ class SoaGPUSimulator(GPUSimulator):
             lr_ins = lr.insert_time_vec
             lr_setw = lr.set_writes_vec; lr_frw = lr.frame_writes_vec
             lr_invalidate = lr.invalidate
-            hr_t2w = hr.tag_to_way; hr_lru_v = hr.lru; hr_stats = hr.stats
-            hr_tags_v = hr.tag_vec; hr_valid_v = hr.valid_vec
-            hr_dirty_v = hr.dirty_vec; hr_wc = hr.write_count_vec
-            hr_tw = hr.total_writes_vec; hr_tr = hr.total_reads_vec
-            hr_lwt = hr.last_write_time_vec; hr_lat_v = hr.last_access_time_vec
-            hr_ins = hr.insert_time_vec
-            hr_setw = hr.set_writes_vec; hr_frw = hr.frame_writes_vec
-            hr_setev = hr.set_evictions
-            hr_invalidate = hr.invalidate
-            off2 = l2._soa_offset_bits
-            line_low_mask = l2._line_low_mask
             lr_pow2 = l2._lr_pow2; lr_bits = l2._lr_bits
             lr_smask = l2._lr_mask; lr_nsets = l2._lr_nsets
             lr_assoc = l2._lr_assoc
-            hr_pow2 = l2._hr_pow2; hr_bits = l2._hr_bits
-            hr_smask = l2._hr_mask; hr_nsets = l2._hr_nsets
-            hr_assoc = l2._hr_assoc
             lr_w_en = l2._lr_w_en; lr_r_en = l2._lr_r_en
             lr_w_lat = l2._lr_w_lat; lr_r_lat = l2._lr_r_lat
-            hr_w_en = l2._hr_w_en; hr_r_en = l2._hr_r_en
-            hr_w_lat = l2._hr_w_lat; hr_r_lat = l2._hr_r_lat
-            hr_fill_en = l2.hr_model.fill_energy
+            lr_ret = l2._lr_ret
             tag_lat1 = l2._hr_tag_access_latency
             tag_lat2 = 2 * l2._hr_tag_access_latency
             probe_tbl = l2._probe_energy_table
             pe_r1 = probe_tbl[False][1]; pe_r2 = probe_tbl[False][2]
             pe_w1 = probe_tbl[True][1]; pe_w2 = probe_tbl[True][2]
-            lr_ret = l2._lr_ret; hr_ret = l2._hr_ret
             sel = l2._sel_stats; sequential = l2._sequential
-            mon = l2._mon_stats; threshold = l2._threshold
-            hr_sat = l2._hr_sat
-            track_ints = l2.track_intervals
-            rewrite_intervals = l2.rewrite_intervals
             migrate = l2._migrate_fast
             eng = l2.refresh_engine
+            # bound here, when run() starts: bench/layers.py wraps it then
             l2_maint = l2.maintenance
             next_lr = eng._next_lr_scan
             next_hr = eng._next_hr_scan
@@ -299,41 +300,67 @@ class SoaGPUSimulator(GPUSimulator):
             l2h_entries = l2.lr_to_hr._entries
             l2h_stats = l2.lr_to_hr.stats
             l2h_pop = l2h_entries.popleft
-            # scalar counter accumulators (see the module docstring)
-            n_sel_acc = n_sel_first = n_sel_second = 0
-            n_lr_w = n_lr_wh = n_lr_r = n_lr_rh = 0
-            n_hr_r = n_hr_rh = n_hr_w = n_hr_wh = 0
-            n_hr_evd = n_hr_evc = n_hr_fill = 0
-            n_mon_w = n_mon_mig = 0
-            n_lr_dw = n_hr_dw = n_wb_tot = 0
-            demand_j = led.demand_j
-            fill_j = led.fill_j
+        else:
+            hr = l2.array
+            hr_w_en = l2._write_hit_energy; hr_r_en = l2._read_hit_energy
+            hr_w_lat = l2._write_latency; hr_r_lat = l2._read_latency
+            hr_fill_en = l2._fill_energy
+            hr_ret = None
+            threshold = inf
+            probe_en = l2._tag_probe_energy
+        hr_t2w = hr.tag_to_way; hr_lru_v = hr.lru; hr_stats = hr.stats
+        hr_tags_v = hr.tag_vec; hr_valid_v = hr.valid_vec
+        hr_dirty_v = hr.dirty_vec; hr_wc = hr.write_count_vec
+        hr_tw = hr.total_writes_vec; hr_tr = hr.total_reads_vec
+        hr_lwt = hr.last_write_time_vec; hr_lat_v = hr.last_access_time_vec
+        hr_ins = hr.insert_time_vec
+        hr_setw = hr.set_writes_vec; hr_frw = hr.frame_writes_vec
+        hr_setev = hr.set_evictions
+        hr_invalidate = hr.invalidate
+        off2 = hr._offset_bits  # both parts share the line size
+        hr_pow2 = hr._pow2; hr_bits = hr._set_bits
+        hr_smask = hr._set_mask; hr_nsets = hr.num_sets
+        hr_assoc = hr.associativity
+        hr_sat = hr.write_counter_saturation
+        # scalar counter accumulators (see the module docstring)
+        n_sel_acc = n_sel_first = n_sel_second = 0
+        n_lr_w = n_lr_wh = n_lr_r = n_lr_rh = 0
+        n_hr_r = n_hr_rh = n_hr_w = n_hr_wh = 0
+        n_hr_evd = n_hr_evc = n_hr_fill = 0
+        n_mon_w = n_mon_mig = 0
+        n_lr_dw = n_hr_dw = n_wb_tot = 0
 
-            def process(kind: int, raddr: int) -> None:
-                """Serve one L2 request end-to-end (0 fetch/1 write/2 wb).
+        def process(kind: int, raddr: int) -> None:
+            """Serve one L2 request end-to-end (0 fetch/1 write/2 wb).
 
-                Inline transcription of :meth:`SoaTwoPartL2.access` (with
-                :meth:`TwoPartSTTL2._serve_miss` unrolled into it) plus the
-                object replay loop's bank/DRAM/stall block; reads ``now``
-                and ``sm`` from the enclosing loop iteration.
-                """
-                nonlocal l2_requests, l2_service_sum_s, dram_writebacks
-                nonlocal stall_sum_s, read_latency_sum_s
-                nonlocal bank_req, bank_conf, bank_wait_sum
-                nonlocal n_dram_r, n_dram_rh, n_dram_w, dram_wait_s
-                nonlocal next_scan
-                nonlocal n_sel_acc, n_sel_first, n_sel_second
-                nonlocal n_lr_w, n_lr_wh, n_lr_r, n_lr_rh
-                nonlocal n_hr_r, n_hr_rh, n_hr_w, n_hr_wh
-                nonlocal n_hr_evd, n_hr_evc, n_hr_fill
-                nonlocal n_mon_w, n_mon_mig
-                nonlocal n_lr_dw, n_hr_dw, n_wb_tot
-                nonlocal demand_j, fill_j
-                is_write = kind != 0
-                now2 = now * time_dilation
-                line = raddr & line_low_mask
+            An inline transcription of :meth:`SoaTwoPartL2.access` with
+            :meth:`TwoPartSTTL2._serve_miss` unrolled into it, which also
+            serves a uniform L2 (:meth:`UniformL2.access`) through the HR
+            names; only the two-part L2's buffer drains, due sweeps, LR
+            probe and search-selector accounting are skipped for it.  The
+            bank/DRAM/stall block after it is the object replay loop's.
+            Reads ``now`` and ``sm`` from the enclosing loop iteration.
+            """
+            nonlocal l2_requests, l2_service_sum_s, dram_writebacks
+            nonlocal stall_sum_s, read_latency_sum_s
+            nonlocal bank_req, bank_conf, bank_wait_sum
+            nonlocal n_dram_r, n_dram_rh, n_dram_w, dram_wait_s
+            nonlocal demand_j, fill_j
+            nonlocal next_scan
+            nonlocal n_sel_acc, n_sel_first, n_sel_second
+            nonlocal n_lr_w, n_lr_wh, n_lr_r, n_lr_rh
+            nonlocal n_hr_r, n_hr_rh, n_hr_w, n_hr_wh
+            nonlocal n_hr_evd, n_hr_evc, n_hr_fill
+            nonlocal n_mon_w, n_mon_mig
+            nonlocal n_lr_dw, n_hr_dw, n_wb_tot
+            is_write = kind != 0
+            now2 = now * time_dilation
+            lineno = raddr >> off2
+            wb_total = 0
+            dram_fetch = False
+            part = 0  # 0 miss, 1 lr, 2 hr
+            if twopart:
                 # maintenance: inline buffer drains; delegate due sweeps
-                wb_total = 0
                 if now2 >= next_scan:
                     led.demand_j = demand_j
                     led.fill_j = fill_j
@@ -352,9 +379,7 @@ class SoaGPUSimulator(GPUSimulator):
                         while l2h_entries and l2h_entries[0][2] <= now2:
                             l2h_pop()
                             l2h_stats.drains += 1
-                lineno = line >> off2
-                # locate (with access-path retention expiry)
-                part = 0  # 0 miss, 1 lr, 2 hr
+                # locate in LR (with access-path retention expiry)
                 if lr_pow2:
                     tag = lineno >> lr_bits
                     index = lineno & lr_smask
@@ -371,19 +396,21 @@ class SoaGPUSimulator(GPUSimulator):
                         if now2 - last >= lr_ret:
                             if lr_dirty_v[slot]:
                                 l2.data_losses += 1
-                            lr_invalidate(line)
+                            lr_invalidate(lineno << off2)
                             way = None
                     if way is not None:
                         part = 1
-                if not part:
-                    if hr_pow2:
-                        hr_tag = lineno >> hr_bits
-                        hr_index = lineno & hr_smask
-                    else:
-                        hr_tag, hr_index = divmod(lineno, hr_nsets)
-                    hr_way = hr_t2w[hr_index].get(hr_tag)
-                    if hr_way is not None:
-                        hr_slot = hr_index * hr_assoc + hr_way
+            if not part:
+                # locate in HR (with access-path retention expiry)
+                if hr_pow2:
+                    hr_tag = lineno >> hr_bits
+                    hr_index = lineno & hr_smask
+                else:
+                    hr_tag, hr_index = divmod(lineno, hr_nsets)
+                hr_way = hr_t2w[hr_index].get(hr_tag)
+                if hr_way is not None:
+                    hr_slot = hr_index * hr_assoc + hr_way
+                    if hr_ret is not None:
                         last = hr_ins[hr_slot]
                         written = hr_lwt[hr_slot]
                         if written > last:
@@ -391,9 +418,11 @@ class SoaGPUSimulator(GPUSimulator):
                         if now2 - last >= hr_ret:
                             if hr_dirty_v[hr_slot]:
                                 l2.data_losses += 1
-                            hr_invalidate(line)
-                        else:
-                            part = 2
+                            hr_invalidate(lineno << off2)
+                            hr_way = None
+                    if hr_way is not None:
+                        part = 2
+            if twopart:
                 # search-selector accounting (sequential or parallel)
                 n_sel_acc += 1
                 first_hit = part == (1 if is_write else 2)
@@ -411,420 +440,196 @@ class SoaGPUSimulator(GPUSimulator):
                     n_sel_second += 1
                     tag_latency = tag_lat2
                     energy = pe_w2 if is_write else pe_r2
-                # serve
-                dram_fetch = False
-                if part == 1:
-                    if is_write:
-                        if track_ints:
-                            written = lr_lwt[slot]
-                            if written > 0:
-                                rewrite_intervals.append(now2 - written)
-                        n_lr_w += 1
-                        n_lr_wh += 1
-                        lr_dirty_v[slot] = True
-                        lr_tw[slot] += 1
-                        lr_wc[slot] += 1  # LR array never saturates
-                        lr_lwt[slot] = now2
-                        lr_lat_v[slot] = now2
-                        lr_setw[index] += 1
-                        lr_frw[slot] += 1
-                        order = lr_lru_v[index]
-                        order.remove(way)
-                        order.append(way)
-                        energy += lr_w_en
-                        latency = tag_latency + lr_w_lat
-                        n_lr_dw += 1
-                    else:
-                        n_lr_r += 1
-                        n_lr_rh += 1
-                        lr_tr[slot] += 1
-                        lr_lat_v[slot] = now2
-                        order = lr_lru_v[index]
-                        order.remove(way)
-                        order.append(way)
-                        energy += lr_r_en
-                        latency = tag_latency + lr_r_lat
+            else:
+                # a uniform hit's energy and latency are whole; a miss
+                # costs the tag probe and the read latency
+                tag_latency = 0.0
+                energy = 0.0 if part else probe_en
+            # serve
+            if part == 1:
+                if is_write:
+                    n_lr_w += 1
+                    n_lr_wh += 1
+                    lr_dirty_v[slot] = True
+                    lr_tw[slot] += 1
+                    lr_wc[slot] += 1  # LR array never saturates
+                    lr_lwt[slot] = now2
+                    lr_lat_v[slot] = now2
+                    lr_setw[index] += 1
+                    lr_frw[slot] += 1
+                    order = lr_lru_v[index]
+                    order.remove(way)
+                    order.append(way)
+                    energy += lr_w_en
+                    latency = tag_latency + lr_w_lat
+                    n_lr_dw += 1
+                else:
+                    n_lr_r += 1
+                    n_lr_rh += 1
+                    lr_tr[slot] += 1
+                    lr_lat_v[slot] = now2
+                    order = lr_lru_v[index]
+                    order.remove(way)
+                    order.append(way)
+                    energy += lr_r_en
+                    latency = tag_latency + lr_r_lat
+                demand_j += energy
+            elif part == 2:
+                if not is_write:
+                    n_hr_r += 1
+                    n_hr_rh += 1
+                    hr_tr[hr_slot] += 1
+                    hr_lat_v[hr_slot] = now2
+                    order = hr_lru_v[hr_index]
+                    order.remove(hr_way)
+                    order.append(hr_way)
+                    energy += hr_r_en
+                    latency = tag_latency + hr_r_lat
                     demand_j += energy
-                elif part == 2:
-                    if not is_write:
-                        n_hr_r += 1
-                        n_hr_rh += 1
-                        hr_tr[hr_slot] += 1
+                else:
+                    n_mon_w += 1
+                    if hr_wc[hr_slot] >= threshold:
+                        n_mon_mig += 1
+                        led.demand_j = demand_j
+                        led.fill_j = fill_j
+                        latency, mig_wb, _ = migrate(
+                            lineno << off2, now2, energy, tag_latency
+                        )
+                        demand_j = led.demand_j
+                        fill_j = led.fill_j
+                        wb_total += mig_wb
+                    else:
+                        n_hr_w += 1
+                        n_hr_wh += 1
+                        hr_dirty_v[hr_slot] = True
+                        hr_tw[hr_slot] += 1
+                        if hr_sat <= 0 or hr_wc[hr_slot] < hr_sat:
+                            hr_wc[hr_slot] += 1
+                        hr_lwt[hr_slot] = now2
                         hr_lat_v[hr_slot] = now2
+                        hr_setw[hr_index] += 1
+                        hr_frw[hr_slot] += 1
                         order = hr_lru_v[hr_index]
                         order.remove(hr_way)
                         order.append(hr_way)
-                        energy += hr_r_en
-                        latency = tag_latency + hr_r_lat
+                        energy += hr_w_en
+                        latency = tag_latency + hr_w_lat
+                        n_hr_dw += 1
                         demand_j += energy
-                    else:
-                        n_mon_w += 1
-                        if hr_wc[hr_slot] >= threshold:
-                            n_mon_mig += 1
-                            led.demand_j = demand_j
-                            led.fill_j = fill_j
-                            latency, mig_wb, _ = migrate(
-                                line, now2, energy, tag_latency
-                            )
-                            demand_j = led.demand_j
-                            fill_j = led.fill_j
-                            wb_total += mig_wb
-                        else:
-                            n_hr_w += 1
-                            n_hr_wh += 1
-                            hr_dirty_v[hr_slot] = True
-                            hr_tw[hr_slot] += 1
-                            if hr_sat <= 0 or hr_wc[hr_slot] < hr_sat:
-                                hr_wc[hr_slot] += 1
-                            hr_lwt[hr_slot] = now2
-                            hr_lat_v[hr_slot] = now2
-                            hr_setw[hr_index] += 1
-                            hr_frw[hr_slot] += 1
-                            order = hr_lru_v[hr_index]
-                            order.remove(hr_way)
-                            order.append(hr_way)
-                            energy += hr_w_en
-                            latency = tag_latency + hr_w_lat
-                            n_hr_dw += 1
-                            demand_j += energy
-                else:
-                    # miss: TwoPartSTTL2._serve_miss with the HR array's
-                    # demand access and victim fill unrolled (the line is
-                    # absent from both parts, so this is always a fill)
-                    if is_write:
-                        n_hr_w += 1
-                    else:
-                        n_hr_r += 1
-                    base = hr_index * hr_assoc
-                    fway = -1
-                    for candidate in range(hr_assoc):
-                        if not hr_valid_v[base + candidate]:
-                            fway = candidate
-                            break
-                    if fway < 0:
-                        fway = hr_lru_v[hr_index][0]
-                    fslot = base + fway
-                    tag_map = hr_t2w[hr_index]
-                    evicted_dirty = False
-                    if hr_valid_v[fslot]:
-                        evicted_dirty = hr_dirty_v[fslot]
-                        hr_setev[hr_index] += 1
-                        if evicted_dirty:
-                            n_hr_evd += 1
-                        else:
-                            n_hr_evc += 1
-                        del tag_map[hr_tags_v[fslot]]
-                    hr_tags_v[fslot] = hr_tag
-                    hr_valid_v[fslot] = True
-                    hr_dirty_v[fslot] = is_write
-                    initial = 1 if is_write else 0
-                    hr_wc[fslot] = initial
-                    hr_tw[fslot] = initial
-                    hr_tr[fslot] = 0
-                    hr_lwt[fslot] = now2 if is_write else 0.0
-                    hr_lat_v[fslot] = now2
-                    hr_ins[fslot] = now2
-                    tag_map[hr_tag] = fway
-                    order = hr_lru_v[hr_index]
-                    order.remove(fway)
-                    order.append(fway)
-                    hr_frw[fslot] += 1
-                    if is_write:
-                        hr_setw[hr_index] += 1
-                    n_hr_fill += 1
-                    n_hr_dw += 1
-                    if evicted_dirty:
-                        wb_total += 1
-                        n_wb_tot += 1
-                    demand_j += energy
-                    fill_j += hr_fill_en
-                    latency = tag_latency + hr_r_lat
-                    dram_fetch = True
-                # bank + DRAM + stall accounting (the object replay loop's
-                # per-request block)
-                l2_requests += 1
-                l2_service_sum_s += latency
-                bank = (raddr >> bank_shift) & bank_mask
-                busy = bank_busy[bank]
-                start = busy if busy > now else now
-                wait = start - now
-                bank_busy[bank] = start + latency
-                bank_req += 1
-                bankv_req[bank] += 1
-                if wait > 0:
-                    bank_conf += 1
-                    bank_wait_sum += wait
-                    bankv_conf[bank] += 1
-                    bankv_wait[bank] += wait
-                wait_cap = wait_cap_factor * (
-                    latency if latency >= cycle_s else cycle_s
-                )
-                if wait > wait_cap:
-                    wait = wait_cap
-                total = wait + latency
-                if dram_fetch:
-                    if dram_inline:
-                        t_req = now + total
-                        channel = (raddr >> dram_line_shift) % dram_channels
-                        row = raddr // dram_row_size
-                        n_dram_r += 1
-                        if dram_open[channel] == row:
-                            n_dram_rh += 1
-                            d_lat = dram_rowhit_lat
-                        else:
-                            d_lat = dram_base_lat
-                            dram_open[channel] = row
-                        busy = dram_busy[channel]
-                        d_start = busy if busy > t_req else t_req
-                        d_wait = d_start - t_req
-                        if d_wait > dram_max_wait:
-                            d_wait = dram_max_wait
-                        dram_busy[channel] = d_start + dram_service
-                        dram_busy_s[channel] += dram_service
-                        dram_wait_s += d_wait
-                        total += d_wait + d_lat
-                    else:
-                        total += dram_access(raddr, False, now + total)
-                if wb_total:
-                    n_dram_w += wb_total
-                    dram_writebacks += wb_total
-                if kind == 0:
-                    total += noc_rt_s
-                    stall_sum_s += total
-                    read_latency_sum_s += total
-                    entry = pend[sm].get(raddr)
-                    if entry is not None and entry[0] is None:
-                        ready = now + total
-                        entry[0] = ready
-                        if ready < min_ready[sm]:
-                            min_ready[sm] = ready
-                elif kind == 1:
-                    stall_sum_s += wait + latency
-
-            def flush_l2() -> None:
-                """Fold the closure's counter accumulators into the L2."""
-                sel.accesses += n_sel_acc
-                sel.first_probe_hits += n_sel_first
-                sel.second_probes += n_sel_second
-                lr_stats.writes += n_lr_w
-                lr_stats.write_hits += n_lr_wh
-                lr_stats.reads += n_lr_r
-                lr_stats.read_hits += n_lr_rh
-                hr_stats.reads += n_hr_r
-                hr_stats.read_hits += n_hr_rh
-                hr_stats.writes += n_hr_w
-                hr_stats.write_hits += n_hr_wh
-                hr_stats.evictions_dirty += n_hr_evd
-                hr_stats.evictions_clean += n_hr_evc
-                hr_stats.fills += n_hr_fill
-                mon.writes_observed += n_mon_w
-                mon.migrations_triggered += n_mon_mig
-                l2.lr_data_writes += n_lr_dw
-                l2.hr_data_writes += n_hr_dw
-                l2.dram_writebacks_total += n_wb_tot
-                led.demand_j = demand_j
-                led.fill_j = fill_j
-        else:
-            # ---- fused uniform L2 + bank + DRAM request handler ---------
-            arr = l2.array
-            u_t2w = arr.tag_to_way; u_lru = arr.lru; u_stats = arr.stats
-            u_tags_v = arr.tag_vec; u_valid_v = arr.valid_vec
-            u_dirty_v = arr.dirty_vec; u_wc = arr.write_count_vec
-            u_tw = arr.total_writes_vec; u_tr = arr.total_reads_vec
-            u_lwt = arr.last_write_time_vec; u_lat_v = arr.last_access_time_vec
-            u_ins = arr.insert_time_vec
-            u_setw = arr.set_writes_vec; u_frw = arr.frame_writes_vec
-            u_setev = arr.set_evictions
-            u_off = l2._soa_offset_bits
-            u_pow2 = l2._soa_pow2; u_bits = l2._soa_set_bits
-            u_smask = l2._soa_set_mask; u_nsets = l2._soa_num_sets
-            u_assoc = l2._soa_assoc
-            w_hit_en = l2._write_hit_energy; r_hit_en = l2._read_hit_energy
-            w_lat = l2._write_latency; r_lat = l2._read_latency
-            probe_en = l2._tag_probe_energy; fill_en = l2._fill_energy
-            # scalar counter accumulators (see the module docstring); the
-            # uniform closure has no cold-path calls, so the energy locals
-            # never need mid-run syncing
-            n_u_w = n_u_r = n_u_wh = n_u_rh = 0
-            n_u_evd = n_u_evc = n_u_fill = 0
-            n_data_writes = 0
-            demand_j = led.demand_j
-            fill_j = led.fill_j
-
-            def process(kind: int, raddr: int) -> None:
-                """Serve one L2 request end-to-end (0 fetch/1 write/2 wb).
-
-                Inline transcription of :meth:`SoaUniformL2.access` (with
-                the array's victim fill unrolled) plus the object replay
-                loop's bank/DRAM/stall block.
-                """
-                nonlocal l2_requests, l2_service_sum_s, dram_writebacks
-                nonlocal stall_sum_s, read_latency_sum_s
-                nonlocal bank_req, bank_conf, bank_wait_sum
-                nonlocal n_dram_r, n_dram_rh, n_dram_w, dram_wait_s
-                nonlocal n_u_w, n_u_r, n_u_wh, n_u_rh
-                nonlocal n_u_evd, n_u_evc, n_u_fill, n_data_writes
-                nonlocal demand_j, fill_j
-                is_write = kind != 0
-                now2 = now * time_dilation
-                lineno = raddr >> u_off
-                if u_pow2:
-                    tag = lineno >> u_bits
-                    index = lineno & u_smask
-                else:
-                    tag, index = divmod(lineno, u_nsets)
-                way = u_t2w[index].get(tag)
+            else:
+                # miss: the HR array's demand access and victim fill
+                # (the line is absent from both parts: always a fill)
                 if is_write:
-                    n_u_w += 1
+                    n_hr_w += 1
                 else:
-                    n_u_r += 1
-                dram_fetch = False
-                wb_total = 0
-                if way is not None:
-                    slot = index * u_assoc + way
-                    if is_write:
-                        n_u_wh += 1
-                        u_dirty_v[slot] = True
-                        u_tw[slot] += 1
-                        u_wc[slot] += 1  # saturation is 0 here
-                        u_lwt[slot] = now2
-                        u_lat_v[slot] = now2
-                        u_setw[index] += 1
-                        u_frw[slot] += 1
-                        energy = w_hit_en
-                        latency = w_lat
-                        n_data_writes += 1
+                    n_hr_r += 1
+                base = hr_index * hr_assoc
+                fway = -1
+                for candidate in range(hr_assoc):
+                    if not hr_valid_v[base + candidate]:
+                        fway = candidate
+                        break
+                if fway < 0:
+                    fway = hr_lru_v[hr_index][0]
+                fslot = base + fway
+                tag_map = hr_t2w[hr_index]
+                evicted_dirty = False
+                if hr_valid_v[fslot]:
+                    evicted_dirty = hr_dirty_v[fslot]
+                    hr_setev[hr_index] += 1
+                    if evicted_dirty:
+                        n_hr_evd += 1
                     else:
-                        n_u_rh += 1
-                        u_tr[slot] += 1
-                        u_lat_v[slot] = now2
-                        energy = r_hit_en
-                        latency = r_lat
-                    order = u_lru[index]
-                    order.remove(way)
-                    order.append(way)
-                    demand_j += energy
+                        n_hr_evc += 1
+                    del tag_map[hr_tags_v[fslot]]
+                hr_tags_v[fslot] = hr_tag
+                hr_valid_v[fslot] = True
+                hr_dirty_v[fslot] = is_write
+                initial = 1 if is_write else 0
+                hr_wc[fslot] = initial
+                hr_tw[fslot] = initial
+                hr_tr[fslot] = 0
+                hr_lwt[fslot] = now2 if is_write else 0.0
+                hr_lat_v[fslot] = now2
+                hr_ins[fslot] = now2
+                tag_map[hr_tag] = fway
+                order = hr_lru_v[hr_index]
+                order.remove(fway)
+                order.append(fway)
+                hr_frw[fslot] += 1
+                if is_write:
+                    hr_setw[hr_index] += 1
+                n_hr_fill += 1
+                n_hr_dw += 1
+                if evicted_dirty:
+                    wb_total += 1
+                    n_wb_tot += 1
+                demand_j += energy
+                fill_j += hr_fill_en
+                latency = tag_latency + hr_r_lat
+                dram_fetch = True
+            # bank + DRAM + stall accounting (the object replay loop's
+            # per-request block)
+            l2_requests += 1
+            l2_service_sum_s += latency
+            bank = (raddr >> bank_shift) & bank_mask
+            busy = bank_busy[bank]
+            start = busy if busy > now else now
+            wait = start - now
+            bank_busy[bank] = start + latency
+            bank_req += 1
+            bankv_req[bank] += 1
+            if wait > 0:
+                bank_conf += 1
+                bank_wait_sum += wait
+                bankv_conf[bank] += 1
+                bankv_wait[bank] += wait
+            wait_cap = wait_cap_factor * (
+                latency if latency >= cycle_s else cycle_s
+            )
+            if wait > wait_cap:
+                wait = wait_cap
+            total = wait + latency
+            if dram_fetch:
+                t_req = now + total
+                channel = (raddr >> dram_line_shift) % dram_channels
+                row = raddr // dram_row_size
+                n_dram_r += 1
+                if dram_open[channel] == row:
+                    n_dram_rh += 1
+                    d_lat = dram_rowhit_lat
                 else:
-                    # miss: the uniform L2 always allocates; victim fill
-                    # unrolled from SoaCacheArray._fill
-                    base = index * u_assoc
-                    fway = -1
-                    for candidate in range(u_assoc):
-                        if not u_valid_v[base + candidate]:
-                            fway = candidate
-                            break
-                    if fway < 0:
-                        fway = u_lru[index][0]
-                    fslot = base + fway
-                    tag_map = u_t2w[index]
-                    if u_valid_v[fslot]:
-                        u_setev[index] += 1
-                        if u_dirty_v[fslot]:
-                            n_u_evd += 1
-                            wb_total = 1
-                        else:
-                            n_u_evc += 1
-                        del tag_map[u_tags_v[fslot]]
-                    u_tags_v[fslot] = tag
-                    u_valid_v[fslot] = True
-                    u_dirty_v[fslot] = is_write
-                    initial = 1 if is_write else 0
-                    u_wc[fslot] = initial
-                    u_tw[fslot] = initial
-                    u_tr[fslot] = 0
-                    u_lwt[fslot] = now2 if is_write else 0.0
-                    u_lat_v[fslot] = now2
-                    u_ins[fslot] = now2
-                    tag_map[tag] = fway
-                    order = u_lru[index]
-                    order.remove(fway)
-                    order.append(fway)
-                    u_frw[fslot] += 1
-                    if is_write:
-                        u_setw[index] += 1
-                    n_u_fill += 1
-                    n_data_writes += 1
-                    demand_j += probe_en
-                    fill_j += fill_en
-                    latency = r_lat
-                    dram_fetch = True
-                # bank + DRAM + stall accounting
-                l2_requests += 1
-                l2_service_sum_s += latency
-                bank = (raddr >> bank_shift) & bank_mask
-                busy = bank_busy[bank]
-                start = busy if busy > now else now
-                wait = start - now
-                bank_busy[bank] = start + latency
-                bank_req += 1
-                bankv_req[bank] += 1
-                if wait > 0:
-                    bank_conf += 1
-                    bank_wait_sum += wait
-                    bankv_conf[bank] += 1
-                    bankv_wait[bank] += wait
-                wait_cap = wait_cap_factor * (
-                    latency if latency >= cycle_s else cycle_s
-                )
-                if wait > wait_cap:
-                    wait = wait_cap
-                total = wait + latency
-                if dram_fetch:
-                    if dram_inline:
-                        t_req = now + total
-                        channel = (raddr >> dram_line_shift) % dram_channels
-                        row = raddr // dram_row_size
-                        n_dram_r += 1
-                        if dram_open[channel] == row:
-                            n_dram_rh += 1
-                            d_lat = dram_rowhit_lat
-                        else:
-                            d_lat = dram_base_lat
-                            dram_open[channel] = row
-                        busy = dram_busy[channel]
-                        d_start = busy if busy > t_req else t_req
-                        d_wait = d_start - t_req
-                        if d_wait > dram_max_wait:
-                            d_wait = dram_max_wait
-                        dram_busy[channel] = d_start + dram_service
-                        dram_busy_s[channel] += dram_service
-                        dram_wait_s += d_wait
-                        total += d_wait + d_lat
-                    else:
-                        total += dram_access(raddr, False, now + total)
-                if wb_total:
-                    n_dram_w += wb_total
-                    dram_writebacks += wb_total
-                if kind == 0:
-                    total += noc_rt_s
-                    stall_sum_s += total
-                    read_latency_sum_s += total
-                    entry = pend[sm].get(raddr)
-                    if entry is not None and entry[0] is None:
-                        ready = now + total
-                        entry[0] = ready
-                        if ready < min_ready[sm]:
-                            min_ready[sm] = ready
-                elif kind == 1:
-                    stall_sum_s += wait + latency
-
-            def flush_l2() -> None:
-                """Fold the closure's counter accumulators into the L2."""
-                u_stats.writes += n_u_w
-                u_stats.reads += n_u_r
-                u_stats.write_hits += n_u_wh
-                u_stats.read_hits += n_u_rh
-                u_stats.evictions_dirty += n_u_evd
-                u_stats.evictions_clean += n_u_evc
-                u_stats.fills += n_u_fill
-                l2.data_writes += n_data_writes
-                led.demand_j = demand_j
-                led.fill_j = fill_j
+                    d_lat = dram_base_lat
+                    dram_open[channel] = row
+                busy = dram_busy[channel]
+                d_start = busy if busy > t_req else t_req
+                d_wait = d_start - t_req
+                if d_wait > dram_max_wait:
+                    d_wait = dram_max_wait
+                dram_busy[channel] = d_start + dram_service
+                dram_busy_s[channel] += dram_service
+                dram_wait_s += d_wait
+                total += d_wait + d_lat
+            if wb_total:
+                n_dram_w += wb_total
+                dram_writebacks += wb_total
+            if kind == 0:
+                total += noc_rt_s
+                stall_sum_s += total
+                read_latency_sum_s += total
+                entry = pend[sm].get(raddr)
+                if entry is not None and entry[0] is None:
+                    ready = now + total
+                    entry[0] = ready
+                    if ready < min_ready[sm]:
+                        min_ready[sm] = ready
+            elif kind == 1:
+                stall_sum_s += wait + latency
 
         # --- the fused replay loop ---------------------------------------
-        for i, (sm, is_write, is_local, route, line, tag, set_index) in enumerate(
-            zip(sm_list, write_list, local_list, route_list,
-                l1_line_list, l1_tag_list, l1_set_list)
+        for sm, is_write, is_local, group, line, tag, set_index in zip(
+            sm_list, write_list, local_list, ro_group_list,
+            line_list, l1_tag_list, l1_set_list,
         ):
             now += dt
             if not is_write:
@@ -832,72 +637,31 @@ class SoaGPUSimulator(GPUSimulator):
                 stall_sum_s += l1_hit_s
                 read_latency_sum_s += l1_hit_s
 
-            if route:
+            if group >= 0:
                 # ---- read-only (const/texture) cache --------------------
-                if route == 1:
-                    ro_tag = c_tag_list[i]
-                    slot = sm * c_nsets + c_set_list[i]
-                    t2w = c_t2w[slot]
-                    c_reads[sm] += 1
-                    way = t2w.get(ro_tag)
-                    if way is not None:
-                        c_rh[sm] += 1
-                        order = c_lru[slot]
-                        order.remove(way)
-                        order.append(way)
-                        continue
-                    base = slot * c_assoc
-                    way = -1
-                    for candidate in range(c_assoc):
-                        if not c_valid[base + candidate]:
-                            way = candidate
-                            break
-                    if way < 0:
-                        way = c_lru[slot][0]
-                    slot_index = base + way
-                    if c_valid[slot_index]:
-                        c_evc[sm] += 1  # read-only lines are never dirty
-                        del t2w[c_tags[slot_index]]
-                    c_tags[slot_index] = ro_tag
-                    c_valid[slot_index] = True
-                    t2w[ro_tag] = way
-                    order = c_lru[slot]
+                ways = ro_ways[group]
+                way = ways.get(line)
+                order = ro_lru[group]
+                if way is not None:
+                    ro_hits[group] += 1
                     order.remove(way)
                     order.append(way)
-                    c_fills[sm] += 1
-                    process(0, c_line_list[i])
+                    continue
+                resident = ro_resident[group]
+                # read-only lines are never invalidated, so the valid ways
+                # are always ways 0 .. len(ways) - 1
+                if len(ways) < len(resident):
+                    way = len(ways)
                 else:
-                    ro_tag = t_tag_list[i]
-                    slot = sm * t_nsets + t_set_list[i]
-                    t2w = t_t2w[slot]
-                    t_reads[sm] += 1
-                    way = t2w.get(ro_tag)
-                    if way is not None:
-                        t_rh[sm] += 1
-                        order = t_lru[slot]
-                        order.remove(way)
-                        order.append(way)
-                        continue
-                    base = slot * t_assoc
-                    way = -1
-                    for candidate in range(t_assoc):
-                        if not t_valid[base + candidate]:
-                            way = candidate
-                            break
-                    if way < 0:
-                        way = t_lru[slot][0]
-                    slot_index = base + way
-                    if t_valid[slot_index]:
-                        t_evc[sm] += 1
-                        del t2w[t_tags[slot_index]]
-                    t_tags[slot_index] = ro_tag
-                    t_valid[slot_index] = True
-                    t2w[ro_tag] = way
-                    order = t_lru[slot]
-                    order.remove(way)
-                    order.append(way)
-                    t_fills[sm] += 1
-                    process(0, t_line_list[i])
+                    way = order[0]
+                    del ways[resident[way]]
+                    ro_evictions[group] += 1  # never dirty: silent
+                resident[way] = line
+                ways[line] = way
+                order.remove(way)
+                order.append(way)
+                ro_fills[group] += 1
+                process(0, line)
                 continue
 
             # ---- L1 data cache ------------------------------------------
@@ -1073,12 +837,34 @@ class SoaGPUSimulator(GPUSimulator):
 
         # --- flush local state back into the component objects ------------
         self.end_time_s = now
-        flush_l2()
+        hr_stats.reads += n_hr_r
+        hr_stats.read_hits += n_hr_rh
+        hr_stats.writes += n_hr_w
+        hr_stats.write_hits += n_hr_wh
+        hr_stats.evictions_dirty += n_hr_evd
+        hr_stats.evictions_clean += n_hr_evc
+        hr_stats.fills += n_hr_fill
+        if twopart:
+            sel.accesses += n_sel_acc
+            sel.first_probe_hits += n_sel_first
+            sel.second_probes += n_sel_second
+            lr_stats.writes += n_lr_w
+            lr_stats.write_hits += n_lr_wh
+            lr_stats.reads += n_lr_r
+            lr_stats.read_hits += n_lr_rh
+            mon.writes_observed += n_mon_w
+            mon.migrations_triggered += n_mon_mig
+            l2.lr_data_writes += n_lr_dw
+            l2.hr_data_writes += n_hr_dw
+            l2.dram_writebacks_total += n_wb_tot
+        else:
+            l2.data_writes += n_hr_dw
+        led.demand_j = demand_j
+        led.fill_j = fill_j
         dram_stats.reads += n_dram_r
         dram_stats.row_hits += n_dram_rh
         dram_stats.writes += n_dram_w
-        if dram_inline:
-            dram_stats.total_wait_s = dram_wait_s
+        dram_stats.total_wait_s = dram_wait_s
         bank_stats = self.banks.stats
         bank_stats.requests += bank_req
         bank_stats.conflicts += bank_conf
@@ -1116,16 +902,17 @@ class SoaGPUSimulator(GPUSimulator):
             l1._pending.update(pend[s])
             if min_ready[s] < l1._min_ready:
                 l1._min_ready = min_ready[s]
-            const_stats = self.const_caches[s].array.stats
-            const_stats.reads += c_reads[s]
-            const_stats.read_hits += c_rh[s]
-            const_stats.fills += c_fills[s]
-            const_stats.evictions_clean += c_evc[s]
-            texture_stats = self.texture_caches[s].array.stats
-            texture_stats.reads += t_reads[s]
-            texture_stats.read_hits += t_rh[s]
-            texture_stats.fills += t_fills[s]
-            texture_stats.evictions_clean += t_evc[s]
+        first_group = 0
+        for cache in ro_caches:
+            end = first_group + cache.array.num_sets
+            hits = sum(ro_hits[first_group:end])
+            fills = sum(ro_fills[first_group:end])
+            ro_stats = cache.array.stats
+            ro_stats.reads += hits + fills  # every read-only miss fills
+            ro_stats.read_hits += hits
+            ro_stats.fills += fills
+            ro_stats.evictions_clean += sum(ro_evictions[first_group:end])
+            first_group = end
 
         return self._finish({
             "reads": reads,

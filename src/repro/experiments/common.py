@@ -151,7 +151,7 @@ def replay_through_l1(
     )
     now = 0.0
     for sm, is_write, is_local, line, set_index in zip(
-        trace.sm.tolist(), writes, local, lines, set_indices
+        trace.sm.tolist(), writes, local, lines.tolist(), set_indices.tolist()
     ):
         now += dt
         group = sm * nsets + set_index

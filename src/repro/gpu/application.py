@@ -91,7 +91,6 @@ class ApplicationResult:
 def run_application(
     config: GPUConfig,
     kernels: Sequence[Workload],
-    track_intervals: bool = False,
 ) -> ApplicationResult:
     """Run a kernel sequence with a persistent L2.
 
@@ -102,9 +101,7 @@ def run_application(
     """
     if not kernels:
         raise SimulationError("an application needs at least one kernel")
-    l2: L2Interface = build_l2(
-        config.l2, track_intervals=track_intervals, tech=config.tech
-    )
+    l2: L2Interface = build_l2(config.l2, tech=config.tech)
     results: List[SimulationResult] = []
     start_time = 0.0
     for workload in kernels:

@@ -73,7 +73,6 @@ class GPUSimulator:
         config: GPUConfig,
         workload: Workload,
         l2: Optional[L2Interface] = None,
-        track_intervals: bool = False,
         time_dilation: float = TIME_DILATION,
         start_time_s: float = 0.0,
         tracer: Optional[TraceCollector] = None,
@@ -103,8 +102,7 @@ class GPUSimulator:
         self._energy_baseline_j = l2.energy.total_j if l2 is not None else 0.0
         # a pre-built l2 keeps whatever tracer it was constructed with
         self.l2 = l2 if l2 is not None else build_l2(
-            config.l2, track_intervals=track_intervals, tech=config.tech,
-            tracer=tracer,
+            config.l2, tech=config.tech, tracer=tracer
         )
         self.l1s = [
             GPUL1Cache(config.l1, name=f"l1-sm{i}", tracer=self.tracer)
@@ -478,7 +476,6 @@ def roll_up(
 def simulate(
     config: GPUConfig,
     workload: Workload,
-    track_intervals: bool = False,
     engine: Optional[str] = None,
 ) -> SimulationResult:
     """Convenience wrapper: build the simulator and run it.
@@ -490,6 +487,4 @@ def simulate(
     """
     from repro.engine import make_simulator
 
-    return make_simulator(
-        config, workload, engine=engine, track_intervals=track_intervals
-    ).run()
+    return make_simulator(config, workload, engine=engine).run()

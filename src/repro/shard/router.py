@@ -62,10 +62,10 @@ class ShardedL2Router:
             self.remap(address), is_write, now
         )
 
-    def fill_from_dram(self, address: int, is_write: bool, now: float):
+    def fill_from_dram(self, address: int, now: float, dirty: bool = False):
         """Fill the owning shard's slice from DRAM."""
         return self._banks[self.shard_of(address)].fill_from_dram(
-            self.remap(address), is_write, now
+            self.remap(address), now, dirty=dirty
         )
 
     def maintenance(self, now: float) -> int:

@@ -35,7 +35,6 @@ class ShardedGPUSimulator:
         workload: Workload,
         shards: int = 4,
         workers: Optional[int] = None,
-        track_intervals: bool = False,
         time_dilation: float = TIME_DILATION,
         start_time_s: float = 0.0,
     ) -> None:
@@ -50,7 +49,6 @@ class ShardedGPUSimulator:
         #: process-pool width; results are merge-order deterministic for
         #: any value, so this is purely a throughput knob
         self.workers = workers
-        self.track_intervals = track_intervals
         self.time_dilation = time_dilation
         self.start_time_s = start_time_s
         #: per-shard payloads of the last run(), ascending shard order
@@ -73,7 +71,6 @@ class ShardedGPUSimulator:
                 shards=plan.shards,
                 config=plan.sub_config,
                 workload=replace(self.workload, trace=sub),
-                track_intervals=self.track_intervals,
                 time_dilation=self.time_dilation,
                 start_time_s=self.start_time_s,
             ))

@@ -31,7 +31,6 @@ class BankJob:
     config: GPUConfig
     #: sub-stream workload from :func:`repro.shard.plan.partition_trace`
     workload: Workload
-    track_intervals: bool = False
     time_dilation: float = TIME_DILATION
     start_time_s: float = 0.0
 
@@ -57,7 +56,6 @@ def run_bank_job(job: BankJob) -> Dict[str, Any]:
         job.config,
         job.workload,
         engine=None,
-        track_intervals=job.track_intervals,
         time_dilation=job.time_dilation,
         start_time_s=job.start_time_s,
     )

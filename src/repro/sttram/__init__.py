@@ -16,8 +16,8 @@ Public surface:
   reconstruction (10-year / HR / LR levels).
 * :mod:`repro.sttram.failure` — retention-failure statistics and refresh
   interval sizing.
-* :class:`repro.sttram.array.STTRAMArrayModel` — array-level roll-up consumed
-  by :mod:`repro.areapower`.
+
+The array-level roll-up lives in :mod:`repro.areapower.sttram_array`.
 """
 
 from repro.sttram.mtj import (
@@ -38,7 +38,6 @@ from repro.sttram.failure import (
     block_failure_probability,
     max_refresh_interval,
 )
-from repro.sttram.array import STTRAMArrayModel
 
 __all__ = [
     "MTJParameters",
@@ -53,5 +52,4 @@ __all__ = [
     "bit_failure_probability",
     "block_failure_probability",
     "max_refresh_interval",
-    "STTRAMArrayModel",
 ]

@@ -74,8 +74,9 @@ class TestAddressMapper:
         lines, tags, indices = mapper.split_columns(
             np.array(addresses, dtype=np.int64)
         )
-        assert lines == [mapper.line_address(a) for a in addresses]
-        assert list(zip(tags, indices)) == [mapper.split(a) for a in addresses]
+        assert lines.tolist() == [mapper.line_address(a) for a in addresses]
+        assert list(zip(tags.tolist(), indices.tolist())) == \
+            [mapper.split(a) for a in addresses]
 
 
 class TestBankIndex:

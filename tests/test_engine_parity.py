@@ -5,10 +5,11 @@ replay hot path over flat vectors; its entire claim to correctness is that
 no observable output changes.  These tests enforce that claim four ways:
 
 * **Pinned scenarios** — every scenario of the tier-1 digest table
-  (``tests/pinned.py``) is run under both engines; both must produce the
-  pinned SHA-256 digest, and the full canonical
-  :class:`~repro.gpu.metrics.SimulationResult` dicts and the component
-  counter surfaces must match exactly.
+  (``tests/pinned.py``), and three branch runs that reach the fused
+  loop's read-only-cache and parallel-search code, is run under both
+  engines; both must produce the pinned SHA-256 digest, and the full
+  canonical :class:`~repro.gpu.metrics.SimulationResult` dicts and the
+  component counter surfaces must match exactly.
 * **Randomized pressure profiles** — seeded workloads on the tiny
   ``oracle-small`` two-part config (capacity pressure ⇒ migrations and
   buffer pushes within tens of accesses) are replayed through both
@@ -20,7 +21,8 @@ no observable output changes.  These tests enforce that claim four ways:
 * **Cold branches** — the object and SoA two-part L2s run in lockstep
   through a schedule that overflows one-line swap buffers, refreshes and
   loses LR lines and drops clean and dirty HR lines, and the test
-  asserts each of those branches was taken.
+  asserts each of those branches was taken; the uniform L2s run in
+  lockstep too.
 
 Engine selection itself (fallbacks, explicit-request errors) is covered at
 the bottom; speed is measured by the repo benchmark (``bench/``), not
@@ -28,6 +30,7 @@ here — tier-1 only proves equivalence.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -47,7 +50,8 @@ from repro.oracle import (
     run_diff,
 )
 from repro.workloads import build_workload
-from tests.pinned import ALL_SCENARIOS, RESULT_DIGESTS
+from tests.pinned import ALL_SCENARIOS, BRANCH_DIGESTS, RESULT_DIGESTS
+from tests.test_gpu_readonly import make_workload_with_const
 
 
 def _run(scenario_workload, config, trace_length, seed, engine):
@@ -86,28 +90,64 @@ def _counter_surface(simulator):
     return surface
 
 
+def _assert_engines_agree(build, pinned):
+    """Run ``build()``'s fresh (config, workload) on both engines: both
+    give the ``pinned`` digest, one result dict and one counter surface."""
+    runs = []
+    for engine in ("object", "soa"):
+        config, workload = build()
+        simulator = make_simulator(config, workload, engine=engine)
+        runs.append((simulator.run(), simulator))
+    (obj_result, obj_sim), (soa_result, soa_sim) = runs
+    assert isinstance(soa_sim, SoaGPUSimulator)
+    assert simulation_result_to_dict(obj_result) == \
+        simulation_result_to_dict(soa_result)
+    assert result_digest(obj_result) == pinned
+    assert result_digest(soa_result) == pinned
+    assert _counter_surface(obj_sim) == _counter_surface(soa_sim)
+
+
 @pytest.mark.parametrize(
     "scenario", ALL_SCENARIOS, ids=lambda s: s.key.replace("/", "-")
 )
 def test_pinned_scenarios_are_engine_invariant(scenario):
     """Both engines produce the pinned digest on every pinned scenario,
     with byte-identical results and counter surfaces."""
-    config = all_configs()[scenario.config]
-    obj_result, obj_sim = _run(
-        scenario.workload, config, scenario.trace_length, scenario.seed,
-        "object",
+    def build():
+        config = all_configs()[scenario.config]
+        return config, build_workload(
+            scenario.workload, num_accesses=scenario.trace_length,
+            num_sms=config.num_sms, seed=scenario.seed,
+        )
+
+    _assert_engines_agree(build, RESULT_DIGESTS[scenario.key]["exact"])
+
+
+def _parallel_search_bfs():
+    config = all_configs()["C1"]
+    config = replace(config, l2=replace(config.l2, sequential_search=False))
+    workload = build_workload(
+        "bfs", num_accesses=8000, num_sms=config.num_sms, seed=0
     )
-    soa_result, soa_sim = _run(
-        scenario.workload, config, scenario.trace_length, scenario.seed,
-        "soa",
-    )
-    assert isinstance(soa_sim, SoaGPUSimulator)
-    assert simulation_result_to_dict(obj_result) == \
-        simulation_result_to_dict(soa_result)
-    pinned = RESULT_DIGESTS[scenario.key]["exact"]
-    assert result_digest(obj_result) == pinned
-    assert result_digest(soa_result) == pinned
-    assert _counter_surface(obj_sim) == _counter_surface(soa_sim)
+    return config, workload
+
+
+BRANCH_RUNS = {
+    "consty/baseline/4000/s0": lambda: (
+        all_configs()["baseline"], make_workload_with_const()[0]
+    ),
+    "consty/C1/4000/s0": lambda: (
+        all_configs()["C1"], make_workload_with_const()[0]
+    ),
+    "bfs/C1-parallel/8000/s0": _parallel_search_bfs,
+}
+
+
+@pytest.mark.parametrize("key", sorted(BRANCH_RUNS))
+def test_branch_runs_are_engine_invariant(key):
+    """The fused loop's read-only-cache and parallel-search branches,
+    which no pinned scenario takes, match the object loop byte for byte."""
+    _assert_engines_agree(BRANCH_RUNS[key], BRANCH_DIGESTS[key])
 
 
 @pytest.mark.parametrize("profile", ["bfs", "backprop", "stencil"])
@@ -267,6 +307,33 @@ def test_lr_victim_already_in_hr_returns_as_a_fill_hit():
     assert soa.hr_array.stats.fills == 4  # three misses and fill_from_dram
     assert obj.state_snapshot() == soa.state_snapshot()
     assert dut_counters(obj) == dut_counters(soa)
+
+
+@pytest.mark.parametrize("technology", ["sram", "stt"])
+def test_uniform_l2_matches_in_lockstep(technology):
+    """The object and SoA uniform L2s, access by access, on a 16-set
+    array under mixed reads and writes that evict dirty lines."""
+    from repro.core.uniform import UniformL2
+    from repro.engine.soa_l2 import SoaUniformL2
+
+    kwargs = dict(
+        capacity_bytes=8 * 1024, associativity=2, line_size=256,
+        technology=technology,
+    )
+    obj = UniformL2(**kwargs)
+    soa = SoaUniformL2(**kwargs)
+    rng = random.Random(7)
+    now = 0.0
+    for _ in range(4000):
+        now += 1e-9
+        address = rng.randrange(0, 1 << 15)
+        is_write = rng.random() < 0.4
+        assert obj.access(address, is_write, now) == \
+            soa.access(address, is_write, now)
+    assert obj.stats.evictions_dirty > 0
+    assert obj.stats == soa.stats
+    assert obj.data_writes == soa.data_writes
+    assert obj.energy.as_dict() == soa.energy.as_dict()
 
 
 def test_lockstep_pair_accepts_engine_and_rejects_soa_mutants():

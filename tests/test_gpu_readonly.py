@@ -50,24 +50,27 @@ class TestReadOnlyCache:
         assert cache.hit_rate == pytest.approx(0.5)
 
 
+def make_workload_with_const():
+    """A const/texture-heavy kernel: 40% of its 4000 accesses are
+    read-only-cache reads, which no calibrated profile issues."""
+    from repro.workloads.profiles import BenchmarkProfile
+    from repro.workloads.generator import TraceGenerator
+    from repro.workloads.trace import Workload
+
+    profile = BenchmarkProfile(
+        name="consty", region=1, description="const/tex heavy kernel",
+        regs_per_thread=20, threads_per_block=256, compute_intensity=8.0,
+        p_stream_read=0.30, p_hot_read=0.20, p_wws_write=0.10,
+        p_const_read=0.20, p_texture_read=0.20,
+    )
+    trace = TraceGenerator(profile).generate(num_accesses=4000, seed=0)
+    return Workload(name="consty", kernel=profile.kernel_descriptor(),
+                    trace=trace), profile
+
+
 class TestSimulatorRouting:
-    def make_workload_with_const(self):
-        from repro.workloads.profiles import BenchmarkProfile
-        from repro.workloads.generator import TraceGenerator
-        from repro.workloads.trace import Workload
-
-        profile = BenchmarkProfile(
-            name="consty", region=1, description="const/tex heavy kernel",
-            regs_per_thread=20, threads_per_block=256, compute_intensity=8.0,
-            p_stream_read=0.30, p_hot_read=0.20, p_wws_write=0.10,
-            p_const_read=0.20, p_texture_read=0.20,
-        )
-        trace = TraceGenerator(profile).generate(num_accesses=4000, seed=0)
-        return Workload(name="consty", kernel=profile.kernel_descriptor(),
-                        trace=trace), profile
-
     def test_trace_carries_const_tex_fractions(self):
-        workload, profile = self.make_workload_with_const()
+        workload, profile = make_workload_with_const()
         assert workload.trace.const_fraction == pytest.approx(0.20, abs=0.05)
         assert workload.trace.texture_fraction == pytest.approx(0.20, abs=0.05)
 
@@ -75,7 +78,7 @@ class TestSimulatorRouting:
         from repro.config import baseline_sram
         from repro.gpu.simulator import GPUSimulator
 
-        workload, _ = self.make_workload_with_const()
+        workload, _ = make_workload_with_const()
         sim = GPUSimulator(baseline_sram(), workload)
         sim.run()
         const_accesses = sum(c.array.stats.accesses for c in sim.const_caches)
