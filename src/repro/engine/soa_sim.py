@@ -1,22 +1,24 @@
 """Fused structure-of-arrays replay loop (the ``soa`` engine's simulator).
 
-:class:`SoaGPUSimulator` subclasses :class:`repro.gpu.simulator.GPUSimulator`
-and overrides only :meth:`run`: the trace is pre-decoded with NumPy (flags,
-read-only-cache set groups, L1 tag/set/line splits) and the per-record
-work — L1 write policies, MSHR coalescing, deferred fills, read-only
-caches, the L2 serve paths, bank scheduling and DRAM — is fused into one
-interpreter loop over flat per-SM state vectors with zero per-access
-object allocation.  The L2 state lives in the SoA model built by
-:func:`repro.core.factory.build_l2` (``engine="soa"``); its demand paths
-are transcribed *inline* into one ``process`` closure here, which serves
-a uniform L2 as an HR part alone and ends in one bank/DRAM/stall block,
-so the hot path makes no Python calls at all — only the two rare cold
-paths call the SoA L2: a write that migrates a line from HR to LR
-(``_migrate_fast``, which also returns any LR victim to HR and force-pops
-full swap buffers) and a due refresh sweep (``maintenance``).  Both are
-flat code over the same vectors and buffer deques.  One closure for both
-L2 kinds keeps its free variables few: a call copies every one of them
-into its frame.
+:class:`SoaGPUSimulator` subclasses
+:class:`repro.gpu.simulator.GPUSimulator` and overrides only :meth:`run`:
+the trace is decoded with NumPy per chunk of
+:data:`~repro.workloads.trace.CHUNK_RECORDS` records (flags,
+read-only-cache set groups, L1 tag/set/line splits), so replay memory does
+not grow with the trace, and the per-record work — L1 write policies, MSHR
+coalescing, deferred fills, read-only caches, the L2 serve paths, bank
+scheduling and DRAM — is fused into one interpreter loop over flat per-SM
+state vectors with zero per-access object allocation.  The L2 state lives
+in the SoA model built by :func:`repro.core.factory.build_l2`
+(``engine="soa"``); its demand paths are transcribed *inline* into one
+``process`` closure here, which serves a uniform L2 as an HR part alone and
+ends in one bank/DRAM/stall block, so the hot path makes no Python calls at
+all — only the two rare cold paths call the SoA L2: a write that migrates a
+line from HR to LR (``_migrate_fast``, which also returns any LR victim to
+HR and force-pops full swap buffers) and a due refresh sweep
+(``maintenance``).  Both are flat code over the same vectors and buffer
+deques.  One closure for both L2 kinds keeps its free variables few: a call
+copies every one of them into its frame.
 
 Equivalence contract (docs/engine.md): every counter update, float
 accumulation and state transition happens in the object engine's order, so
@@ -48,6 +50,7 @@ injection arrives.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import inf
 
 import numpy as np
@@ -114,20 +117,14 @@ class SoaGPUSimulator(GPUSimulator):
         max_sm = config.num_sms
 
         trace = self.workload.trace
-        sm_np = trace.sm
-        addr_np = trace.address
-        flags_np = trace.flags
-        n = len(sm_np)
-        if n and int(sm_np.max()) >= max_sm:
-            bad = int(sm_np[int(np.argmax(sm_np >= max_sm))])
+        if int(trace.sm.max()) >= max_sm:
+            bad = int(trace.sm[int(np.argmax(trace.sm >= max_sm))])
             raise SimulationError(
                 f"trace SM id {bad} exceeds configured {max_sm} SMs"
             )
-
-        # --- vectorized decode -------------------------------------------
-        sm_list = sm_np.tolist()
-        write_list = ((flags_np & FLAG_WRITE) != 0).tolist()
-        local_list = ((flags_np & FLAG_LOCAL) != 0).tolist()
+        # the read-only state is built only if some record needs it
+        ro_flags = FLAG_CONST | FLAG_TEXTURE
+        have_ro = any((flags & ro_flags).any() for _, _, flags in trace.chunks())
 
         l1_geom = self.l1s[0].array.mapper
         l1_off = l1_geom.offset_bits
@@ -136,45 +133,9 @@ class SoaGPUSimulator(GPUSimulator):
         l1_mask = l1_geom._set_mask
         l1_nsets = self.l1s[0].array.num_sets
         l1_assoc = self.l1s[0].array.associativity
-        line_np, l1_tag_np, l1_set_np = l1_geom.split_columns(addr_np)
-
-        # The const and texture caches of every SM share one read-only
-        # state, laid out back to back: one set group per (cache, set), the
-        # const caches' groups first.  A read-only record carries its group
-        # in ``ro_group`` and its line address in that cache's geometry in
-        # the line column; every other record has group -1.  A record with
-        # both read-only flags goes to const (the object loop tests
-        # FLAG_CONST first).
-        S = max_sm
-        const_np = (flags_np & FLAG_CONST) != 0
-        texture_np = ((flags_np & FLAG_TEXTURE) != 0) & ~const_np
-        ro_group_np = np.full(n, -1, dtype=np.int32)
-        have_ro = False
-        first_group = 0
-        for records, caches in (
-            (const_np, self.const_caches),
-            (texture_np, self.texture_caches),
-        ):
-            array = caches[0].array
-            if records.any():
-                have_ro = True
-                ro_lines, _, ro_sets = array.mapper.split_columns(addr_np[records])
-                ro_group_np[records] = (
-                    first_group
-                    + sm_np[records].astype(np.int32) * array.num_sets
-                    + ro_sets
-                )
-                line_np[records] = ro_lines
-            first_group += S * array.num_sets
-        # the loop reads only the lists: free the arrays as they are listed
-        ro_group_list = ro_group_np.tolist()
-        line_list = line_np.tolist()
-        del ro_group_np, line_np
-        l1_tag_list = l1_tag_np.tolist()
-        l1_set_list = l1_set_np.tolist()
-        del l1_tag_np, l1_set_np
 
         # --- flat per-SM state -------------------------------------------
+        S = max_sm
         n_l1_slots = S * l1_nsets * l1_assoc
         l1_tags = [-1] * n_l1_slots
         l1_valid = [False] * n_l1_slots
@@ -627,9 +588,8 @@ class SoaGPUSimulator(GPUSimulator):
                 stall_sum_s += wait + latency
 
         # --- the fused replay loop ---------------------------------------
-        for sm, is_write, is_local, group, line, tag, set_index in zip(
-            sm_list, write_list, local_list, ro_group_list,
-            line_list, l1_tag_list, l1_set_list,
+        for sm, is_write, is_local, group, line, tag, set_index in (
+            chain.from_iterable(self._decoded_chunks())
         ):
             now += dt
             if not is_write:
@@ -922,3 +882,50 @@ class SoaGPUSimulator(GPUSimulator):
             "l2_service_sum_s": l2_service_sum_s,
             "dram_writebacks": dram_writebacks,
         })
+
+    def _decoded_chunks(self):
+        """The fused loop's records, decoded by NumPy one trace chunk at a time.
+
+        Yields one iterator per :meth:`~repro.workloads.trace.Trace.chunks`
+        chunk over ``(sm, is_write, is_local, ro_group, line, l1_tag,
+        l1_set)`` records.  The const and texture caches of every SM share
+        one read-only state, laid out back to back: one set group per
+        (cache, set), the const caches' groups first.  A read-only record
+        carries its group in ``ro_group`` and its line address in that
+        cache's geometry in ``line``; every other record has group -1 and
+        its L1 line address.  A record with both read-only flags goes to
+        const (the object loop tests FLAG_CONST first).
+        """
+        l1_geom = self.l1s[0].array.mapper
+        num_sms = self.config.num_sms
+        for sm_np, addr_np, flags_np in self.workload.trace.chunks():
+            line_np, l1_tag_np, l1_set_np = l1_geom.split_columns(addr_np)
+            const_np = (flags_np & FLAG_CONST) != 0
+            texture_np = ((flags_np & FLAG_TEXTURE) != 0) & ~const_np
+            ro_group_np = np.full(len(sm_np), -1, dtype=np.int32)
+            first_group = 0
+            for records, caches in (
+                (const_np, self.const_caches),
+                (texture_np, self.texture_caches),
+            ):
+                array = caches[0].array
+                if records.any():
+                    ro_lines, _, ro_sets = array.mapper.split_columns(
+                        addr_np[records]
+                    )
+                    ro_group_np[records] = (
+                        first_group
+                        + sm_np[records].astype(np.int32) * array.num_sets
+                        + ro_sets
+                    )
+                    line_np[records] = ro_lines
+                first_group += num_sms * array.num_sets
+            yield zip(
+                sm_np.tolist(),
+                ((flags_np & FLAG_WRITE) != 0).tolist(),
+                ((flags_np & FLAG_LOCAL) != 0).tolist(),
+                ro_group_np.tolist(),
+                line_np.tolist(),
+                l1_tag_np.tolist(),
+                l1_set_np.tolist(),
+            )

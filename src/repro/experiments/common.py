@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.tables import format_table, to_csv
@@ -117,8 +118,9 @@ def replay_through_l1(
     and evicts any L1 copy; a global read or any local access allocates on
     a miss (LRU, invalid ways first), a dirty victim is written back before
     the fetch, and a local store dirties its line.  Const and texture
-    records take the data-L1 path here.  State lives in flat per-SM lists
-    with the line/set split pre-decoded by NumPy, like
+    records take the data-L1 path here.  State lives in flat per-SM lists,
+    and the flags and line/set split are decoded by NumPy one trace chunk
+    at a time (:meth:`~repro.workloads.trace.Trace.chunks`), like
     :class:`repro.engine.soa_sim.SoaGPUSimulator`.
     """
     config = config or baseline_sram()
@@ -132,9 +134,17 @@ def replay_through_l1(
             f"trace SM id {int(trace.sm.max())} exceeds configured "
             f"{config.num_sms} SMs"
         )
-    lines, _, set_indices = mapper.split_columns(trace.address)
-    writes = ((trace.flags & FLAG_WRITE) != 0).tolist()
-    local = ((trace.flags & FLAG_LOCAL) != 0).tolist()
+
+    def decoded_chunks():
+        for sms, addresses, flags in trace.chunks():
+            lines, _, set_indices = mapper.split_columns(addresses)
+            yield zip(
+                sms.tolist(),
+                ((flags & FLAG_WRITE) != 0).tolist(),
+                ((flags & FLAG_LOCAL) != 0).tolist(),
+                lines.tolist(),
+                set_indices.tolist(),
+            )
 
     # per-(SM, set) line->way maps and LRU orders (LRU first); per-way
     # resident line address (-1 when empty) and dirty bit, indexed
@@ -150,8 +160,8 @@ def replay_through_l1(
         workload.kernel.compute_intensity * cycle_s / config.num_sms * time_dilation
     )
     now = 0.0
-    for sm, is_write, is_local, line, set_index in zip(
-        trace.sm.tolist(), writes, local, lines.tolist(), set_indices.tolist()
+    for sm, is_write, is_local, line, set_index in chain.from_iterable(
+        decoded_chunks()
     ):
         now += dt
         group = sm * nsets + set_index

@@ -149,7 +149,6 @@ class GPUSimulator:
             request_bytes=8, response_bytes=config.l2.line_size
         )
 
-        sms, addresses, flags = self.workload.trace.columns()
         tracer = self.tracer
         trace_on = tracer.enabled
         now = self.start_time_s
@@ -178,7 +177,7 @@ class GPUSimulator:
         checker = self.invariant_checker
         checker_hook = checker.after_access if checker is not None else None
 
-        for sm, address, flag in zip(sms, addresses, flags):
+        for sm, address, flag in self.workload.trace.rows():
             now += dt
             is_write = bool(flag & FLAG_WRITE)
             if sm >= max_sm:

@@ -1,13 +1,17 @@
 """Trace containers.
 
 A trace is a time-ordered stream of L1-level memory accesses, column-stored
-in numpy arrays (SM id, byte address, flags) for compactness; the simulator
-converts columns to Python lists once per run for fast iteration.
+in numpy arrays (SM id, byte address, flags) for compactness, 11 bytes per
+access.  Replay loops iterate Python lists, which cost about ten times that,
+so they decode the columns :data:`CHUNK_RECORDS` records at a time
+(:meth:`Trace.chunks`): replay memory is then set by the chunk, not by the
+trace length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 import numpy as np
@@ -21,6 +25,11 @@ FLAG_WRITE = 0x1
 FLAG_LOCAL = 0x2
 FLAG_CONST = 0x4
 FLAG_TEXTURE = 0x8
+
+#: Records per decoded chunk (:meth:`Trace.chunks`).  A replay loop's
+#: per-chunk lists stay under about 1 MB, while the fixed cost of the
+#: chunk's NumPy calls stays far below that of replaying its records.
+CHUNK_RECORDS = 8192
 
 
 @dataclass(frozen=True)
@@ -83,13 +92,25 @@ class Trace:
         """Fraction of texture reads."""
         return float(np.mean((self.flags & FLAG_TEXTURE) != 0))
 
-    def columns(self) -> Tuple[List[int], List[int], List[int]]:
-        """Python-list views for fast interpreter-level iteration."""
-        return self.sm.tolist(), self.address.tolist(), self.flags.tolist()
+    def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(sm, address, flags)`` column views, :data:`CHUNK_RECORDS`
+        records each (the last may be shorter), in trace order."""
+        chunk = CHUNK_RECORDS
+        for start in range(0, len(self.sm), chunk):
+            stop = start + chunk
+            yield self.sm[start:stop], self.address[start:stop], self.flags[start:stop]
+
+    def rows(self) -> Iterator[Tuple[int, int, int]]:
+        """``(sm, address, flags)`` int triples in trace order, listed one
+        chunk at a time (the object replay loop's input)."""
+        return chain.from_iterable(
+            zip(sm.tolist(), address.tolist(), flags.tolist())
+            for sm, address, flags in self.chunks()
+        )
 
     def records(self) -> Iterator[MemoryAccess]:
         """Decode accesses one by one (tests/analysis; slow path)."""
-        for sm, address, flags in zip(*self.columns()):
+        for sm, address, flags in self.rows():
             yield MemoryAccess(
                 sm=sm,
                 address=address,

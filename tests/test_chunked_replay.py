@@ -1,0 +1,136 @@
+"""Replay loops decode the trace in bounded chunks.
+
+Every replay loop (the ``soa`` and object engines and the
+characterization replay :func:`repro.experiments.common.replay_through_l1`)
+decodes the trace :data:`repro.workloads.trace.CHUNK_RECORDS` records at a
+time.  These tests check that chunk boundaries change no result — with the
+chunk shrunk to a small prime, so that boundaries fall everywhere — and
+that replay memory no longer grows with the trace.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.workloads.trace as trace_module
+from repro.benchmarks import result_digest
+from repro.config import all_configs
+from repro.engine import make_simulator
+from repro.experiments.common import replay_through_l1
+from repro.workloads import build_workload
+from tests.pinned import BRANCH_DIGESTS, RESULT_DIGESTS
+from tests.test_gpu_readonly import make_workload_with_const
+
+SMALL_CHUNK = 97
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Shrink the chunk so that every replay crosses many boundaries."""
+    monkeypatch.setattr(trace_module, "CHUNK_RECORDS", SMALL_CHUNK)
+
+
+def _bfs_c1(accesses):
+    config = all_configs()["C1"]
+    return config, build_workload(
+        "bfs", num_accesses=accesses, num_sms=config.num_sms, seed=0
+    )
+
+
+def test_chunks_cover_the_trace_in_order(small_chunks):
+    _, workload = _bfs_c1(1000)
+    trace = workload.trace
+    chunks = list(trace.chunks())
+    assert [len(sm) for sm, _, _ in chunks] == [SMALL_CHUNK] * 10 + [30]
+    for column, index in ((trace.sm, 0), (trace.address, 1), (trace.flags, 2)):
+        assert np.array_equal(
+            np.concatenate([chunk[index] for chunk in chunks]), column
+        )
+    records = list(trace.records())
+    assert len(records) == len(trace)
+    assert [record.address for record in records] == trace.address.tolist()
+
+
+@pytest.mark.parametrize("engine", ["soa", "object"])
+def test_pinned_scenario_holds_across_chunk_boundaries(small_chunks, engine):
+    config, workload = _bfs_c1(8000)
+    result = make_simulator(config, workload, engine=engine).run()
+    assert result_digest(result) == RESULT_DIGESTS["bfs/C1/8000/s0"]["exact"]
+
+
+@pytest.mark.parametrize("engine", ["soa", "object"])
+def test_read_only_branch_run_holds_across_chunk_boundaries(small_chunks, engine):
+    workload, _ = make_workload_with_const()
+    config = all_configs()["C1"]
+    result = make_simulator(config, workload, engine=engine).run()
+    assert result_digest(result) == BRANCH_DIGESTS["consty/C1/4000/s0"]
+
+
+def test_l1_filter_stream_holds_across_chunk_boundaries(monkeypatch):
+    _, workload = _bfs_c1(8000)
+    streams = []
+    for chunk in (trace_module.CHUNK_RECORDS, SMALL_CHUNK):
+        monkeypatch.setattr(trace_module, "CHUNK_RECORDS", chunk)
+        calls = []
+        replay_through_l1(workload, lambda *request: calls.append(request))
+        streams.append(calls)
+    assert streams[0] and streams[0] == streams[1]
+
+
+#: Run in a fresh interpreter: resets the peak RSS (VmHWM) to the current
+#: RSS right before each replay and prints how far each replay raised it.
+MEMORY_PROBE = """
+import json
+from repro.config import all_configs
+from repro.engine import make_simulator
+from repro.experiments.common import replay_through_l1
+from repro.workloads import build_workload
+
+def status_mb(key):
+    with open("/proc/self/status") as handle:
+        for line in handle:
+            if line.startswith(key + ":"):
+                return int(line.split()[1]) / 1024.0
+
+def growth_mb(call):
+    with open("/proc/self/clear_refs", "w") as handle:
+        handle.write("5")
+    rss = status_mb("VmRSS")
+    call()
+    return status_mb("VmHWM") - rss
+
+config = all_configs()["C1"]
+workload = build_workload(
+    "bfs", num_accesses=200_000, num_sms=config.num_sms, seed=0
+)
+print(json.dumps({
+    "soa": growth_mb(make_simulator(config, workload, engine="soa").run),
+    "replay_through_l1": growth_mb(
+        lambda: replay_through_l1(workload, lambda *request: None)
+    ),
+}))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux")
+    or not os.access("/proc/self/clear_refs", os.W_OK),
+    reason="needs Linux /proc/self/clear_refs to reset the peak RSS",
+)
+def test_replay_memory_does_not_grow_with_the_trace():
+    """At 200k accesses a whole-trace decode raised the peak by 15-24 MB."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    growth = json.loads(proc.stdout)
+    for replay, grown_mb in growth.items():
+        assert grown_mb < 8.0, (replay, grown_mb)
