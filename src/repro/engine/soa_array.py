@@ -152,12 +152,8 @@ class SoaCacheArray:
         self.last_access_time_vec: List[float] = [0.0] * num_lines
         #: fill/refresh timestamps (retention-clock anchor)
         self.insert_time_vec: List[float] = [0.0] * num_lines
-        #: cumulative cell-wear writes per frame (never reset by fills)
-        self.frame_writes_vec: List[int] = [0] * num_lines
         #: per-set write totals
         self.set_writes_vec: List[int] = [0] * num_sets
-        #: replacement-victim count per set (eviction-pressure profile)
-        self.set_evictions: List[int] = [0] * num_sets
         #: per-set tag -> way maps (the associative lookup)
         self.tag_to_way: List[Dict[int, int]] = [dict() for _ in range(num_sets)]
         #: per-set LRU recency lists, LRU at the front / MRU at the back
@@ -242,7 +238,6 @@ class SoaCacheArray:
                 self.last_write_time_vec[slot] = now
                 self.last_access_time_vec[slot] = now
                 self.set_writes_vec[index] += 1
-                self.frame_writes_vec[slot] += 1
             else:
                 stats.read_hits += 1
                 self.total_reads_vec[slot] += 1
@@ -269,7 +264,6 @@ class SoaCacheArray:
                 self.last_write_time_vec[slot] = now
                 self.last_access_time_vec[slot] = now
                 self.set_writes_vec[index] += 1
-                self.frame_writes_vec[slot] += 1
             order = self.lru[index]
             order.remove(way)
             order.append(way)
@@ -300,7 +294,6 @@ class SoaCacheArray:
                 victim_line = victim_tag * self._num_sets + index
             evicted_address = victim_line << self._offset_bits
             evicted_dirty = self.dirty_vec[slot]
-            self.set_evictions[index] += 1
             if evicted_dirty:
                 self.stats.evictions_dirty += 1
             else:
@@ -326,7 +319,6 @@ class SoaCacheArray:
         order = self.lru[index]
         order.remove(way)
         order.append(way)
-        self.frame_writes_vec[slot] += 1
         if dirty:
             self.set_writes_vec[index] += 1
         self.stats.fills += 1

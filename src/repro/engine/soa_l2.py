@@ -176,7 +176,6 @@ class SoaTwoPartL2(TwoPartSTTL2):
         stats.writes += 1
         stats.write_hits += 1
         hr.set_writes_vec[index] += 1
-        hr.frame_writes_vec[index * self._hr_assoc + way] += 1
         order = hr.lru[index]
         order.remove(way)
         order.append(way)
@@ -223,7 +222,6 @@ class SoaTwoPartL2(TwoPartSTTL2):
         if evicted:
             victim_tag = lr.tag_vec[slot]
             victim_dirty = lr.dirty_vec[slot]
-            lr.set_evictions[index] += 1
             if victim_dirty:
                 stats.evictions_dirty += 1
             else:
@@ -246,7 +244,6 @@ class SoaTwoPartL2(TwoPartSTTL2):
         order = lr.lru[index]
         order.remove(way)
         order.append(way)
-        lr.frame_writes_vec[slot] += 1
         lr.set_writes_vec[index] += 1
         stats.fills += 1
         # read out of HR, written into LR
@@ -296,7 +293,6 @@ class SoaTwoPartL2(TwoPartSTTL2):
                     hr.last_write_time_vec[slot] = now
                     hr.last_access_time_vec[slot] = now
                     hr.set_writes_vec[index] += 1
-                    hr.frame_writes_vec[slot] += 1
             else:
                 valid = hr.valid_vec
                 for way in range(self._hr_assoc):
@@ -307,7 +303,6 @@ class SoaTwoPartL2(TwoPartSTTL2):
                 slot = base + way
                 stats = hr.stats
                 if valid[slot]:
-                    hr.set_evictions[index] += 1
                     if hr.dirty_vec[slot]:
                         stats.evictions_dirty += 1
                         writebacks += 1
@@ -326,7 +321,6 @@ class SoaTwoPartL2(TwoPartSTTL2):
                 hr.last_access_time_vec[slot] = now
                 hr.insert_time_vec[slot] = now
                 tag_map[tag] = way
-                hr.frame_writes_vec[slot] += 1
                 if victim_dirty:
                     hr.set_writes_vec[index] += 1
                 stats.fills += 1
@@ -549,7 +543,6 @@ class SoaTwoPartL2(TwoPartSTTL2):
                 lr.last_write_time_vec[slot] = now
                 lr.last_access_time_vec[slot] = now
                 lr.set_writes_vec[index] += 1
-                lr.frame_writes_vec[slot] += 1
                 order = lr.lru[index]
                 order.remove(way)
                 order.append(way)
@@ -604,7 +597,6 @@ class SoaTwoPartL2(TwoPartSTTL2):
                     hr.last_write_time_vec[hr_slot] = now
                     hr.last_access_time_vec[hr_slot] = now
                     hr.set_writes_vec[hr_index] += 1
-                    hr.frame_writes_vec[hr_slot] += 1
                     order = hr.lru[hr_index]
                     order.remove(hr_way)
                     order.append(hr_way)

@@ -34,13 +34,16 @@ bookkeeping liberties keep that true while staying fast:
   owning object before every cold-path call and re-read after — the
   accumulation order is exactly the object engine's.
 
-The one intentional divergence: per-line L1/read-only *wear* counters
-(``set_writes``/``frame_writes``/``set_evictions`` and per-block
-timestamps) are not maintained — nothing downstream reads them for L1 or
-the read-only caches — while aggregate ``CacheStats``, ``L1Stats``,
-``MSHRStats``, bank and DRAM counters are flushed back into the real
-component objects at the end of the run.  L2 vectors, LRU orders and
-buffers are mutated in place and need no flush.
+The one intentional divergence: *wear* counters that nothing reads are
+not kept.  The L1 and read-only caches keep no per-line wear counters
+(``set_writes``/``frame_writes``/``set_evictions``) or per-block
+timestamps, and the flat L2 arrays keep no per-frame write or per-set
+eviction counts (:class:`~repro.engine.soa_array.SoaCacheArray` has no
+``per_frame_write_counts`` or ``per_set_eviction_counts``; endurance
+analyses run on the object arrays).  Aggregate ``CacheStats``,
+``L1Stats``, ``MSHRStats``, bank and DRAM counters are flushed back into
+the real component objects at the end of the run.  L2 vectors, LRU
+orders and buffers are mutated in place and need no flush.
 
 Not supported (the registry falls back to the object engine, see
 ``repro.engine._soa_blockers``): tracing, invariant checkers, the
@@ -234,7 +237,7 @@ class SoaGPUSimulator(GPUSimulator):
             lr_tw = lr.total_writes_vec; lr_tr = lr.total_reads_vec
             lr_lwt = lr.last_write_time_vec; lr_lat_v = lr.last_access_time_vec
             lr_ins = lr.insert_time_vec
-            lr_setw = lr.set_writes_vec; lr_frw = lr.frame_writes_vec
+            lr_setw = lr.set_writes_vec
             lr_invalidate = lr.invalidate
             lr_pow2 = l2._lr_pow2; lr_bits = l2._lr_bits
             lr_smask = l2._lr_mask; lr_nsets = l2._lr_nsets
@@ -275,8 +278,7 @@ class SoaGPUSimulator(GPUSimulator):
         hr_tw = hr.total_writes_vec; hr_tr = hr.total_reads_vec
         hr_lwt = hr.last_write_time_vec; hr_lat_v = hr.last_access_time_vec
         hr_ins = hr.insert_time_vec
-        hr_setw = hr.set_writes_vec; hr_frw = hr.frame_writes_vec
-        hr_setev = hr.set_evictions
+        hr_setw = hr.set_writes_vec
         hr_invalidate = hr.invalidate
         off2 = hr._offset_bits  # both parts share the line size
         hr_pow2 = hr._pow2; hr_bits = hr._set_bits
@@ -417,7 +419,6 @@ class SoaGPUSimulator(GPUSimulator):
                     lr_lwt[slot] = now2
                     lr_lat_v[slot] = now2
                     lr_setw[index] += 1
-                    lr_frw[slot] += 1
                     order = lr_lru_v[index]
                     order.remove(way)
                     order.append(way)
@@ -469,7 +470,6 @@ class SoaGPUSimulator(GPUSimulator):
                         hr_lwt[hr_slot] = now2
                         hr_lat_v[hr_slot] = now2
                         hr_setw[hr_index] += 1
-                        hr_frw[hr_slot] += 1
                         order = hr_lru_v[hr_index]
                         order.remove(hr_way)
                         order.append(hr_way)
@@ -497,7 +497,6 @@ class SoaGPUSimulator(GPUSimulator):
                 evicted_dirty = False
                 if hr_valid_v[fslot]:
                     evicted_dirty = hr_dirty_v[fslot]
-                    hr_setev[hr_index] += 1
                     if evicted_dirty:
                         n_hr_evd += 1
                     else:
@@ -517,7 +516,6 @@ class SoaGPUSimulator(GPUSimulator):
                 order = hr_lru_v[hr_index]
                 order.remove(fway)
                 order.append(fway)
-                hr_frw[fslot] += 1
                 if is_write:
                     hr_setw[hr_index] += 1
                 n_hr_fill += 1

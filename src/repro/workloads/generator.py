@@ -14,15 +14,31 @@ Structure of a generated trace:
   happening usually at the end of their execution");
 * address regions are disjoint per segment, local data is additionally
   partitioned per SM.
+
+Draw order.  One seeded random stream feeds the whole trace, consumed in
+this order: every record's kind, every record's SM, then each kind's line
+draws, kind by kind in :data:`_KINDS` order, each in trace order (the WWS
+phase by phase).  The generator walks the trace
+:data:`~repro.workloads.trace.CHUNK_RECORDS` records at a time, so besides
+the trace's own columns it holds only chunk-sized arrays (and the local
+draws): each record's one-byte kind code is kept in what becomes the
+flags column.  Splitting a draw is safe only where the stream does
+not notice: a categorical draw (:meth:`numpy.random.Generator.choice` with
+``p``) takes one double per record, so the kind, hot, WWS, const and
+texture draws split freely.  The SM draw is one call, because bounded
+16-bit draws buffer random halves within a call, and the local draws are
+one call per kind (see :class:`~repro.workloads.patterns.LocalSegment`).
+The trace is therefore the same whatever the chunk size.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.workloads import trace as trace_module
 from repro.workloads.patterns import (
     HotSegment,
     LocalSegment,
@@ -53,18 +69,36 @@ OUTPUT_BASE = 4 * REGION_STRIDE
 CONST_BASE = 5 * REGION_STRIDE
 TEXTURE_BASE = 6 * REGION_STRIDE
 
-# access-kind indices for the categorical draw
+# access kinds for the categorical draw (codes are tuple indices), with
+# the flags their records carry
 _KINDS = (
-    "stream_read",
-    "stream_write",
-    "hot_read",
-    "wws_write",
-    "wws_read",
-    "local_read",
-    "local_write",
-    "const_read",
-    "texture_read",
+    ("stream_read", 0),
+    ("stream_write", FLAG_WRITE),
+    ("hot_read", 0),
+    ("wws_write", FLAG_WRITE),
+    ("wws_read", 0),
+    ("local_read", FLAG_LOCAL),
+    ("local_write", FLAG_LOCAL | FLAG_WRITE),
+    ("const_read", FLAG_CONST),
+    ("texture_read", FLAG_TEXTURE),
 )
+_CODE = {name: code for code, (name, _) in enumerate(_KINDS)}
+
+#: Kind code that overwrites the drawn kind of end-of-phase burst records.
+_BURST = len(_KINDS)
+
+#: Record flags by kind code, the burst code last.
+_FLAGS_BY_CODE = np.array(
+    [flags for _, flags in _KINDS] + [FLAG_WRITE], dtype=np.uint8
+)
+
+
+def _spans(start: int, stop: int) -> Iterator[Tuple[int, int]]:
+    """``[start, stop)`` cut into ``(start, stop)`` pieces of at most
+    :data:`~repro.workloads.trace.CHUNK_RECORDS` records."""
+    chunk = trace_module.CHUNK_RECORDS
+    for begin in range(start, stop, chunk):
+        yield begin, min(stop, begin + chunk)
 
 
 class TraceGenerator:
@@ -86,12 +120,21 @@ class TraceGenerator:
         if num_sms <= 0:
             raise ConfigurationError("need at least one SM")
         p = self.profile
+        n = num_accesses
         rng = np.random.default_rng(seed)
 
-        kinds = rng.choice(len(_KINDS), size=num_accesses, p=self._mix)
-        sms = rng.integers(0, num_sms, size=num_accesses, dtype=np.int16)
-        addresses = np.zeros(num_accesses, dtype=np.int64)
-        flags = np.zeros(num_accesses, dtype=np.uint8)
+        kinds = np.empty(n, dtype=np.uint8)
+        for start, stop in _spans(0, n):
+            kinds[start:stop] = rng.choice(len(_KINDS), size=stop - start, p=self._mix)
+        sms = rng.integers(0, num_sms, size=n, dtype=np.int16)
+
+        # the last burst_len records of every phase are output-burst writes
+        phase_len = max(1, int(n * p.phase_fraction))
+        burst_len = int(phase_len * p.burst_fraction)
+        if burst_len:
+            for phase_start in range(0, n, phase_len):
+                phase_stop = phase_start + phase_len
+                kinds[max(phase_start, phase_stop - burst_len):phase_stop] = _BURST
 
         # fresh segment state per generate() call => reproducible traces
         stream = StreamingSegment(p.stream_lines)
@@ -106,81 +149,64 @@ class TraceGenerator:
         texture = HotSegment(
             p.texture_lines, alpha=p.texture_alpha, permutation_seed=seed + 4
         )
+        output = StreamingSegment(max(1, p.output_lines))
 
-        phase_len = max(1, int(num_accesses * p.phase_fraction))
-        burst_len = int(phase_len * p.burst_fraction)
-        index = np.arange(num_accesses)
-        phase_of = index // phase_len
-        in_burst = (index % phase_len) >= (phase_len - burst_len)
+        addresses = np.zeros(n, dtype=np.int64)
 
-        # --- streaming ------------------------------------------------
-        for kind, is_write in (("stream_read", False), ("stream_write", True)):
-            mask = (kinds == _KINDS.index(kind)) & ~in_burst
-            count = int(mask.sum())
-            if count:
-                lines = stream.draw(rng, count)
-                addresses[mask] = STREAM_BASE + lines * ACCESS_GRANULARITY
-                if is_write:
-                    flags[mask] |= FLAG_WRITE
+        def positions(code: int, start: int, stop: int) -> Iterator[np.ndarray]:
+            """Trace indices of the ``code`` records in ``[start, stop)``,
+            one non-empty array per chunk, in trace order."""
+            for begin, end in _spans(start, stop):
+                where = np.flatnonzero(kinds[begin:end] == code)
+                if len(where):
+                    where += begin
+                    yield where
 
-        # --- hot read-mostly data ------------------------------------------
-        mask = (kinds == _KINDS.index("hot_read")) & ~in_burst
-        count = int(mask.sum())
-        if count:
-            lines = hot.draw(rng, count)
-            addresses[mask] = HOT_BASE + lines * ACCESS_GRANULARITY
+        def place(where: np.ndarray, lines: np.ndarray, base: int) -> None:
+            lines *= ACCESS_GRANULARITY
+            lines += base
+            addresses[where] = lines
 
-        # --- write working set (phase-aware) --------------------------------
-        for kind, is_write in (("wws_write", True), ("wws_read", False)):
-            kind_mask = (kinds == _KINDS.index(kind)) & ~in_burst
-            for phase in np.unique(phase_of[kind_mask]):
-                mask = kind_mask & (phase_of == phase)
-                count = int(mask.sum())
-                if not count:
-                    continue
-                wws.start_phase(int(phase))
-                lines = wws.draw(rng, count)
-                base = WWS_BASE
-                if p.wws_private:
-                    base = WWS_BASE + sms[mask].astype(np.int64) * (
-                        p.wws_lines * ACCESS_GRANULARITY
-                    )
-                addresses[mask] = base + lines * ACCESS_GRANULARITY
-                if is_write:
-                    flags[mask] |= FLAG_WRITE
-
-        # --- local (per-thread) data ---------------------------------------
-        for kind, is_write in (("local_read", False), ("local_write", True)):
-            mask = (kinds == _KINDS.index(kind)) & ~in_burst
-            count = int(mask.sum())
-            if count:
-                lines = local.draw(rng, count)
-                base = LOCAL_BASE + sms[mask].astype(np.int64) * (
-                    p.local_lines * ACCESS_GRANULARITY
-                )
-                addresses[mask] = base + lines * ACCESS_GRANULARITY
-                flags[mask] |= FLAG_LOCAL
-                if is_write:
-                    flags[mask] |= FLAG_WRITE
-
-        # --- constant / texture reads (served by dedicated RO caches) -------
-        for kind, segment, base, flag in (
-            ("const_read", const, CONST_BASE, FLAG_CONST),
-            ("texture_read", texture, TEXTURE_BASE, FLAG_TEXTURE),
+        for code, segment, base in (
+            (_CODE["stream_read"], stream, STREAM_BASE),
+            (_CODE["stream_write"], stream, STREAM_BASE),
+            (_CODE["hot_read"], hot, HOT_BASE),
         ):
-            mask = (kinds == _KINDS.index(kind)) & ~in_burst
-            count = int(mask.sum())
-            if count:
-                lines = segment.draw(rng, count)
-                addresses[mask] = base + lines * ACCESS_GRANULARITY
-                flags[mask] |= flag
+            for where in positions(code, 0, n):
+                place(where, segment.draw(rng, len(where)), base)
 
-        # --- end-of-phase output bursts -------------------------------------
-        count = int(in_burst.sum())
-        if count:
-            sequential = np.cumsum(in_burst) - 1
-            out_lines = sequential[in_burst] % max(1, p.output_lines)
-            addresses[in_burst] = OUTPUT_BASE + out_lines * ACCESS_GRANULARITY
-            flags[in_burst] |= FLAG_WRITE
+        # --- write working set: a fresh hot set per phase ------------------
+        for kind in ("wws_write", "wws_read"):
+            for phase, phase_start in enumerate(range(0, n, phase_len)):
+                phase_stop = min(n, phase_start + phase_len)
+                for where in positions(_CODE[kind], phase_start, phase_stop):
+                    wws.start_phase(phase)
+                    place(where, wws.draw(rng, len(where)), WWS_BASE)
 
-        return Trace(sms, addresses, flags)
+        # --- local (per-thread) data, partitioned per SM --------------------
+        # LocalSegment.draw draws every window start before any offset, so a
+        # split draw would reorder the stream: each kind draws in one call.
+        for kind in ("local_read", "local_write"):
+            chunks = list(positions(_CODE[kind], 0, n))
+            if chunks:
+                where = np.concatenate(chunks)
+                del chunks
+                lines = local.draw(rng, len(where))
+                sm_base = sms[where].astype(np.int64)
+                sm_base *= p.local_lines
+                lines += sm_base
+                place(where, lines, LOCAL_BASE)
+
+        # --- constant / texture reads, then end-of-phase output bursts ------
+        for code, segment, base in (
+            (_CODE["const_read"], const, CONST_BASE),
+            (_CODE["texture_read"], texture, TEXTURE_BASE),
+            (_BURST, output, OUTPUT_BASE),
+        ):
+            for where in positions(code, 0, n):
+                place(where, segment.draw(rng, len(where)), base)
+
+        # the kind column becomes the flags column, in place
+        for start, stop in _spans(0, n):
+            kinds[start:stop] = _FLAGS_BY_CODE[kinds[start:stop]]
+        return Trace(sms, addresses, kinds)

@@ -57,7 +57,6 @@ class BenchmarkProfile:
     hot_scatter: bool = True
     wws_lines: int = 256
     wws_alpha: float = 1.0
-    wws_private: bool = False
     local_lines: int = 96
     local_window_lines: int = 32
     const_lines: int = 64

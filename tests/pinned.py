@@ -17,6 +17,8 @@ the repo benchmark pins its own, longer workloads in
 * :data:`SERVICE_DIGESTS` holds the service's coalescing digest and
   payload SHA-256 for six ``(benchmark, config)`` requests on ``soa`` at
   :data:`SERVICE_TRACE_LENGTH` accesses, seed 0.
+* :data:`TRACE_DIGESTS` pins the generated traces themselves, the input of
+  every digest above.
 
 A deliberate model change that moves a digest re-pins it here in the same
 change, with the reason in CHANGES.md.
@@ -120,4 +122,142 @@ SERVICE_DIGESTS = {
         "request": "7e509d501e46e924224faa1003971221cc6229e5e2f9d7e4cb39e382027fd34e",
         "payload": "e3832145e54bee8afae4f92903e7b322a1cbad4c4e134eee9eba43213ee2d253",
     },
+}
+
+#: SHA-256 of generated traces (``build_workload``, 15 SMs), over the raw
+#: bytes of the ``sm``, ``address`` and ``flags`` columns in that order,
+#: keyed ``benchmark/length/sseed``: all sixteen benchmarks at lengths
+#: that straddle one 8192-record generator chunk plus 25000, seeds 0 and
+#: 3, and bfs at 250000.  The generator must produce these traces
+#: whatever its chunk size.
+TRACE_DIGESTS = {
+    "cfd/1/s0": "7724142b8bb5806825a7f7fc241089368bd1d5b8b58ccb99d5e99248408fa3d5",
+    "cfd/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "cfd/8191/s0": "7c9773ff7dd30c8aa9db9cfa203ec763ce2c026925ecd96dd1b075309b1a62a6",
+    "cfd/8191/s3": "88b8559dfba2a969c9f8ad77a0cc8c2fe316dcb845b43f0860a2fe721353267c",
+    "cfd/8193/s0": "5edd37a8557a06f7e04f19ec2208abad9a3f1db2ebcfeec1ca9baa1da316667f",
+    "cfd/8193/s3": "7ea5a2d046540df7694f88c82a703bc1e7d50b6249bf70dc48ec706b07087744",
+    "cfd/25000/s0": "42d6c572f54c9dacc28cb2309fb81afac90e5b1b51ba6cb5414f051e11d227e4",
+    "cfd/25000/s3": "36424828197e038418c57274279bdba5d1e8225bb6f349a60d6b3138e19f6212",
+    "lbm/1/s0": "7724142b8bb5806825a7f7fc241089368bd1d5b8b58ccb99d5e99248408fa3d5",
+    "lbm/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "lbm/8191/s0": "39d36daca06d543307a10b3c438bb1a17df5f008d0d5c90d6270f03e580ea2c4",
+    "lbm/8191/s3": "55abc13de1d2e55d8919f04ec70d191cce05e7c7c532077f97f2d24f728f5249",
+    "lbm/8193/s0": "bd49cd9ca95e51454f38c5df5badae403385086b02e5eb2e0bb90c47ef4f7a1e",
+    "lbm/8193/s3": "7e304b73d57c664bed8109243b1698729aae55a8d9e4c0807d64fa567ac0361f",
+    "lbm/25000/s0": "39cb9a76f78aea72ceb20e943b04541c7aac5a21daa6ad36b9e9af7b06e50667",
+    "lbm/25000/s3": "58025bd7287fe3cff0f63bdaff91e467b6858cf4f06bc59f13a4d7aa10ac916d",
+    "nn/1/s0": "46d9169838c9abcfd93699c0c67f8e8768b9dce29bd701297619465fd76de6ce",
+    "nn/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "nn/8191/s0": "5ed74ce0c98666abd8a4d01e15f72ead7dcc6b52cca51cfd6b604f7174c56f80",
+    "nn/8191/s3": "8f988e991700f16c2ea4d1921d63c5c8078b7af145e019ca26455fa904be93e1",
+    "nn/8193/s0": "b33b1355e939e6e52a339afc5164914293d91962523f9e657498653877e49097",
+    "nn/8193/s3": "00678a56b92d4fcaeca8de3a52b766bbccb9ff73ae26f055d78784674c09cdcd",
+    "nn/25000/s0": "bae23e8819f769e69dd07ecc428de516b927794010994674d020d5dfa19dc205",
+    "nn/25000/s3": "78fda6e41e7475e178fc07e2ed852f82b1add70fcdde82862e64bbb761423e6d",
+    "sgemm/1/s0": "d889243beeeb9854ec3db5830bd1f2a69cd4ccbf89ed61903ccf17b30461b051",
+    "sgemm/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "sgemm/8191/s0": "da266fddad34035879c186aeac20f2b341b77cb0e70b3926417aba71e77b7c41",
+    "sgemm/8191/s3": "19eabe23dcd4944c80b9a4fae07bb4e7b6f1d83798975ae68cb5c52ae9f7a006",
+    "sgemm/8193/s0": "4ebfb6f8d2958d658a1cad007a6dadfe4149cccc5c6fb75e55b47c642037ae01",
+    "sgemm/8193/s3": "0786b6c793f43ed2355ab002426397596a3fa9df9344710bfe15c8e3661c9a5c",
+    "sgemm/25000/s0": "97237f46f060243754617cc85268447920ff733baba9d69fa5945472d5ee3cd9",
+    "sgemm/25000/s3": "80bafcf7a78529b56316d36c7feca0ead628e38a1093153a51b0d82fa2313bf3",
+    "stencil/1/s0": "7724142b8bb5806825a7f7fc241089368bd1d5b8b58ccb99d5e99248408fa3d5",
+    "stencil/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "stencil/8191/s0": "1922e0c909f56a14b85ef0bdfb1022c2486df912136715dfb99eaf4eda964c81",
+    "stencil/8191/s3": "75d5f2556054ceba6aaf1707f94f9533e35da98b4a41af38b9a6dab796ffcf4d",
+    "stencil/8193/s0": "21ec2af0c9a083397a3d5fc0ba124f06df7f524c8bd56552d1c93a7150a0a0d6",
+    "stencil/8193/s3": "24fcb79f6d32f435469cef1036308fee9df9eec88a727da46c0e275af51a3f92",
+    "stencil/25000/s0": "c12bd9b8c608497de515ce11676ad138c51c59ab40f5c9e0b2da146ab42323e6",
+    "stencil/25000/s3": "ed17781ee68446e147b85c427563cfa6d009a80ae1478e7b97f259313ab9c0d3",
+    "lps/1/s0": "556dd73ce47fcf8876881665e6a751ca7e4b4c6a634a91e576871f7778ede344",
+    "lps/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "lps/8191/s0": "6991ba78064fbbb4d5a162bcbfb964a6cd5770329e56e84ac580477c7c832ddf",
+    "lps/8191/s3": "4684caa51d4eca4a8fdf3c97e6781cbe196970181bb7b3784e333052d61621c2",
+    "lps/8193/s0": "7fc038a4f1db570a5d5571f986bdc1f215346e3a78fc1514686403ef3109c654",
+    "lps/8193/s3": "edb62aa716bbfa1d72310fe3a861b4f893251e0fcec909361510400499b0c6e2",
+    "lps/25000/s0": "436d0bba15e03d4aa89a86e8a917c58de97f766a8ef84ea28f2bc6a524f45f0c",
+    "lps/25000/s3": "bf4458f342ac2d4d583052899c21ba270d620e26279099eb4d4c963c8395e96f",
+    "mri-gridding/1/s0": "556dd73ce47fcf8876881665e6a751ca7e4b4c6a634a91e576871f7778ede344",
+    "mri-gridding/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "mri-gridding/8191/s0": "f3d5a668c632bcb6a657405d00cfe2915e882f0566f30dfa436b6cd1a41affe1",
+    "mri-gridding/8191/s3": "852274bc8d9d0d32d7d1422fb8b11a1de4e79e7b21b734c99fe1caa960a360c9",
+    "mri-gridding/8193/s0": "9a62a082de9df6a5503434e7f2eddcd43a267ee0e78b4f2c568c3c96c8f55c87",
+    "mri-gridding/8193/s3": "8ab51589f44368fbbd40d453f4f703f55c0a0cb6cd5335837b1eeb7351aac6ee",
+    "mri-gridding/25000/s0": "946ab8641bfead50e2351f53e401de7cbc9279cb5b76fc7a76d6ca6689687615",
+    "mri-gridding/25000/s3": "ce1545acbbc6e5f763fbb460c9f1fc52978efdc91514bb85e26de8bb8d108966",
+    "mummergpu/1/s0": "3e5284f4752b4576d0b0e1521d91b4e8dc34d0b065edf0e155542063b43a8621",
+    "mummergpu/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "mummergpu/8191/s0": "d74f584e35e6e5d929c09df13a4dd33b35c08d5fdc9ece8147021beb6870fb02",
+    "mummergpu/8191/s3": "3aec486633f61bf80e7355b00c29ac65ea379c41d4621fbeb8a2b7f74db0cd89",
+    "mummergpu/8193/s0": "6eb14ac3f566ebe33e7722043280b4809e913740b61b6d06983c9893571b947b",
+    "mummergpu/8193/s3": "b730f0efe10497cabc14eec773ba4bc5af925121dde131e9ef4693a23a40d872",
+    "mummergpu/25000/s0": "504423f24daf01e2d34f807ed02185e209fdf61ecd38a581e5c0b202b245f409",
+    "mummergpu/25000/s3": "55cae5e0b8a2c61e80ad5470609b320dab03ffee319512cb25bf6a924d6db46a",
+    "tpacf/1/s0": "9eab1492f6fcb8c197ddf73a62b2417e5ab6bbfa70fd466980b6cb0fa1ad4327",
+    "tpacf/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "tpacf/8191/s0": "e87520c5223863cba96401213f950ff19d628e83ff71048f490ee00a6eae5b22",
+    "tpacf/8191/s3": "72ade655fe9540a64af44492aee4c23b8bf7e1def70f8d8bce984829b9d8c409",
+    "tpacf/8193/s0": "1ade6487326093c1ecce2f1aacf84ad6bdf731d008cb374af60254b4817698b2",
+    "tpacf/8193/s3": "25329f9cecdf95fb34e11d205a1a71d45e34bd3e63ad4177120eb071ea026c14",
+    "tpacf/25000/s0": "c6c030fe879ac5e4d9aff8d3c034b7ed2e9ba3e2d707c74f87cba38fd3513675",
+    "tpacf/25000/s3": "f99fb129c2f295453cd008d807a98ab9fa751f9c84fc1c872d0d9c2e5f71487b",
+    "backprop/1/s0": "9844dc5950630fa379f5160725777408d821606097ac2e4777ea36784bf44e22",
+    "backprop/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "backprop/8191/s0": "c50bd34c4fd669a59ae8c0276fb34c9b76d0754917d60b76e3eca09692fbc8fe",
+    "backprop/8191/s3": "1589c16ed19ef755a8158ae758a58afae472f77e8eaa63de927f50aff4124adb",
+    "backprop/8193/s0": "b6bfe94bc5f63108dccf6dcb99adf3d374b2ff93d1dfb9696f18d4e3ea1ce4d8",
+    "backprop/8193/s3": "ce7bb1a21d53ab47dbee0995bca277d5d2d2ef5b8ee007f71fb1c7a7bb0c47a4",
+    "backprop/25000/s0": "40c5b4cb8a629ff273e6d1fdd4659861a39c0da7895478fd8bef25cd11e0c19e",
+    "backprop/25000/s3": "4351dd0c7a8754c4f5137c9675262cb6027df26520b1315e6324b5d136976674",
+    "kmeans/1/s0": "f39a04d047793ce1899dd25b5ee4461cb57f909c254b27babd66a30f2a44a6d7",
+    "kmeans/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "kmeans/8191/s0": "4dd2a65f28a26a8668adfda8873938176321f1e5ca8a5411cb9f55a4a4b2550c",
+    "kmeans/8191/s3": "0e6affaef0ed3fea099bf9cf4fc6b6a1f16a9182c0dbf2c8dcad098b338f0eef",
+    "kmeans/8193/s0": "0fa6ec2bde125a2203e02d1cd0723c56a58ed74dd0c6a974f37a9ed156be29e5",
+    "kmeans/8193/s3": "91f2c2bbb93b25bdc234ef8056dd6c05dd36590735c3079a8219fd36d0b1a52f",
+    "kmeans/25000/s0": "05d8eb80fe53f71b760d2e917c7da35d644722659e24dec7b5788b7842d39811",
+    "kmeans/25000/s3": "247bd126ee2a6b18ff0bf6e86b5238f51781e6299ca54c0916996b5aa6780c6f",
+    "srad_v2/1/s0": "b187bd5ce826c017bc9f22c252ef3cc37a32c71abdb64f750667a145f2569d23",
+    "srad_v2/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "srad_v2/8191/s0": "26b7871e0795713f47bf16155fc1422a936934b1c835f44134bc9247210de268",
+    "srad_v2/8191/s3": "ddf9669d1251afb71379e161f3de4391d5d791154a086579d98632def4d82b42",
+    "srad_v2/8193/s0": "bee02a53bab321c66e0d7067bbf7507e9c12f06c9ec9286f07e859fdc169e22d",
+    "srad_v2/8193/s3": "583e68288e824c9e636af9ccc4bfbb31b5117ff111ab550ac4315bfcd9542239",
+    "srad_v2/25000/s0": "9f86515064035d53f6ade8fa66955530bf0df7b8e263e1179b2f2fdc283b186d",
+    "srad_v2/25000/s3": "47dc40d4dcfdeb07b2bd1d6e8912699d75bf180673c6dd474b535fa6244d6a21",
+    "bfs/1/s0": "3aa649cf8e8a6725efd44d1986ca60f03a8d262eea8b70951092b94bb1ed3e65",
+    "bfs/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "bfs/8191/s0": "93c2d186188aff1ba731da2861d7a98758e2ca4033da914c041fa274aa5692c0",
+    "bfs/8191/s3": "b803ab4d5cf38c71f3f8a6450aca5c41d61ba68b632785d42d6c67773593fa57",
+    "bfs/8193/s0": "a861c1f8b140d821248c0f4247987b9b668eec623d5f70b45ef3a0ea78b03898",
+    "bfs/8193/s3": "f2d07592ebaf3b8f30cf30b193486d196950054459ca1c834c4f9a7fe36c3941",
+    "bfs/25000/s0": "ce81682e3f8ccb08408ba9c71f8a4c2b1b7f49d2eb46f706975b759fc0ca175c",
+    "bfs/25000/s3": "841bd869a0f450b2b25a8a6b1687914b17dfd95d64235f5b5a4da31d9571d4f6",
+    "hotspot/1/s0": "8697dc253638425410e1c772fc8b69533dd06492dc0e6c596f870aee241117fc",
+    "hotspot/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "hotspot/8191/s0": "a73248645998d8a5cd2eb37c4cea08c490841f77858bad8054bcec4400319de2",
+    "hotspot/8191/s3": "41f4dca07232f338bb91592fc2e0f53ed5b344f5b5b7ca7b3cecb71ab0e80c5d",
+    "hotspot/8193/s0": "f4eacdc8235652c54defcf79358d331ee5e6d1434b23d57cb35a96c8ca60d6a6",
+    "hotspot/8193/s3": "b172aec0c493342d8234feb54523fed1eff18caa15b15254e597cb9fd3f2cbfb",
+    "hotspot/25000/s0": "d7896a9e7270be345b21d163d4c125f039ef5d413cac4ac8e3e93cd9248fa2ab",
+    "hotspot/25000/s3": "f5cacfd2eb41c9335482d8079e2c12f07670ffac4cfa96acca1439e460ce19d8",
+    "pathfinder/1/s0": "7ba93e074e72d63acbb72a2245bbaaf384947ae2d9ac995b1f4e0b3a96d684ea",
+    "pathfinder/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "pathfinder/8191/s0": "87cea1e0a31d19a429545b95621994f7e6322f16b5476da5d0103a067e18a8e0",
+    "pathfinder/8191/s3": "081a3ec4763dde4d3588a01431f9632d26e58bd6ae6dfe49f572456a31c23c7b",
+    "pathfinder/8193/s0": "974eb97966454614ce90a51ea823c34fb15f5ab345ad2cb03988a7b84d95d574",
+    "pathfinder/8193/s3": "f7ca6ec05c793d00745c3fa35a07463e87575cc6b948205807d01e13cde0bef8",
+    "pathfinder/25000/s0": "9725a845f9491d5f0065e2565434c392a4043d29af054e17f92d00e2945899f5",
+    "pathfinder/25000/s3": "9e585577f6c6e642668f2e9adf1331bdca04a68f2ab11ed002f3f8091c4ac6fe",
+    "streamcluster/1/s0": "23c42e6094188f7d6f9cd53433a80824e6546a59a8fe33fe5b1e0a991f1a8a63",
+    "streamcluster/1/s3": "f1003f6f69974a077918cc51b73841c522a5d10b40eba686dc8aba5611e3559a",
+    "streamcluster/8191/s0": "b30eb985e25c6058ea1c981208bb8ce4c2fd5b0ee98995169c73fdfa3b20ee86",
+    "streamcluster/8191/s3": "f8240f0a45d64443368e681defc3a11ec890df63a7d9572f05009947b1b9b5ca",
+    "streamcluster/8193/s0": "32c50999dc03e50471b832fa680685074f73f9fa868084077235f8e236c35c10",
+    "streamcluster/8193/s3": "e608ff7ac2bfd5aee2ee13c7a3b4058dbb4716ceca1cfebfb23cdb88a125dc98",
+    "streamcluster/25000/s0": "11025f57810bf23f270b5334a4a1976e17bd757504a232d772a2dd6f70f344c0",
+    "streamcluster/25000/s3": "423e51cfc880a88f395adeffba296d3f86a0c3fca5e7d1416a85b0316947ea40",
+    "bfs/250000/s0": "ffca3536cd6607ce115bd2c9c3976e0840ae0e6b8389c74635af02a259035e84",
 }

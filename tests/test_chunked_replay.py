@@ -23,8 +23,9 @@ from repro.config import all_configs
 from repro.engine import make_simulator
 from repro.experiments.common import replay_through_l1
 from repro.workloads import build_workload
-from tests.pinned import BRANCH_DIGESTS, RESULT_DIGESTS
+from tests.pinned import BRANCH_DIGESTS, RESULT_DIGESTS, TRACE_DIGESTS
 from tests.test_gpu_readonly import make_workload_with_const
+from tests.test_workloads import moved_trace_digests
 
 SMALL_CHUNK = 97
 
@@ -56,6 +57,14 @@ def test_chunks_cover_the_trace_in_order(small_chunks):
     assert [record.address for record in records] == trace.address.tolist()
 
 
+def test_generated_traces_do_not_depend_on_the_chunk_size(small_chunks):
+    # the seed-3 pins cover every benchmark and length up to 25000 in
+    # less than half the time all pins take at this chunk size
+    keys = [key for key in TRACE_DIGESTS if key.endswith("/s3")]
+    assert len(keys) == 64
+    assert moved_trace_digests(keys) == []
+
+
 @pytest.mark.parametrize("engine", ["soa", "object"])
 def test_pinned_scenario_holds_across_chunk_boundaries(small_chunks, engine):
     config, workload = _bfs_c1(8000)
@@ -83,7 +92,8 @@ def test_l1_filter_stream_holds_across_chunk_boundaries(monkeypatch):
 
 
 #: Run in a fresh interpreter: resets the peak RSS (VmHWM) to the current
-#: RSS right before each replay and prints how far each replay raised it.
+#: RSS right before each replay, and before a million-access trace
+#: generation, and prints how far each call raised it.
 MEMORY_PROBE = """
 import json
 from repro.config import all_configs
@@ -108,11 +118,19 @@ config = all_configs()["C1"]
 workload = build_workload(
     "bfs", num_accesses=200_000, num_sms=config.num_sms, seed=0
 )
-print(json.dumps({
+replays = {
     "soa": growth_mb(make_simulator(config, workload, engine="soa").run),
     "replay_through_l1": growth_mb(
         lambda: replay_through_l1(workload, lambda *request: None)
     ),
+}
+del workload
+built = []
+build_mb = growth_mb(lambda: built.append(build_workload("bfs", 1_000_000)))
+trace = built[0].trace
+trace_mb = (trace.sm.nbytes + trace.address.nbytes + trace.flags.nbytes) / 2**20
+print(json.dumps({
+    "replays": replays, "build_mb": build_mb, "trace_mb": trace_mb,
 }))
 """
 
@@ -123,7 +141,9 @@ print(json.dumps({
     reason="needs Linux /proc/self/clear_refs to reset the peak RSS",
 )
 def test_replay_memory_does_not_grow_with_the_trace():
-    """At 200k accesses a whole-trace decode raised the peak by 15-24 MB."""
+    """At 200k accesses a whole-trace decode raised the peak by 15-24 MB;
+    whole-trace generation temporaries raised a 1M-access build's peak
+    by 48 MB for a 10.5 MB trace."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
@@ -132,5 +152,6 @@ def test_replay_memory_does_not_grow_with_the_trace():
     )
     assert proc.returncode == 0, proc.stderr
     growth = json.loads(proc.stdout)
-    for replay, grown_mb in growth.items():
+    for replay, grown_mb in growth["replays"].items():
         assert grown_mb < 8.0, (replay, grown_mb)
+    assert growth["build_mb"] < growth["trace_mb"] + 8.0, growth

@@ -1,5 +1,7 @@
 """Tests for trace containers, patterns, profiles and the generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,28 @@ from repro.workloads.patterns import (
     zipf_pmf,
 )
 from repro.workloads.trace import FLAG_LOCAL, FLAG_WRITE, Trace
+from tests.pinned import TRACE_DIGESTS
+
+
+def trace_digest(trace: Trace) -> str:
+    """SHA-256 over the ``sm``, ``address`` and ``flags`` column bytes."""
+    digest = hashlib.sha256()
+    for column in (trace.sm, trace.address, trace.flags):
+        digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+def moved_trace_digests(keys=tuple(TRACE_DIGESTS)) -> list:
+    """Those of ``keys`` whose :data:`TRACE_DIGESTS` trace generates
+    differently."""
+    moved = []
+    for key in keys:
+        expected = TRACE_DIGESTS[key]
+        name, length, seed = key.split("/")
+        workload = build_workload(name, num_accesses=int(length), seed=int(seed[1:]))
+        if trace_digest(workload.trace) != expected:
+            moved.append(key)
+    return moved
 
 
 class TestZipf:
@@ -221,6 +245,10 @@ class TestGenerator:
         wl = build_workload("tpacf", num_accesses=100, seed=0)
         assert wl.kernel.regs_per_thread == profile.regs_per_thread
         assert wl.kernel.compute_intensity == profile.compute_intensity
+
+    def test_generated_traces_are_pinned(self):
+        assert {key.split("/")[0] for key in TRACE_DIGESTS} == set(suite_names())
+        assert moved_trace_digests() == []
 
     def test_generator_rejects_bad_args(self):
         gen = TraceGenerator(get_profile("bfs"))
