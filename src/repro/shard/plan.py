@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
+import numpy as np
+
 from repro.config import GPUConfig, L2Config
 from repro.errors import ConfigurationError, ReproError
 from repro.units import is_power_of_two, log2_int
@@ -124,26 +126,46 @@ def partition_trace(
     dropped from the line number (see the module docstring).  A shard
     that owns no accesses gets ``None`` — :class:`~repro.workloads.trace.Trace`
     cannot be empty, and an idle shard needs no worker anyway.
+
+    The trace is walked one :meth:`~repro.workloads.trace.Trace.chunks`
+    chunk at a time, twice: the first pass counts each shard's records,
+    each sub-stream's columns are then allocated once at their final
+    size, and the second pass writes every chunk's records into them in
+    place.  Beyond the sub-streams themselves, memory is set by the chunk.
     """
     from repro.cache.banked import BankedCache
 
     if shards == 1:
         return [trace]
     router = BankedCache(shards, line_size)
-    owner = router.assign(trace.address)
+    counts = np.zeros(shards, dtype=np.int64)
+    for _, address, _ in trace.chunks():
+        counts += np.bincount(router.assign(address), minlength=shards)
+    columns = [
+        (np.empty(count, np.int16), np.empty(count, np.int64),
+         np.empty(count, np.uint8)) if count else None
+        for count in counts.tolist()
+    ]
     shift = log2_int(line_size)
-    shard_bits = log2_int(shards)
+    high_shift = shift + log2_int(shards)
     offset_mask = line_size - 1
-    subs: List[Optional[Trace]] = []
-    for shard in range(shards):
-        mask = owner == shard
-        if not bool(mask.any()):
-            subs.append(None)
-            continue
-        address = trace.address[mask]
-        remapped = (
-            ((address >> (shift + shard_bits)) << shift)
-            | (address & offset_mask)
-        )
-        subs.append(Trace(trace.sm[mask], remapped, trace.flags[mask]))
-    return subs
+    filled = [0] * shards
+    for sm, address, flags in trace.chunks():
+        owner = router.assign(address)
+        for shard, sub in enumerate(columns):
+            if sub is None:
+                continue
+            mask = owner == shard
+            start = filled[shard]
+            stop = start + int(np.count_nonzero(mask))
+            filled[shard] = stop
+            sub_sm, sub_address, sub_flags = sub
+            np.compress(mask, sm, out=sub_sm[start:stop])
+            np.compress(mask, flags, out=sub_flags[start:stop])
+            owned = sub_address[start:stop]
+            np.compress(mask, address, out=owned)
+            offset = owned & offset_mask
+            owned >>= high_shift
+            owned <<= shift
+            owned |= offset
+    return [None if sub is None else Trace(*sub) for sub in columns]

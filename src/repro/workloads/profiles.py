@@ -28,6 +28,20 @@ from repro.errors import ConfigurationError
 from repro.gpu.kernel import KernelDescriptor
 
 
+#: The access-kind mix fields, in generator kind order.
+_MIX_FIELDS = (
+    "p_stream_read",
+    "p_stream_write",
+    "p_hot_read",
+    "p_wws_write",
+    "p_wws_read",
+    "p_local_read",
+    "p_local_write",
+    "p_const_read",
+    "p_texture_read",
+)
+
+
 @dataclass(frozen=True)
 class BenchmarkProfile:
     """All generator and kernel knobs for one benchmark."""
@@ -70,6 +84,22 @@ class BenchmarkProfile:
     def __post_init__(self) -> None:
         if self.region not in (1, 2, 3, 4):
             raise ConfigurationError(f"{self.name}: region must be 1..4")
+        for field, probability in zip(_MIX_FIELDS, self.mix_vector()):
+            if not probability >= 0:
+                raise ConfigurationError(
+                    f"{self.name}: {field} is {probability}, "
+                    "a probability must be non-negative"
+                )
+        if not 0 < self.phase_fraction <= 1:
+            raise ConfigurationError(
+                f"{self.name}: phase_fraction is {self.phase_fraction}, "
+                "expected a fraction of the trace in (0, 1]"
+            )
+        if not 0 <= self.burst_fraction <= 1:
+            raise ConfigurationError(
+                f"{self.name}: burst_fraction is {self.burst_fraction}, "
+                "expected a fraction of the phase in [0, 1]"
+            )
         total = sum(self.mix_vector())
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(
@@ -78,17 +108,7 @@ class BenchmarkProfile:
 
     def mix_vector(self) -> Tuple[float, ...]:
         """Probabilities in generator kind order."""
-        return (
-            self.p_stream_read,
-            self.p_stream_write,
-            self.p_hot_read,
-            self.p_wws_write,
-            self.p_wws_read,
-            self.p_local_read,
-            self.p_local_write,
-            self.p_const_read,
-            self.p_texture_read,
-        )
+        return tuple(getattr(self, field) for field in _MIX_FIELDS)
 
     @property
     def write_fraction(self) -> float:

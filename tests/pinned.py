@@ -19,6 +19,9 @@ the repo benchmark pins its own, longer workloads in
   :data:`SERVICE_TRACE_LENGTH` accesses, seed 0.
 * :data:`TRACE_DIGESTS` pins the generated traces themselves, the input of
   every digest above.
+* :data:`SUBSTREAM_DIGESTS` pins the sharded engine's per-shard
+  sub-streams (:func:`repro.shard.partition_trace`), the input of every
+  ``shards4`` digest.
 
 A deliberate model change that moves a digest re-pins it here in the same
 change, with the reason in CHANGES.md.
@@ -260,4 +263,176 @@ TRACE_DIGESTS = {
     "streamcluster/25000/s0": "11025f57810bf23f270b5334a4a1976e17bd757504a232d772a2dd6f70f344c0",
     "streamcluster/25000/s3": "423e51cfc880a88f395adeffba296d3f86a0c3fca5e7d1416a85b0316947ea40",
     "bfs/250000/s0": "ffca3536cd6607ce115bd2c9c3976e0840ae0e6b8389c74635af02a259035e84",
+}
+
+
+#: SHA-256 of the per-shard sub-streams :func:`repro.shard.partition_trace`
+#: cuts from generated traces (``build_workload``, 15 SMs, seed 0) at the
+#: 256-byte line of every Table 2 L2, over the same three columns as
+#: :data:`TRACE_DIGESTS`; ``None`` marks an idle shard.  Keyed
+#: ``benchmark/length/xshards``: bfs and lbm at lengths that straddle one
+#: 8192-record chunk plus 25000 (a 1-access trace leaves all but one
+#: shard idle), at 2, 4 and 8 shards.  The partition must cut these
+#: sub-streams whatever its chunk size.
+SUBSTREAM_DIGESTS = {
+    "bfs/1/x2": (
+        "e232ec7496daccf2e5358e0e22e91a532ec23dd3928c69534e08ef032098f29f",
+        None,
+    ),
+    "bfs/1/x4": (
+        None,
+        None,
+        "e4e27c1125615054da077cd29d203fb0aebcdc2ad4d53c2b8a37cc0c8091f273",
+        None,
+    ),
+    "bfs/1/x8": (
+        None,
+        None,
+        None,
+        None,
+        None,
+        None,
+        "3d9b0bf4d88241a63ecdbd77df810f8ec4007dce37862c1ed205517e78e7de97",
+        None,
+    ),
+    "bfs/8191/x2": (
+        "e65baf14a9e1078a3d2a48a6593f66b97bdb62f8a2854da38c26c67f83c8d360",
+        "f96cea7a076b8ec5a1f5e5d85d5329d194b34ee348d97d8fbbcc190a2b369a35",
+    ),
+    "bfs/8191/x4": (
+        "aa7db015d6874c95133b0acb831a57fd34b7e64618cc1ea8a63821f4d36f5fe8",
+        "6d68fdddaadcfcfae3d1025cf9daa9479e759695643f7a10846558a5826641a5",
+        "77616411d7886110c6064dfe99b83aa39eceb173b33f383e7c37626956db6475",
+        "4f7b558cad23beef6fa589040391c4664b068b548cd0cc2136b95d11a70037e6",
+    ),
+    "bfs/8191/x8": (
+        "2fe66ae194d05c6c52b9260ed2a288e374f363167ffd390b83a03cb82c884b76",
+        "2838f9b74a9bb9bfe912d7fe12ecf67c27917fc5288d17c16f709cc9855837fc",
+        "5c303b7461505b306a8bc8a51bae57d9ca56a3ca687d66bcc20530fc5314e7f3",
+        "0bfd44e802427dd8028b8fa442e58ed557fd2ff01478861ca7c6aa59422f1e6b",
+        "c898d244b5629663dafb961b9b5e9a9aec5a7b17f498dffd4c309832f8ba3d70",
+        "3724b74a577e241da15f33a3ebfca0e99e50638bdf71d0cc788dfa3fb90b1871",
+        "ab5c9926e91f01d4e8c3b66b15b82a3a0aa7de9ab2a937553da2ef69fd243aa1",
+        "6e76d9bad4d744b36eea0369366dc76ded9d19855290d0b0561fffd754a5a7c8",
+    ),
+    "bfs/8193/x2": (
+        "e972452ab1e7940a1986a8afe391805c131fa4f7cb1fbf16d28e8cc570efc634",
+        "4a6be96b22525ccbf4de325b5b5f2080501ce258733f8fc2df516acdb19ab91f",
+    ),
+    "bfs/8193/x4": (
+        "179219105de5b735f941be116d892419310e8fca9110a6cc446769035ee08d6c",
+        "4b7dc2f015ac335db4cfb435324dddb6bc7b8ae403031141e4fed1cf08f9231d",
+        "18b4e164d6c40e790015df2102859467d609dc4321733adbeb4b5220ab1a3ba3",
+        "d855b302656adc0cff4635126474bad98d7a52cdee7cd3b80e64e3a7a05551ca",
+    ),
+    "bfs/8193/x8": (
+        "ccd1b45d1418138c32272e10709ab8a96d1a030a70bc7ffe44948634593955c8",
+        "5ff4e590f3a7b6cbc5220913c8d127b3bed479c9a392413aa74193161d407989",
+        "d5163831f6c980a51afecae25f26010d191c8094e6f0abd39f9e2e3a67991af7",
+        "ad727c5c665ef40a85c071b33aebbb892e38a3146b1b3c15fc64e760b79279bf",
+        "3ea222cf0c8826fd476bef3928d3b77fe9c7dbbe2f0823ae4753f138a2412055",
+        "cf1a9bba4f4b71cda8f343bc7d63f700709e75288b58491dc6d7179efa7eb719",
+        "d73cbf5b3bccca4751ff24377fb881fce239f807029551534f976b16e93f5f22",
+        "c3bd71332ae327527bbc8a330eae6327350f5bc7020ecd3af61d01bc035559d1",
+    ),
+    "bfs/25000/x2": (
+        "bc866d23c892063ca96f065ad821ce998e78d9dd12709ffc8fff8e2e7690f3ce",
+        "9263fd35fa739a196767e277f445d2170bdd62aac6b758efc0f49540cc14f8f6",
+    ),
+    "bfs/25000/x4": (
+        "9c2ba094ebf08f6f444fc5a6342147449cc98ece749b3df2eefe5e7e03a38bf5",
+        "54a533f76cc9b66b7c67a598b1c2db6e3dfd440935119c7d9c516f598e1a7c42",
+        "2ddb5bcabc7360ae454ba11290cc60eee5c4c378c2e94138287a35bcd2a7ed33",
+        "7b2d2b29dc0bdad647304a8ad91145864ffc3c2107002df88f12d380e9cdbb5b",
+    ),
+    "bfs/25000/x8": (
+        "4825a907d0a4e60ebbb04715741bbe914468ece69b336b6ddbf5d0befbcf9078",
+        "b74992ac00b469838d9f2efb8594d29e8d4aa16f95d11a89c6a9bdc248395f00",
+        "40da64484d02b7767cc784e807e9b7e4577353efc2a677ea6c61a0314dc406f6",
+        "b93219830949983467e11e82feebecc5705e89d05b49fee71ccaa1a2c000e05e",
+        "f225b1b15ea9cfc8365ce25e3c2cbeabc5b135112852f9f14c996d03336963ce",
+        "c56bec31a587e34016d7af5b598ffa640b27b6aba5bebf7e4ddba57237de2c2b",
+        "f00c0e00404e657d2d54347d4a421b98317bdd72b89898c0b925ee924fc4e7d6",
+        "223361a56c9d990ffed29df2f88e90c3c86ce85c165e438df74691dc71879622",
+    ),
+    "lbm/1/x2": (
+        "7724142b8bb5806825a7f7fc241089368bd1d5b8b58ccb99d5e99248408fa3d5",
+        None,
+    ),
+    "lbm/1/x4": (
+        "7724142b8bb5806825a7f7fc241089368bd1d5b8b58ccb99d5e99248408fa3d5",
+        None,
+        None,
+        None,
+    ),
+    "lbm/1/x8": (
+        "7724142b8bb5806825a7f7fc241089368bd1d5b8b58ccb99d5e99248408fa3d5",
+        None,
+        None,
+        None,
+        None,
+        None,
+        None,
+        None,
+    ),
+    "lbm/8191/x2": (
+        "e2f64bb0ed5c493c83624d47dc72b2a1d339220da8e6c1dbb8dbd0ba3d2d910b",
+        "11282d9f20abec4ac3e323ea3c2c53af5359099dda398577669536167c74873c",
+    ),
+    "lbm/8191/x4": (
+        "729836364af80dab731ade828b1a02f8a13bd669f6eaa278e27540dcc7db8d30",
+        "7046502b9ab7d5d84ca56e15a65b4e6c5b5211ea6179cd1217c577bfe3d12a13",
+        "3ee0019bb2b5ceaadbdfc1262130c7952803f067a54ede0d117ca2a55fad4f83",
+        "9fb667f9a128c605f4acd72baf3a5090d971e84dcb5b48658127b38ea300aada",
+    ),
+    "lbm/8191/x8": (
+        "03d0e82e42a8983fbb4b1c55ec42d1171afad70f25ebc1edc8e737e4e2255421",
+        "63e3a1322e73008cb1d24e650444285beeccf0c2878cd94596a9b2b1c95291e9",
+        "fae12c8ffad15859a0f78665f3a2e9895569e3bd4ac7e3f07008d0279425b84f",
+        "a6e4a5f8f7e9318605de053889470c265c1aac2a9add1a0968bf53b399375fab",
+        "fd8be43b10306fea82c970af6ff1932da6bf8e953e86c29e384655b608d01dcb",
+        "11b753ec8d3af5285eb6caac3a7176c683917d1d9660a8034aec1852d270efa1",
+        "2ade9b7f55b9661b1981d9ad064b1772f506f15a99af0e937c3a2c02794c2ae9",
+        "2d9f19931ea16a1e46921e1d4e2066260d3bd08c12c44a483887b97c53f48d9e",
+    ),
+    "lbm/8193/x2": (
+        "e32179cadae580fb7d4ab859ffd21f8148918d080d43f5070bb82da82af2064e",
+        "0bfed11524e4cdd505e230e5c49c8ffcd3cb925c9d6589127eda08d35a64a8f3",
+    ),
+    "lbm/8193/x4": (
+        "a130f3f26b72d0a2e7c5dadd2b193cb4741d3f1403098e9c77c196f1cc6ee6ed",
+        "f13df9df777556adf3082e816aa6a097559297fa0bf379eb5d2b5c957b4a07b4",
+        "989fdd593c2502f4499cf56b54d90e9aed2370ae9c48ab87c08cbe35e625449c",
+        "a00e426792322c197fbb2ec46f5e0e510791c718517411fefe8318393d44ac8a",
+    ),
+    "lbm/8193/x8": (
+        "66bdaf6eec418538e31dd2cdb58663bdd175547f479318b3c8d62eb2ac1bf60a",
+        "2b00cec34bdf1c9ece74b45ff67b07ba9ed62c9c673bf43ec72882900389cccb",
+        "d650ad447035b112f08e07c7062cba523fb600f2abf57154ba84affa4b97b5b0",
+        "ad76078bb99089034c4b1d9fec054809a77a0a91f7d76c392d9e9b74107c90e7",
+        "50a17eec5db32b58af861c3a3b6524e2e64cf3298e4fc34983a16c01cdb37eba",
+        "093971473586b7ec561d03d6e6463640c261e607f0c1e48d6ea017480f5d75dd",
+        "481363d9ec3b58ac978fe4726ff71a50ee84c5b817cb32476fd7c1c9ee50035f",
+        "c85d978bec524ae49bbf72d77755f88ca6f8f3f10e94ca91b90c18f009224a33",
+    ),
+    "lbm/25000/x2": (
+        "9de6ca6810465475baf7fbffa8a9552e2b203885e5304b050b2f372b481a9c7c",
+        "1fcbd2bfc1a3977cfb63676ccfff7fccec8d06f902d4a8708864dbd8210674b3",
+    ),
+    "lbm/25000/x4": (
+        "445ee267e2c1bed6a17e1fe9d960d7d15171e7ce642930fdc028af4f75f8d02c",
+        "b888241a044f36b590278a35e5badf44322876970a69b6496033b25e69e1343a",
+        "b5eb1769c1805509bd82d89d0096de31ff19b24e6481ce85c6444b9004837891",
+        "9b0eda1bb41a399fee81b050f0ac27916b5fcaab34eb0410182bca7fd8d017ea",
+    ),
+    "lbm/25000/x8": (
+        "eb25f7bbfa7ab41ed22b914a658089e260baedc6b317528cd7341d8613f0631e",
+        "2064fa86559d93281601dd51af10314e7bb69a332d1c4bd5c6459710fbc61663",
+        "02c2bdedf3559f7ed89ca10f21032eecf0da31bc71f9d6626ce0ff8c62b6dd93",
+        "33b47d17ac4c3f9457da5c6bda50c7862ad08bc3de707115acff17ac160e003e",
+        "aecb2ea3d95f04fd13a8a5b2f844f91bc9df1acf44fe3ee3939afce014590a16",
+        "e7cedbdd8eb5c765760712d41ff814fdc822d02c79626a2b42562e9d09a41f80",
+        "1d2839e5f17e31ac67b4f6f37e1597e68115e6e985492d3fa7bde718422d4a96",
+        "56eafa9b46f2ab89422050997c424ad8e95fece709b11c270f9417ef5fe500f1",
+    ),
 }

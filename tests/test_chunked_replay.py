@@ -92,13 +92,15 @@ def test_l1_filter_stream_holds_across_chunk_boundaries(monkeypatch):
 
 
 #: Run in a fresh interpreter: resets the peak RSS (VmHWM) to the current
-#: RSS right before each replay, and before a million-access trace
-#: generation, and prints how far each call raised it.
+#: RSS right before each replay, before a million-access trace
+#: generation and before its two-shard partition, and prints how far each
+#: call raised it.
 MEMORY_PROBE = """
 import json
 from repro.config import all_configs
 from repro.engine import make_simulator
 from repro.experiments.common import replay_through_l1
+from repro.shard import partition_trace
 from repro.workloads import build_workload
 
 def status_mb(key):
@@ -129,8 +131,10 @@ built = []
 build_mb = growth_mb(lambda: built.append(build_workload("bfs", 1_000_000)))
 trace = built[0].trace
 trace_mb = (trace.sm.nbytes + trace.address.nbytes + trace.flags.nbytes) / 2**20
+partition_mb = growth_mb(lambda: built.append(partition_trace(trace, 256, 2)))
 print(json.dumps({
     "replays": replays, "build_mb": build_mb, "trace_mb": trace_mb,
+    "partition_mb": partition_mb,
 }))
 """
 
@@ -143,7 +147,9 @@ print(json.dumps({
 def test_replay_memory_does_not_grow_with_the_trace():
     """At 200k accesses a whole-trace decode raised the peak by 15-24 MB;
     whole-trace generation temporaries raised a 1M-access build's peak
-    by 48 MB for a 10.5 MB trace."""
+    by 48 MB for a 10.5 MB trace, and whole-trace owner, mask and remap
+    temporaries raised its two-shard partition's by about 27 MB, where
+    the sub-streams themselves take the trace's 10.5 MB."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
@@ -155,3 +161,4 @@ def test_replay_memory_does_not_grow_with_the_trace():
     for replay, grown_mb in growth["replays"].items():
         assert grown_mb < 8.0, (replay, grown_mb)
     assert growth["build_mb"] < growth["trace_mb"] + 8.0, growth
+    assert growth["partition_mb"] < growth["trace_mb"] + 4.0, growth

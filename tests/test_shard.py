@@ -27,6 +27,7 @@ import random
 
 import pytest
 
+import repro.workloads.trace as trace_module
 from repro.benchmarks import host_metadata, result_digest
 from repro.cache.banked import BankStats, BankedCache, summarize_banks
 from repro.config import all_configs
@@ -46,7 +47,10 @@ from repro.shard import (
     shard_l2_config,
 )
 from repro.workloads import build_workload
-from tests.pinned import ALL_SCENARIOS, QUICK_SCENARIOS, RESULT_DIGESTS
+from tests.pinned import (
+    ALL_SCENARIOS, QUICK_SCENARIOS, RESULT_DIGESTS, SUBSTREAM_DIGESTS,
+)
+from tests.test_workloads import trace_digest
 
 
 def _workload(scenario, config):
@@ -97,6 +101,29 @@ class TestShardPlan:
             expected = int((owners == shard).sum())
             actual = 0 if subs[shard] is None else len(subs[shard])
             assert actual == expected
+
+    @pytest.mark.parametrize("chunk", [trace_module.CHUNK_RECORDS, 97])
+    def test_sub_streams_hold_their_pins_at_any_chunk(self, monkeypatch, chunk):
+        # generation reads the chunk too: build at the default one, so the
+        # small chunk reaches only the partition
+        traces = {}
+        for key in SUBSTREAM_DIGESTS:
+            name, length, _ = key.split("/")
+            if (name, length) not in traces:
+                traces[name, length] = build_workload(
+                    name, num_accesses=int(length), seed=0
+                ).trace
+        monkeypatch.setattr(trace_module, "CHUNK_RECORDS", chunk)
+        moved = []
+        for key, expected in SUBSTREAM_DIGESTS.items():
+            name, length, shards = key.split("/")
+            subs = partition_trace(traces[name, length], 256, int(shards[1:]))
+            digests = tuple(
+                None if sub is None else trace_digest(sub) for sub in subs
+            )
+            if digests != expected:
+                moved.append(key)
+        assert moved == []
 
     def test_partition_shards_1_is_identity(self):
         config = all_configs()["C1"]

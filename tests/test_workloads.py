@@ -1,6 +1,7 @@
 """Tests for trace containers, patterns, profiles and the generator."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,6 +202,30 @@ class TestProfiles:
         names = suite_names()
         regions = [PROFILES[n].region for n in names]
         assert regions == sorted(regions)
+
+    @pytest.mark.parametrize("value", [0.0, -0.1, 1.5, float("nan")])
+    def test_phase_fraction_must_be_in_zero_one(self, value):
+        with pytest.raises(ConfigurationError, match="bfs: phase_fraction"):
+            replace(PROFILES["bfs"], phase_fraction=value)
+
+    @pytest.mark.parametrize("value", [-0.3, 1.5, float("nan")])
+    def test_burst_fraction_must_be_in_unit_interval(self, value):
+        with pytest.raises(ConfigurationError, match="bfs: burst_fraction"):
+            replace(PROFILES["bfs"], burst_fraction=value)
+
+    def test_mix_probabilities_must_be_non_negative(self):
+        # the mix still sums to one, so only the sign can reject it
+        bfs = PROFILES["bfs"]
+        assert bfs.p_texture_read == 0.0
+        with pytest.raises(ConfigurationError, match="bfs: p_texture_read"):
+            replace(
+                bfs, p_texture_read=-0.3, p_stream_read=bfs.p_stream_read + 0.3
+            )
+
+    def test_fraction_bounds_are_inclusive_where_meaningful(self):
+        bfs = PROFILES["bfs"]
+        replace(bfs, phase_fraction=1.0, burst_fraction=1.0)
+        replace(bfs, burst_fraction=0.0)
 
     def test_write_fractions_span_paper_range(self):
         """The paper quotes near-0% to ~63% writes across the suite."""
