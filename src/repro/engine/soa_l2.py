@@ -6,10 +6,11 @@ L2 classes, swapping the behavioural array for
 ``ARRAY_FACTORY`` seam.  The two-part L2's demand path, its HR->LR
 migration (with the LR victim's return to HR) and its buffer drains and
 due refresh sweeps are flat transcriptions of the object code over the
-vectors and buffer deques: no per-line views, no per-event objects.  The
-fused loop in :mod:`repro.engine.soa_sim` inlines both L2s' demand paths
-and calls only the migration and the due sweeps.  What stays inherited
-runs against the SoA arrays through their API: the uniform L2's
+vectors and buffer deques: no per-line views, no per-event objects.  An
+LR sweep visits only the slots its due queue names, not every LR slot.
+The fused loop in :mod:`repro.engine.soa_sim` inlines both L2s' demand
+paths and the migration, and calls only the due sweeps.  What stays
+inherited runs against the SoA arrays through their API: the uniform L2's
 ``access``, the two-part miss path of :meth:`SoaTwoPartL2.access`,
 ``fill_from_dram``, snapshots and the roll-up properties (docs/engine.md
 explains the proof protocol).
@@ -27,6 +28,8 @@ for those configurations.
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import deque
 from itertools import count
 
 from repro.core.interface import L2AccessResult
@@ -34,7 +37,7 @@ from repro.core.refresh import RefreshActions, _next_on_grid
 from repro.core.twopart import TwoPartSTTL2
 from repro.core.uniform import UniformL2
 from repro.engine.soa_array import SoaCacheArray
-from repro.errors import ConfigurationError, GeometryError
+from repro.errors import ConfigurationError, GeometryError, SimulationError
 
 
 class SoaUniformL2(UniformL2):
@@ -63,7 +66,7 @@ class SoaTwoPartL2(TwoPartSTTL2):
     ``access`` fuses maintenance gating, the HR/LR locate (with retention
     expiry), the search-selector accounting and the three hit serve paths
     into one function over the flat vectors.  Migrations
-    (:meth:`_migrate_fast`) and due refresh sweeps (:meth:`maintenance`)
+    (:meth:`_migrate_and_write`) and due refresh sweeps (:meth:`maintenance`)
     are flat too; only misses delegate to the inherited object-model
     method, which runs on the SoA arrays through their compatible API.
     """
@@ -126,36 +129,51 @@ class SoaTwoPartL2(TwoPartSTTL2):
             self._lr_refresh_age = self.lr_spec.refresh_age_s
         # one LR refresh reads the line out and writes it back
         self._lr_refresh_en = self._lr_r_en + self._lr_w_en
+        #: LR due queue: ``(stamp, slot)`` in nondecreasing stamp order,
+        #: one entry each time a slot's retention clock
+        #: ``max(insert, last_write)`` is set (empty for an SRAM LR part)
+        self._lr_due = deque()
+
+    def _queue_due(self, stamp: float, slot: int) -> None:
+        """Queue an LR slot whose retention clock now reads ``stamp``.
+
+        The fused loop's clock only moves forward, so it appends; a direct
+        caller may step back in time, and an early stamp is inserted in
+        order, never appended behind a later one a sweep would stop at.
+        """
+        due = self._lr_due
+        if due and stamp < due[-1][0]:
+            insort(due, (stamp, slot))
+        else:
+            due.append((stamp, slot))
+
+    def _check_due_before(self, start: float) -> None:
+        """Raise unless every queued LR stamp is at or before ``start``.
+
+        A replay that appends its own clock's stamps from ``start`` on
+        keeps the queue sorted only if nothing already queued is later.
+        """
+        due = self._lr_due
+        if due and due[-1][0] > start:
+            raise SimulationError(
+                f"LR due queue holds a stamp at {due[-1][0]!r} s, "
+                f"later than the replay's start at {start!r} s"
+            )
 
     def _migrate_and_write(
         self, line: int, now: float, energy: float, tag_latency: float
     ) -> L2AccessResult:
-        """HR write hit above threshold: move the line to LR, write there."""
-        latency, writebacks, migration_energy = self._migrate_fast(
-            line, now, energy, tag_latency
-        )
-        return L2AccessResult(
-            hit=True,
-            part="lr",
-            latency_s=latency,
-            energy_j=energy + migration_energy,
-            dram_writebacks=writebacks,
-            migrated=True,
-        )
+        """HR write hit above threshold: move the line to LR, write there.
 
-    def _migrate_fast(
-        self, line: int, now: float, energy: float, tag_latency: float
-    ) -> tuple:
-        """:meth:`TwoPartSTTL2._migrate_and_write` minus the result object.
-
-        Returns ``(latency_s, dram_writebacks, migration_energy_j)``; the
-        fused replay loop calls it directly.  The whole chain is unrolled
-        over the vectors and buffer deques: the HR demand write hit and
-        extract, the HR->LR push (forcing the oldest entry out when the
-        buffer is full), the dirty LR fill and, when that fill evicts,
-        :meth:`TwoPartSTTL2._return_to_hr` (LR->HR push, HR fill, dirty HR
-        eviction).  The caller located the line in HR, so LR holds no
-        copy of it.
+        Flat transcription of :meth:`TwoPartSTTL2._migrate_and_write`: the
+        whole chain is unrolled over the vectors and buffer deques -- the
+        HR demand write hit and extract, the HR->LR push (forcing the
+        oldest entry out when the buffer is full), the dirty LR fill and,
+        when that fill evicts, :meth:`TwoPartSTTL2._return_to_hr` (LR->HR
+        push, HR fill, dirty HR eviction).  The caller located the line in
+        HR, so LR holds no copy of it.  The fused replay loop runs an
+        inline copy of this method, so a change here must be made there
+        too.
         """
         off = self._soa_offset_bits
         lineno = line >> off
@@ -240,6 +258,8 @@ class SoaTwoPartL2(TwoPartSTTL2):
         lr.last_write_time_vec[slot] = now
         lr.last_access_time_vec[slot] = now
         lr.insert_time_vec[slot] = now
+        if self._lr_ret is not None:
+            self._queue_due(now, slot)
         tag_map[tag] = way
         order = lr.lru[index]
         order.remove(way)
@@ -331,17 +351,38 @@ class SoaTwoPartL2(TwoPartSTTL2):
             self.hr_data_writes += 1
         led.demand_j += energy
         led.migration_j += migration_energy
-        return tag_latency + self._lr_w_lat, writebacks, migration_energy
+        return L2AccessResult(
+            hit=True,
+            part="lr",
+            latency_s=tag_latency + self._lr_w_lat,
+            energy_j=energy + migration_energy,
+            dram_writebacks=writebacks,
+            migrated=True,
+        )
 
     def maintenance(self, now: float) -> int:
         """Drain buffers and run due retention sweeps; returns write-backs.
 
         Flat transcription of :meth:`TwoPartSTTL2.maintenance` and
         :meth:`~repro.core.refresh.RefreshEngine.sweep`.  The drains are
-        inlined deque pops and the due check is two float compares.  A due
-        sweep walks the flat vectors in the object engine's scan order
-        (sets in index order, ways in way order) and applies each decision
-        as it makes it -- LR refresh, lost-LR invalidation, HR expiry --
+        inlined deque pops and the due check is two float compares.
+
+        A due LR sweep visits only the due queue ``_lr_due``.  Its
+        invariant: the queue is sorted by stamp, and every valid LR slot
+        whose retention clock ``max(insert, last_write)`` reads ``t`` has
+        an entry ``(t, slot)`` in it.  Every site that sets a clock queues
+        its new value (demand write hit, migration fill, refresh), and an
+        entry leaves the queue only in a sweep, where its slot is acted on
+        if the entry is still current.  Entries whose slot was since
+        rewritten, refilled or invalidated are stale and dropped.  The
+        sweep pops the stamps with ``now - stamp >= refresh_age``, which
+        for a sorted queue is exactly the prefix a full scan would select,
+        keeps the current ones once per slot, and applies them in slot
+        order: the object engine's scan order.
+
+        The HR sweep walks the flat vectors in that scan order too (sets in
+        index order, ways in way order).  Both sweeps apply each decision as
+        they make it -- LR refresh, lost-LR invalidation, HR expiry --
         where the object engine collects every decision first.  Each
         decision reads and writes only its own slot, so the outcome is the
         same, and refresh joules are still added LR refreshes first, then
@@ -376,31 +417,44 @@ class SoaTwoPartL2(TwoPartSTTL2):
         writebacks = 0
         if sweep_lr:
             counters.scans += 1
-            lr = self.lr_array
-            valid = lr.valid_vec
-            tags = lr.tag_vec
-            dirty = lr.dirty_vec
-            ins = lr.insert_time_vec
-            reset = lr._reset_slot
-            retention = self._lr_ret
             refresh_age = self._lr_refresh_age
-            refresh_en = self._lr_refresh_en
-            assoc = self._lr_assoc
-            pow2 = self._lr_pow2
-            bits = self._lr_bits
-            nsets = self._lr_nsets
-            lost = actions.lr_lost
-            refresh = actions.lr_refresh
-            for slot, last, written in zip(count(), ins, lr.last_write_time_vec):
-                if written > last:
-                    last = written
-                age = now - last
-                # refresh_age < retention: this test admits both outcomes
-                if age >= refresh_age and valid[slot]:
+            due = self._lr_due
+            if due and now - due[0][0] >= refresh_age:
+                lr = self.lr_array
+                valid = lr.valid_vec
+                ins = lr.insert_time_vec
+                written = lr.last_write_time_vec
+                # pop every stamp past the refresh age; keep each slot that
+                # is still valid with the clock its stamp recorded
+                slots = set()
+                pop = due.popleft
+                while due and now - due[0][0] >= refresh_age:
+                    stamp, slot = pop()
+                    if valid[slot]:
+                        last = ins[slot]
+                        if written[slot] > last:
+                            last = written[slot]
+                        if last == stamp:
+                            slots.add(slot)
+                tags = lr.tag_vec
+                dirty = lr.dirty_vec
+                reset = lr._reset_slot
+                retention = self._lr_ret
+                refresh_en = self._lr_refresh_en
+                assoc = self._lr_assoc
+                pow2 = self._lr_pow2
+                bits = self._lr_bits
+                nsets = self._lr_nsets
+                lost = actions.lr_lost
+                refresh = actions.lr_refresh
+                for slot in sorted(slots):
+                    last = ins[slot]
+                    if written[slot] > last:
+                        last = written[slot]
                     index, way = divmod(slot, assoc)
                     tag = tags[slot]
                     line = (tag << bits) | index if pow2 else tag * nsets + index
-                    if age >= retention:
+                    if now - last >= retention:
                         lost.append(line << off)
                         if dirty[slot]:
                             self.data_losses += 1
@@ -410,9 +464,16 @@ class SoaTwoPartL2(TwoPartSTTL2):
                         refresh.append(line << off)
                         ins[slot] = now
                         refresh_j += refresh_en
-                        self.refresh_writes += 1
-            counters.lr_expiries += len(lost)
-            counters.lr_refreshes += len(refresh)
+                        # _queue_due, inlined: this is its busiest caller
+                        last = written[slot]
+                        stamp = now if now > last else last
+                        if due and stamp < due[-1][0]:
+                            insort(due, (stamp, slot))
+                        else:
+                            due.append((stamp, slot))
+                counters.lr_expiries += len(lost)
+                counters.lr_refreshes += len(refresh)
+                self.refresh_writes += len(refresh)
             engine._next_lr_scan = _next_on_grid(now, self._lr_tick)
         if sweep_hr:
             hr = self.hr_array
@@ -542,6 +603,9 @@ class SoaTwoPartL2(TwoPartSTTL2):
                 lr.write_count_vec[slot] += 1  # LR array never saturates
                 lr.last_write_time_vec[slot] = now
                 lr.last_access_time_vec[slot] = now
+                if retention is not None:
+                    last = lr.insert_time_vec[slot]
+                    self._queue_due(now if now > last else last, slot)
                 lr.set_writes_vec[index] += 1
                 order = lr.lru[index]
                 order.remove(way)

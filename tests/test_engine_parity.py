@@ -39,7 +39,7 @@ from repro.config import all_configs
 from repro.engine import ENGINES, make_simulator, resolve_engine
 from repro.engine.soa_l2 import SoaTwoPartL2
 from repro.engine.soa_sim import SoaGPUSimulator
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.gpu.simulator import GPUSimulator
 from repro.io import simulation_result_to_dict
 from repro.oracle import (
@@ -161,6 +161,72 @@ def test_pressure_profiles_are_engine_invariant(profile, seed):
     assert simulation_result_to_dict(obj_result) == \
         simulation_result_to_dict(soa_result)
     assert _counter_surface(obj_sim) == _counter_surface(soa_sim)
+
+
+@pytest.mark.parametrize("profile, accesses, dilation, branches", [
+    # a compressed clock: swap-buffer drains lag, both buffers overflow
+    ("lbm", 4000, 0.1,
+     ["buffer.hr_to_lr.overflows", "buffer.lr_to_hr.overflows",
+      "l2.returns_to_hr"]),
+    # a stretched clock: due sweeps refresh LR lines and lose some
+    ("bfs", 2000, 1e4,
+     ["refresh.lr_refreshes", "refresh.lr_expiries", "l2.returns_to_hr"]),
+], ids=["overflow", "refresh"])
+def test_fused_loop_cold_migration_branches(profile, accesses, dilation,
+                                             branches):
+    """One-line swap buffers on the tiny two-part config: the fused loop's
+    migrations overflow both buffers, return LR victims to HR and meet
+    LR refreshes and losses, byte-identical to the object loop."""
+    config = pressure_config()
+    config = replace(config, l2=replace(config.l2, migration_buffer_lines=1))
+    runs = []
+    for engine in ("object", "soa"):
+        workload = build_workload(
+            profile, num_accesses=accesses, num_sms=config.num_sms, seed=0
+        )
+        simulator = make_simulator(
+            config, workload, engine=engine, time_dilation=dilation
+        )
+        runs.append((simulator.run(), simulator))
+    (obj_result, obj_sim), (soa_result, soa_sim) = runs
+    assert isinstance(soa_sim, SoaGPUSimulator)
+    assert simulation_result_to_dict(obj_result) == \
+        simulation_result_to_dict(soa_result)
+    surface = _counter_surface(soa_sim)
+    assert _counter_surface(obj_sim) == surface
+    assert not [name for name in branches if surface["l2"][name] == 0]
+
+
+def test_fused_loop_keeps_its_state_in_plain_locals():
+    """No nested function closes over the loop's state: a closure would
+    turn these names into cells, and a call into one copies them all."""
+    cells = SoaGPUSimulator.run.__code__.co_cellvars
+    assert not {"now", "sm", "demand_j", "migration_j"} & set(cells)
+
+
+def test_fused_loop_hot_locals_need_no_extended_arg():
+    """Locals numbered 256 or above cost an EXTENDED_ARG per access; the
+    loop's per-record and per-request names, counters and constants must
+    number below that."""
+    names = SoaGPUSimulator.run.__code__.co_varnames
+    hot = ["sm", "line", "entry", "ready", "reqs", "part", "energy",
+           "latency", "total", "d_wait", "now", "now2", "n_hr_r",
+           "n_sel_acc", "hr_t2w", "lr_t2w", "bank_busy", "dram_busy",
+           "demand_j", "migration_j", "h2l_entries", "due_push"]
+    assert not [name for name in hot if names.index(name) >= 256]
+
+
+def test_fused_loop_rejects_a_due_queue_that_runs_ahead():
+    """The loop appends LR stamps from its own clock, so a queued stamp
+    later than the replay's start would break the queue's order."""
+    config = all_configs()["C1"]
+    workload = build_workload(
+        "bfs", num_accesses=200, num_sms=config.num_sms, seed=0
+    )
+    simulator = make_simulator(config, workload, engine="soa")
+    simulator.l2._queue_due(1.0, 0)
+    with pytest.raises(SimulationError, match="1.0 s"):
+        simulator.run()
 
 
 @pytest.mark.parametrize("profile", ["bfs", "stencil"])
