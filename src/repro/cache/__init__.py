@@ -7,8 +7,8 @@ the paper's proposal:
 * :mod:`repro.cache.address` — address slicing and bank hashing.
 * :mod:`repro.cache.block` — per-line state (tag, dirty, write counters,
   last-write timestamps for retention analysis).
-* :mod:`repro.cache.replacement` — LRU, tree-PLRU, FIFO, NRU and seeded
-  random replacement policies.
+* :mod:`repro.cache.replacement` — LRU replacement, the one policy every
+  cache level uses.
 * :mod:`repro.cache.cacheset` / :mod:`repro.cache.array` — set-associative
   behavioural array with full statistics.
 * :mod:`repro.cache.mshr` — miss-status holding registers with coalescing.
@@ -18,15 +18,7 @@ the paper's proposal:
 
 from repro.cache.address import AddressMapper
 from repro.cache.block import CacheBlock
-from repro.cache.replacement import (
-    ReplacementPolicy,
-    LRUPolicy,
-    TreePLRUPolicy,
-    FIFOPolicy,
-    RandomPolicy,
-    NRUPolicy,
-    make_policy,
-)
+from repro.cache.replacement import LRUPolicy
 from repro.cache.cacheset import CacheSet
 from repro.cache.array import AccessOutcome, SetAssociativeCache
 from repro.cache.stats import CacheStats
@@ -37,13 +29,7 @@ from repro.cache.wearlevel import WearLevelingCache
 __all__ = [
     "AddressMapper",
     "CacheBlock",
-    "ReplacementPolicy",
     "LRUPolicy",
-    "TreePLRUPolicy",
-    "FIFOPolicy",
-    "RandomPolicy",
-    "NRUPolicy",
-    "make_policy",
     "CacheSet",
     "AccessOutcome",
     "SetAssociativeCache",

@@ -16,7 +16,6 @@ from typing import Iterator, List, Optional, Tuple
 from repro.cache.address import AddressMapper
 from repro.cache.block import CacheBlock
 from repro.cache.cacheset import CacheSet
-from repro.cache.replacement import make_policy
 from repro.cache.stats import CacheStats
 from repro.errors import GeometryError
 from repro.tracing import NULL_TRACER, TraceCollector
@@ -49,18 +48,19 @@ class AccessOutcome:
 
 
 class SetAssociativeCache:
-    """A set-associative, write-back, write-allocate behavioural cache."""
+    """A set-associative, write-back, LRU behavioural cache.
+
+    Misses allocate unless the caller passes ``allocate=False`` (the GPU
+    L1's write-no-allocate global writes and MSHR-deferred fills).
+    """
 
     def __init__(
         self,
         capacity_bytes: int,
         associativity: int,
         line_size: int,
-        policy: str = "lru",
         name: str = "cache",
-        write_allocate: bool = True,
         write_counter_saturation: int = 0,
-        seed: int = 0,
         tracer: Optional[TraceCollector] = None,
     ) -> None:
         if capacity_bytes <= 0 or associativity <= 0 or line_size <= 0:
@@ -71,15 +71,11 @@ class SetAssociativeCache:
                 f"of {line_size}B lines"
             )
         num_sets = capacity_bytes // (associativity * line_size)
-        make_policy(policy, associativity, seed=seed)  # reject a bad name now
         self._num_sets = num_sets
-        self._policy = policy
-        self._seed = seed
         self.name = name
         self.capacity_bytes = capacity_bytes
         self.associativity = associativity
         self.line_size = line_size
-        self.write_allocate = write_allocate
         self.write_counter_saturation = write_counter_saturation
         self.mapper = AddressMapper(line_size=line_size, num_sets=num_sets)
         #: the one shared address decomposition every path goes through
@@ -104,10 +100,7 @@ class SetAssociativeCache:
         Arrays whose state lives elsewhere (the ``soa`` engine's L1 and
         read-only caches keep flat per-SM vectors) never pay for them.
         """
-        return [
-            CacheSet(self.associativity, policy=self._policy, seed=self._seed + i)
-            for i in range(self._num_sets)
-        ]
+        return [CacheSet(self.associativity) for _ in range(self._num_sets)]
 
     # --- geometry ---------------------------------------------------------
 
@@ -142,11 +135,10 @@ class SetAssociativeCache:
     ) -> AccessOutcome:
         """Perform a demand access with allocation on miss.
 
-        Write misses allocate only when ``write_allocate`` is set (GPU L1
-        global writes are write-no-allocate; the L2 allocates).  Passing
-        ``allocate=False`` records the demand access but leaves the miss
-        unfilled — callers with MSHRs install the line later via
-        :meth:`fill` when the fetch completes.
+        Passing ``allocate=False`` records the demand access but leaves the
+        miss unfilled: GPU L1 global writes are write-no-allocate, and
+        callers with MSHRs install the line later via :meth:`fill` when
+        the fetch completes.
         """
         tag, index = self._split(address)
         cache_set = self.sets[index]
@@ -171,7 +163,7 @@ class SetAssociativeCache:
             return self._hit_outcome(index, way)
 
         # miss
-        if not allocate or (is_write and not self.write_allocate):
+        if not allocate:
             outcome = self._miss_outcomes.get(index)
             if outcome is None:
                 outcome = AccessOutcome(hit=False, set_index=index, way=-1)
@@ -209,7 +201,7 @@ class SetAssociativeCache:
             cache_set.touch(way)
             return AccessOutcome(hit=True, set_index=index, way=way)
 
-        if not allocate or (is_write and not self.write_allocate):
+        if not allocate:
             return AccessOutcome(hit=False, set_index=index, way=-1)
         return self._fill(cache_set, index, tag, now, dirty=is_write)
 

@@ -1,9 +1,9 @@
-"""One cache set: ways + replacement policy.
+"""One cache set: ways + LRU recency.
 
 A :class:`CacheSet` owns its :class:`~repro.cache.block.CacheBlock` ways and
-the per-set replacement policy state.  It offers the minimal primitive
-operations (`lookup`, `victim_way`, `install`, `invalidate_way`) that both
-the plain set-associative array and the two-part architecture compose.
+the per-set LRU state.  It offers the minimal primitive operations
+(`lookup`, `victim_way`, `install`, `invalidate_way`) that both the plain
+set-associative array and the two-part architecture compose.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.cache.block import CacheBlock
-from repro.cache.replacement import ReplacementPolicy, make_policy
+from repro.cache.replacement import LRUPolicy
 from repro.errors import ConfigurationError
 
 
@@ -20,11 +20,11 @@ class CacheSet:
 
     __slots__ = ("blocks", "policy", "_tag_to_way", "set_writes", "frame_writes")
 
-    def __init__(self, associativity: int, policy: str = "lru", seed: int = 0) -> None:
+    def __init__(self, associativity: int) -> None:
         if associativity <= 0:
             raise ConfigurationError("associativity must be positive")
         self.blocks: List[CacheBlock] = [CacheBlock() for _ in range(associativity)]
-        self.policy: ReplacementPolicy = make_policy(policy, associativity, seed=seed)
+        self.policy = LRUPolicy(associativity)
         self._tag_to_way: Dict[int, int] = {}
         #: total writes observed by this set (inter-set COV input, Fig. 3)
         self.set_writes: int = 0
@@ -59,14 +59,14 @@ class CacheSet:
         return None
 
     def touch(self, way: int) -> None:
-        """Inform the replacement policy of a hit on ``way``."""
+        """Inform the LRU policy of a hit on ``way``."""
         self.policy.on_hit(way)
 
     def victim_way(self) -> int:
         """Pick the way to evict (invalid ways first).
 
-        Scans the ways directly (same first-invalid-way order the policy's
-        validity scan used) instead of paying a lambda call per way.
+        Scans the ways directly (same first-invalid-way order as
+        :meth:`LRUPolicy.victim`) instead of paying a lambda call per way.
         """
         for way, block in enumerate(self.blocks):
             if not block.valid:

@@ -1,19 +1,18 @@
-"""Replacement policies.
+"""LRU replacement, the one policy every cache in the model uses.
 
-Each policy instance manages one set of ``associativity`` ways.  The three
-hooks mirror what a hardware policy sees:
+An :class:`LRUPolicy` instance manages one set of ``associativity`` ways.
+Its hooks mirror what a hardware policy sees:
 
-* :meth:`ReplacementPolicy.on_hit`  — a way was touched,
-* :meth:`ReplacementPolicy.on_fill` — a way was (re)installed,
-* :meth:`ReplacementPolicy.victim`  — pick the way to evict.
+* :meth:`LRUPolicy.on_hit`  — a way was touched,
+* :meth:`LRUPolicy.on_fill` — a way was (re)installed,
+* :meth:`LRUPolicy.victim`  — pick the way to evict.
 
-``victim`` must prefer invalid ways (the caller passes a validity predicate)
-so policies never evict live data while free ways exist.
+``victim`` prefers invalid ways (the caller passes a validity predicate),
+so live data is never evicted while free ways exist.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Callable, List
 
 from repro.errors import ConfigurationError
@@ -21,28 +20,37 @@ from repro.errors import ConfigurationError
 ValidFn = Callable[[int], bool]
 
 
-class ReplacementPolicy:
-    """Abstract base; see module docstring for the protocol."""
+class LRUPolicy:
+    """True least-recently-used via a recency list (MRU at the back)."""
 
     def __init__(self, associativity: int) -> None:
         if associativity <= 0:
             raise ConfigurationError("associativity must be positive")
         self.associativity = associativity
+        self._order: List[int] = list(range(associativity))
+
+    def _touch(self, way: int) -> None:
+        if not 0 <= way < self.associativity:
+            raise ConfigurationError(
+                f"way {way} out of range for associativity {self.associativity}"
+            )
+        self._order.remove(way)
+        self._order.append(way)
 
     def on_hit(self, way: int) -> None:
-        """Record a demand hit on ``way``."""
-        raise NotImplementedError
+        """Move ``way`` to the MRU end of the recency list."""
+        self._touch(way)
 
     def on_fill(self, way: int) -> None:
-        """Record that ``way`` was (re)installed."""
-        raise NotImplementedError
+        """Treat a fill like a touch: the new line becomes MRU."""
+        self._touch(way)
 
     def victim(self, valid: ValidFn) -> int:
         """Return the way to evict; invalid ways take priority."""
         for way in range(self.associativity):
             if not valid(way):
                 return way
-        return self._pick_valid_victim()
+        return self.full_victim()
 
     def full_victim(self) -> int:
         """Victim when the caller knows every way is valid.
@@ -50,188 +58,4 @@ class ReplacementPolicy:
         Skips the validity scan of :meth:`victim`; callers that already
         scanned their ways (the hot fill path) use this directly.
         """
-        return self._pick_valid_victim()
-
-    def _pick_valid_victim(self) -> int:
-        raise NotImplementedError
-
-    def _check_way(self, way: int) -> None:
-        if not 0 <= way < self.associativity:
-            raise ConfigurationError(
-                f"way {way} out of range for associativity {self.associativity}"
-            )
-
-
-class LRUPolicy(ReplacementPolicy):
-    """True least-recently-used via a recency list (MRU at the back)."""
-
-    def __init__(self, associativity: int) -> None:
-        super().__init__(associativity)
-        self._order: List[int] = list(range(associativity))
-
-    def _touch(self, way: int) -> None:
-        self._order.remove(way)
-        self._order.append(way)
-
-    def on_hit(self, way: int) -> None:
-        """Move ``way`` to the MRU end of the recency list."""
-        self._check_way(way)
-        self._touch(way)
-
-    def on_fill(self, way: int) -> None:
-        """Treat a fill like a touch: the new line becomes MRU."""
-        self._check_way(way)
-        self._touch(way)
-
-    def _pick_valid_victim(self) -> int:
         return self._order[0]
-
-
-class TreePLRUPolicy(ReplacementPolicy):
-    """Tree-based pseudo-LRU (binary tree of direction bits).
-
-    The standard hardware approximation: each internal node points away from
-    the most recently used half.  Associativity is rounded up to the next
-    power of two internally; phantom ways are never returned because the
-    caller's validity predicate is consulted first and phantom indices are
-    clamped into range.
-    """
-
-    def __init__(self, associativity: int) -> None:
-        super().__init__(associativity)
-        size = 1
-        while size < associativity:
-            size *= 2
-        self._leaves = size
-        self._bits = [0] * max(1, size - 1)
-
-    def _update(self, way: int) -> None:
-        node = 0
-        lo, hi = 0, self._leaves
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if way < mid:
-                self._bits[node] = 1  # point away: towards the upper half
-                node = 2 * node + 1
-                hi = mid
-            else:
-                self._bits[node] = 0  # point towards the lower half
-                node = 2 * node + 2
-                lo = mid
-        return None
-
-    def on_hit(self, way: int) -> None:
-        """Flip the tree bits along ``way``'s path to point away from it."""
-        self._check_way(way)
-        self._update(way)
-
-    def on_fill(self, way: int) -> None:
-        """Same as a hit: the filled way becomes the protected half."""
-        self._check_way(way)
-        self._update(way)
-
-    def _pick_valid_victim(self) -> int:
-        node = 0
-        lo, hi = 0, self._leaves
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._bits[node] == 0:
-                node = 2 * node + 1
-                hi = mid
-            else:
-                node = 2 * node + 2
-                lo = mid
-        return min(lo, self.associativity - 1)
-
-
-class FIFOPolicy(ReplacementPolicy):
-    """First-in first-out: eviction order follows fill order only."""
-
-    def __init__(self, associativity: int) -> None:
-        super().__init__(associativity)
-        self._queue: List[int] = list(range(associativity))
-
-    def on_hit(self, way: int) -> None:
-        """No-op beyond validation: hits do not reorder a FIFO."""
-        self._check_way(way)
-
-    def on_fill(self, way: int) -> None:
-        """Send the filled way to the back of the eviction queue."""
-        self._check_way(way)
-        if way in self._queue:
-            self._queue.remove(way)
-        self._queue.append(way)
-
-    def _pick_valid_victim(self) -> int:
-        return self._queue[0]
-
-
-class RandomPolicy(ReplacementPolicy):
-    """Seeded random replacement (deterministic across runs)."""
-
-    def __init__(self, associativity: int, seed: int = 0) -> None:
-        super().__init__(associativity)
-        self._rng = random.Random(seed)
-
-    def on_hit(self, way: int) -> None:
-        """No-op: random replacement keeps no recency state."""
-        self._check_way(way)
-
-    def on_fill(self, way: int) -> None:
-        """No-op: random replacement keeps no recency state."""
-        self._check_way(way)
-
-    def _pick_valid_victim(self) -> int:
-        return self._rng.randrange(self.associativity)
-
-
-class NRUPolicy(ReplacementPolicy):
-    """Not-recently-used: one reference bit per way, cleared when all set."""
-
-    def __init__(self, associativity: int) -> None:
-        super().__init__(associativity)
-        self._referenced = [False] * associativity
-
-    def _mark(self, way: int) -> None:
-        self._referenced[way] = True
-        if all(self._referenced):
-            self._referenced = [False] * self.associativity
-            self._referenced[way] = True
-
-    def on_hit(self, way: int) -> None:
-        """Set ``way``'s reference bit (resetting the epoch if all are set)."""
-        self._check_way(way)
-        self._mark(way)
-
-    def on_fill(self, way: int) -> None:
-        """Mark the filled way referenced, like a hit."""
-        self._check_way(way)
-        self._mark(way)
-
-    def _pick_valid_victim(self) -> int:
-        for way, referenced in enumerate(self._referenced):
-            if not referenced:
-                return way
-        return 0
-
-
-_POLICIES = {
-    "lru": LRUPolicy,
-    "plru": TreePLRUPolicy,
-    "fifo": FIFOPolicy,
-    "random": RandomPolicy,
-    "nru": NRUPolicy,
-}
-
-
-def make_policy(name: str, associativity: int, seed: int = 0) -> ReplacementPolicy:
-    """Instantiate a policy by name (``lru``/``plru``/``fifo``/``random``/``nru``)."""
-    try:
-        cls = _POLICIES[name.lower()]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown replacement policy {name!r}; choose from {sorted(_POLICIES)}"
-        ) from None
-    if cls is RandomPolicy:
-        return cls(associativity, seed=seed)
-    return cls(associativity)

@@ -118,9 +118,9 @@ class EnergyLedger:
 class L2Interface:
     """Protocol-style base class for L2 implementations.
 
-    Subclasses must implement :meth:`access` and :meth:`fill_from_dram` and
-    expose ``stats`` (merged :class:`CacheStats`), ``energy``
-    (:class:`EnergyLedger`), ``leakage_power`` (W) and ``area`` (m^2).
+    Subclasses must implement :meth:`access` and expose ``stats`` (merged
+    :class:`CacheStats`), ``energy`` (:class:`EnergyLedger`),
+    ``leakage_power`` (W) and ``area`` (m^2).
 
     ``faults`` is the optional fault-injection attachment point
     (:class:`repro.faults.FaultInjector`): implementations that support
@@ -136,10 +136,6 @@ class L2Interface:
 
     def access(self, address: int, is_write: bool, now: float) -> L2AccessResult:
         """Serve a demand access at simulated time ``now`` (seconds)."""
-        raise NotImplementedError
-
-    def fill_from_dram(self, address: int, now: float, dirty: bool = False) -> L2AccessResult:
-        """Install a line fetched from DRAM (miss completion)."""
         raise NotImplementedError
 
     def maintenance(self, now: float) -> int:

@@ -558,33 +558,6 @@ class TwoPartSTTL2(L2Interface):
             dram_writebacks=writebacks,
         )
 
-    def fill_from_dram(self, address: int, now: float, dirty: bool = False) -> L2AccessResult:
-        line = self.hr_array.mapper.line_address(address)
-        outcome = self.hr_array.fill(line, now, dirty=dirty)
-        fill_energy = self.hr_model.fill_energy if outcome.filled else 0.0
-        if outcome.filled:
-            self.hr_data_writes += 1
-        self._energy.fill_j += fill_energy
-        writebacks = 1 if outcome.evicted_dirty else 0
-        self.dram_writebacks_total += writebacks
-        if self.faults is not None:
-            if outcome.evicted_address is not None:
-                self.faults.on_invalidated(
-                    "hr", outcome.evicted_address, outcome.evicted_dirty, now
-                )
-            if outcome.filled:
-                attempts = self.faults.on_data_write("hr", line, now)
-                if attempts > 1:
-                    extra = (attempts - 1) * self.hr_model.data_write_energy
-                    fill_energy += extra
-                    self._energy.fill_j += extra
-        return L2AccessResult(
-            hit=outcome.hit, part="hr",
-            latency_s=self.hr_model.data_array.write_latency,
-            energy_j=fill_energy,
-            dram_writebacks=writebacks,
-        )
-
     # ------------------------------------------------------------------
     # roll-ups
     # ------------------------------------------------------------------

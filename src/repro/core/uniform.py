@@ -119,20 +119,6 @@ class UniformL2(L2Interface):
             dram_writebacks=writebacks,
         )
 
-    def fill_from_dram(self, address: int, now: float, dirty: bool = False) -> L2AccessResult:
-        outcome = self.array.fill(address, now, dirty=dirty)
-        energy = self.model.fill_energy if outcome.filled else 0.0
-        if outcome.filled:
-            self.data_writes += 1
-        self._energy.fill_j += energy
-        return L2AccessResult(
-            hit=outcome.hit,
-            part="uniform",
-            latency_s=self.model.write_latency,
-            energy_j=energy,
-            dram_writebacks=1 if outcome.evicted_dirty else 0,
-        )
-
     def dirty_lines(self) -> int:
         return self.array.dirty_count()
 

@@ -5,8 +5,8 @@
 the characterization replays use one, storing all per-line state in flat
 parallel Python lists instead of one ``CacheBlock`` object per line
 (docs/engine.md documents each vector).  It implements the part of the
-object array's API those callers reach — ``access``, ``fill``,
-``invalidate`` and the analysis read-outs — and each method reproduces the
+object array's API those callers reach — ``access``, ``invalidate`` and
+the analysis read-outs — and each method reproduces the
 object array's semantics *exactly*: same counters bumped in the same
 order, same LRU recency updates, same shared hit outcomes, so the two
 engines stay access-for-access equivalent.  Demand hits allocate nothing:
@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.cache.address import AddressMapper
 from repro.cache.array import AccessOutcome
 from repro.cache.stats import CacheStats
-from repro.errors import ConfigurationError, GeometryError
+from repro.errors import GeometryError
 from repro.tracing import NULL_TRACER, TraceCollector
 
 
@@ -95,10 +95,8 @@ class SoaCacheArray:
 
     Takes the arguments of :class:`repro.cache.array.SetAssociativeCache`
     that its callers pass and keeps that class's behavioural contract;
-    see the module docstring and docs/engine.md for the layout.  Only the
-    ``lru`` replacement policy is supported — the engine registry falls
-    back to the object engine for anything else — and every miss
-    allocates.
+    see the module docstring and docs/engine.md for the layout.  Every
+    miss allocates.
     """
 
     def __init__(
@@ -106,7 +104,6 @@ class SoaCacheArray:
         capacity_bytes: int,
         associativity: int,
         line_size: int,
-        policy: str = "lru",
         name: str = "cache",
         write_counter_saturation: int = 0,
         tracer: Optional[TraceCollector] = None,
@@ -117,10 +114,6 @@ class SoaCacheArray:
             raise GeometryError(
                 f"{capacity_bytes}B does not factor into {associativity} ways "
                 f"of {line_size}B lines"
-            )
-        if policy != "lru":
-            raise ConfigurationError(
-                f"SoaCacheArray supports only the 'lru' policy, got {policy!r}"
             )
         num_sets = capacity_bytes // (associativity * line_size)
         num_lines = num_sets * associativity
@@ -248,27 +241,6 @@ class SoaCacheArray:
             return self._hit_outcome(index, way)
 
         return self._fill(index, tag, now, dirty=is_write)
-
-    def fill(self, address: int, now: float = 0.0, dirty: bool = False) -> AccessOutcome:
-        """Install a line without a demand access (e.g. migration target)."""
-        tag, index = self._split_fast(address)
-        way = self.tag_to_way[index].get(tag)
-        if way is not None:
-            if dirty:
-                slot = index * self.associativity + way
-                self.dirty_vec[slot] = True
-                self.total_writes_vec[slot] += 1
-                saturate_at = self.write_counter_saturation
-                if saturate_at <= 0 or self.write_count_vec[slot] < saturate_at:
-                    self.write_count_vec[slot] += 1
-                self.last_write_time_vec[slot] = now
-                self.last_access_time_vec[slot] = now
-                self.set_writes_vec[index] += 1
-            order = self.lru[index]
-            order.remove(way)
-            order.append(way)
-            return self._hit_outcome(index, way)
-        return self._fill(index, tag, now, dirty=dirty)
 
     def _fill(self, index: int, tag: int, now: float, dirty: bool) -> AccessOutcome:
         """Install into the victim way (invalid ways first, else LRU)."""

@@ -12,8 +12,10 @@ The fused loop in :mod:`repro.engine.soa_sim` inlines both L2s' demand
 paths and the migration, and calls only the due sweeps.  What stays
 inherited runs against the SoA arrays through their API: the uniform L2's
 ``access``, the two-part miss path of :meth:`SoaTwoPartL2.access`,
-``fill_from_dram``, snapshots and the roll-up properties (docs/engine.md
-explains the proof protocol).
+snapshots and the roll-up properties (docs/engine.md explains the proof
+protocol).  :meth:`SoaTwoPartL2.access` keeps the object engine's
+access-path retention expiry; the fused loop drops it, because its
+forward-moving clock lets no line reach its retention unswept.
 
 Each transcribed path preserves the object model's exact operation order,
 including float accumulation order, so results are byte-identical, not
@@ -171,7 +173,9 @@ class SoaTwoPartL2(TwoPartSTTL2):
         oldest entry out when the buffer is full), the dirty LR fill and,
         when that fill evicts, :meth:`TwoPartSTTL2._return_to_hr` (LR->HR
         push, HR fill, dirty HR eviction).  The caller located the line in
-        HR, so LR holds no copy of it.  The fused replay loop runs an
+        HR, so LR holds no copy of it; the parts are exclusive and a line
+        enters LR only by this migrating write, so the LR victim is dirty
+        and HR holds no copy of it either.  The fused replay loop runs an
         inline copy of this method, so a change here must be made there
         too.
         """
@@ -238,12 +242,9 @@ class SoaTwoPartL2(TwoPartSTTL2):
         stats = lr.stats
         evicted = valid[slot]
         if evicted:
+            # every LR line is dirty: its only way in is a migrating write
             victim_tag = lr.tag_vec[slot]
-            victim_dirty = lr.dirty_vec[slot]
-            if victim_dirty:
-                stats.evictions_dirty += 1
-            else:
-                stats.evictions_clean += 1
+            stats.evictions_dirty += 1
             del tag_map[victim_tag]
             if self._lr_pow2:
                 victim_lineno = (victim_tag << self._lr_bits) | index
@@ -287,12 +288,13 @@ class SoaTwoPartL2(TwoPartSTTL2):
                 ready = now
             ready += buffer.drain_service_time
             buffer._port_free_at = ready
-            entries.append((victim_line, victim_dirty, ready))
+            entries.append((victim_line, True, ready))
             stats.pushes += 1
             if len(entries) > stats.peak_occupancy:
                 stats.peak_occupancy = len(entries)
             self.returns_to_hr += 1
-            # HR fill (SoaCacheArray.fill semantics)
+            # dirty HR fill into the victim way; the parts are exclusive,
+            # so HR holds no copy of the returning line
             if self._hr_pow2:
                 tag = victim_lineno >> self._hr_bits
                 index = victim_lineno & self._hr_mask
@@ -300,50 +302,34 @@ class SoaTwoPartL2(TwoPartSTTL2):
                 tag, index = divmod(victim_lineno, self._hr_nsets)
             base = index * self._hr_assoc
             tag_map = hr.tag_to_way[index]
-            way = tag_map.get(tag)
-            if way is not None:
-                # already resident (fill_from_dram can duplicate a line)
-                slot = base + way
-                if victim_dirty:
-                    hr.dirty_vec[slot] = True
-                    hr.total_writes_vec[slot] += 1
-                    saturate_at = self._hr_sat
-                    if saturate_at <= 0 or hr.write_count_vec[slot] < saturate_at:
-                        hr.write_count_vec[slot] += 1
-                    hr.last_write_time_vec[slot] = now
-                    hr.last_access_time_vec[slot] = now
-                    hr.set_writes_vec[index] += 1
+            valid = hr.valid_vec
+            for way in range(self._hr_assoc):
+                if not valid[base + way]:
+                    break
             else:
-                valid = hr.valid_vec
-                for way in range(self._hr_assoc):
-                    if not valid[base + way]:
-                        break
+                way = hr.lru[index][0]
+            slot = base + way
+            stats = hr.stats
+            if valid[slot]:
+                if hr.dirty_vec[slot]:
+                    stats.evictions_dirty += 1
+                    writebacks += 1
+                    self.dram_writebacks_total += 1
                 else:
-                    way = hr.lru[index][0]
-                slot = base + way
-                stats = hr.stats
-                if valid[slot]:
-                    if hr.dirty_vec[slot]:
-                        stats.evictions_dirty += 1
-                        writebacks += 1
-                        self.dram_writebacks_total += 1
-                    else:
-                        stats.evictions_clean += 1
-                    del tag_map[hr.tag_vec[slot]]
-                hr.tag_vec[slot] = tag
-                valid[slot] = True
-                hr.dirty_vec[slot] = victim_dirty
-                initial = 1 if victim_dirty else 0
-                hr.write_count_vec[slot] = initial
-                hr.total_writes_vec[slot] = initial
-                hr.total_reads_vec[slot] = 0
-                hr.last_write_time_vec[slot] = now if victim_dirty else 0.0
-                hr.last_access_time_vec[slot] = now
-                hr.insert_time_vec[slot] = now
-                tag_map[tag] = way
-                if victim_dirty:
-                    hr.set_writes_vec[index] += 1
-                stats.fills += 1
+                    stats.evictions_clean += 1
+                del tag_map[hr.tag_vec[slot]]
+            hr.tag_vec[slot] = tag
+            valid[slot] = True
+            hr.dirty_vec[slot] = True
+            hr.write_count_vec[slot] = 1
+            hr.total_writes_vec[slot] = 1
+            hr.total_reads_vec[slot] = 0
+            hr.last_write_time_vec[slot] = now
+            hr.last_access_time_vec[slot] = now
+            hr.insert_time_vec[slot] = now
+            tag_map[tag] = way
+            hr.set_writes_vec[index] += 1
+            stats.fills += 1
             order = hr.lru[index]
             order.remove(way)
             order.append(way)
@@ -516,7 +502,15 @@ class SoaTwoPartL2(TwoPartSTTL2):
         return writebacks
 
     def access(self, address: int, is_write: bool, now: float) -> L2AccessResult:
-        """Monolithic transcription of :meth:`TwoPartSTTL2.access`."""
+        """Monolithic transcription of :meth:`TwoPartSTTL2.access`.
+
+        The locate keeps the object engine's access-path retention expiry,
+        which the fused loop drops.  A caller that steps time forward, as
+        the loop does, never reaches it: the due sweep at the same time
+        refreshes or drops each line two ticks before it expires.  A direct
+        caller may step time backwards, and then a line can be located at
+        or past its retention (``tests/test_due_queue.py`` does).
+        """
         if address < 0:
             raise GeometryError(f"address must be non-negative, got {address}")
         line = address & self._line_low_mask

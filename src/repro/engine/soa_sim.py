@@ -10,10 +10,13 @@ coalescing, deferred fills, read-only caches, the L2 serve paths, bank
 scheduling and DRAM — is fused into one interpreter loop over flat per-SM
 state vectors with zero per-access object allocation.  The L2 state lives
 in the SoA model built by :func:`repro.core.factory.build_l2`
-(``engine="soa"``); its demand paths, access-path expiry and HR->LR
-migration (with the LR victim's return to HR and the force-pops of full
-swap buffers) are transcribed *inline* into one L2 block at the bottom of
-the loop.  A record queues the L2 requests it makes -- the write-backs of
+(``engine="soa"``); its demand paths and HR->LR migration (with the LR
+victim's return to HR and the force-pops of full swap buffers) are
+transcribed *inline* into one L2 block at the bottom of the loop.  The
+block has no access-path retention expiry: the loop's clock only moves
+forward, and the due sweep at each time refreshes or drops every line two
+ticks before it would expire, so the object engine's check never fires
+here.  A record queues the L2 requests it makes -- the write-backs of
 its landed fills, then at most one request of its own -- and the block
 serves them in that order, treating a uniform L2 as an HR part alone and
 ending in one bank/DRAM/stall block.  The loop has no nested function, so
@@ -227,7 +230,6 @@ class SoaGPUSimulator(GPUSimulator):
             hr_w_en = l2._hr_w_en; hr_r_en = l2._hr_r_en
             hr_w_lat = l2._hr_w_lat; hr_r_lat = l2._hr_r_lat
             hr_fill_en = l2.hr_model.fill_energy
-            hr_ret = l2._hr_ret
             threshold = l2._threshold
             lr = l2.lr_array
             lr_t2w = lr.tag_to_way; lr_lru_v = lr.lru
@@ -242,7 +244,8 @@ class SoaGPUSimulator(GPUSimulator):
             lr_assoc = l2._lr_assoc
             lr_w_en = l2._lr_w_en; lr_r_en = l2._lr_r_en
             lr_w_lat = l2._lr_w_lat; lr_r_lat = l2._lr_r_lat
-            lr_ret = l2._lr_ret
+            # an SRAM LR part never expires and queues no due stamps
+            lr_queued = l2._lr_ret is not None
             tag_lat1 = l2._hr_tag_access_latency
             tag_lat2 = 2 * l2._hr_tag_access_latency
             pe_r1 = l2._probe_energy_table[False][1]
@@ -282,7 +285,6 @@ class SoaGPUSimulator(GPUSimulator):
             hr_w_en = l2._write_hit_energy; hr_r_en = l2._read_hit_energy
             hr_w_lat = l2._write_latency; hr_r_lat = l2._read_latency
             hr_fill_en = l2._fill_energy
-            hr_ret = None
             threshold = inf
             probe_en = l2._tag_probe_energy
         hr_t2w = hr.tag_to_way; hr_lru_v = hr.lru
@@ -300,7 +302,7 @@ class SoaGPUSimulator(GPUSimulator):
         # scalar counter accumulators (see the module docstring)
         n_sel_acc = n_sel_first = n_sel_second = 0
         n_lr_w = n_lr_wh = n_lr_r = n_lr_rh = 0
-        n_lr_evd = n_lr_evc = n_lr_fill = 0
+        n_lr_evd = n_lr_fill = 0
         n_hr_r = n_hr_rh = n_hr_w = n_hr_wh = 0
         n_hr_evd = n_hr_evc = n_hr_fill = 0
         n_mon_w = n_mon_mig = 0
@@ -565,7 +567,11 @@ class SoaGPUSimulator(GPUSimulator):
                             while l2h_entries and l2h_entries[0][2] <= now2:
                                 l2h_pop()
                                 l2h_stats.drains += 1
-                    # locate in LR (with access-path retention expiry)
+                    # locate in LR.  The object engine's access-path
+                    # retention expiry is left out: the clock only moves
+                    # forward, and the due sweep at this time has already
+                    # refreshed or dropped every line two ticks before it
+                    # would expire.
                     if lr_pow2:
                         tag = lineno >> lr_bits
                         index = lineno & lr_smask
@@ -574,24 +580,9 @@ class SoaGPUSimulator(GPUSimulator):
                     way = lr_t2w[index].get(tag)
                     if way is not None:
                         slot = index * lr_assoc + way
-                        if lr_ret is not None:
-                            last = lr_ins[slot]
-                            written = lr_lwt[slot]
-                            if written > last:
-                                last = written
-                            if now2 - last >= lr_ret:
-                                # the object engine's check, unreachable
-                                # here: a due sweep runs first and drops
-                                # or refreshes a line two ticks before it
-                                # expires, so no Python call is made
-                                if lr_dirty_v[slot]:
-                                    l2.data_losses += 1
-                                lr.invalidate(lineno << off2)
-                                way = None
-                        if way is not None:
-                            part = 1
+                        part = 1
                 if not part:
-                    # locate in HR (with access-path retention expiry)
+                    # locate in HR (no expiry check, as for LR)
                     if hr_pow2:
                         hr_tag = lineno >> hr_bits
                         hr_index = lineno & hr_smask
@@ -600,19 +591,7 @@ class SoaGPUSimulator(GPUSimulator):
                     hr_way = hr_t2w[hr_index].get(hr_tag)
                     if hr_way is not None:
                         hr_slot = hr_index * hr_assoc + hr_way
-                        if hr_ret is not None:
-                            last = hr_ins[hr_slot]
-                            written = hr_lwt[hr_slot]
-                            if written > last:
-                                last = written
-                            if now2 - last >= hr_ret:
-                                # unreachable, like the LR check above
-                                if hr_dirty_v[hr_slot]:
-                                    l2.data_losses += 1
-                                hr.invalidate(lineno << off2)
-                                hr_way = None
-                        if hr_way is not None:
-                            part = 2
+                        part = 2
                 if twopart:
                     # search-selector accounting (sequential or parallel)
                     n_sel_acc += 1
@@ -646,7 +625,7 @@ class SoaGPUSimulator(GPUSimulator):
                         lr_wc[slot] += 1  # LR array never saturates
                         lr_lwt[slot] = now2
                         lr_lat_v[slot] = now2
-                        if lr_ret is not None:
+                        if lr_queued:
                             due_push((now2, slot))
                         lr_setw[index] += 1
                         order = lr_lru_v[index]
@@ -744,12 +723,10 @@ class SoaGPUSimulator(GPUSimulator):
                         tag_map = lr_t2w[index]
                         evicted = lr_valid_v[slot]
                         if evicted:
+                            # every LR line is dirty: its only way in is
+                            # a migrating write
                             victim_tag = lr_tags_v[slot]
-                            victim_dirty = lr_dirty_v[slot]
-                            if victim_dirty:
-                                n_lr_evd += 1
-                            else:
-                                n_lr_evc += 1
+                            n_lr_evd += 1
                             del tag_map[victim_tag]
                         lr_tags_v[slot] = tag
                         lr_valid_v[slot] = True
@@ -760,7 +737,7 @@ class SoaGPUSimulator(GPUSimulator):
                         lr_lwt[slot] = now2
                         lr_lat_v[slot] = now2
                         lr_ins[slot] = now2
-                        if lr_ret is not None:
+                        if lr_queued:
                             due_push((now2, slot))
                         tag_map[tag] = way
                         order = lr_lru_v[index]
@@ -785,14 +762,13 @@ class SoaGPUSimulator(GPUSimulator):
                             if now2 > l2h_free:
                                 l2h_free = now2
                             l2h_free += l2h_service
-                            l2h_entries.append(
-                                (victim_no << off2, victim_dirty, l2h_free)
-                            )
+                            l2h_entries.append((victim_no << off2, True, l2h_free))
                             n_l2h_push += 1
                             if len(l2h_entries) > l2h_peak:
                                 l2h_peak = len(l2h_entries)
                             n_to_hr += 1
-                            # HR fill (SoaCacheArray.fill semantics)
+                            # dirty HR fill into the victim way (the parts
+                            # are exclusive: HR holds no copy of the line)
                             if hr_pow2:
                                 hr_tag = victim_no >> hr_bits
                                 hr_index = victim_no & hr_smask
@@ -800,48 +776,32 @@ class SoaGPUSimulator(GPUSimulator):
                                 hr_tag, hr_index = divmod(victim_no, hr_nsets)
                             base = hr_index * hr_assoc
                             tag_map = hr_t2w[hr_index]
-                            hr_way = tag_map.get(hr_tag)
-                            if hr_way is not None:
-                                # already resident (fill_from_dram can
-                                # duplicate a line)
-                                hr_slot = base + hr_way
-                                if victim_dirty:
-                                    hr_dirty_v[hr_slot] = True
-                                    hr_tw[hr_slot] += 1
-                                    if hr_sat <= 0 or hr_wc[hr_slot] < hr_sat:
-                                        hr_wc[hr_slot] += 1
-                                    hr_lwt[hr_slot] = now2
-                                    hr_lat_v[hr_slot] = now2
-                                    hr_setw[hr_index] += 1
+                            for hr_way in range(hr_assoc):
+                                if not hr_valid_v[base + hr_way]:
+                                    break
                             else:
-                                for hr_way in range(hr_assoc):
-                                    if not hr_valid_v[base + hr_way]:
-                                        break
+                                hr_way = hr_lru_v[hr_index][0]
+                            hr_slot = base + hr_way
+                            if hr_valid_v[hr_slot]:
+                                if hr_dirty_v[hr_slot]:
+                                    n_hr_evd += 1
+                                    wb_total += 1
+                                    n_wb_tot += 1
                                 else:
-                                    hr_way = hr_lru_v[hr_index][0]
-                                hr_slot = base + hr_way
-                                if hr_valid_v[hr_slot]:
-                                    if hr_dirty_v[hr_slot]:
-                                        n_hr_evd += 1
-                                        wb_total += 1
-                                        n_wb_tot += 1
-                                    else:
-                                        n_hr_evc += 1
-                                    del tag_map[hr_tags_v[hr_slot]]
-                                hr_tags_v[hr_slot] = hr_tag
-                                hr_valid_v[hr_slot] = True
-                                hr_dirty_v[hr_slot] = victim_dirty
-                                initial = 1 if victim_dirty else 0
-                                hr_wc[hr_slot] = initial
-                                hr_tw[hr_slot] = initial
-                                hr_tr[hr_slot] = 0
-                                hr_lwt[hr_slot] = now2 if victim_dirty else 0.0
-                                hr_lat_v[hr_slot] = now2
-                                hr_ins[hr_slot] = now2
-                                tag_map[hr_tag] = hr_way
-                                if victim_dirty:
-                                    hr_setw[hr_index] += 1
-                                n_hr_fill += 1
+                                    n_hr_evc += 1
+                                del tag_map[hr_tags_v[hr_slot]]
+                            hr_tags_v[hr_slot] = hr_tag
+                            hr_valid_v[hr_slot] = True
+                            hr_dirty_v[hr_slot] = True
+                            hr_wc[hr_slot] = 1
+                            hr_tw[hr_slot] = 1
+                            hr_tr[hr_slot] = 0
+                            hr_lwt[hr_slot] = now2
+                            hr_lat_v[hr_slot] = now2
+                            hr_ins[hr_slot] = now2
+                            tag_map[hr_tag] = hr_way
+                            hr_setw[hr_index] += 1
+                            n_hr_fill += 1
                             order = hr_lru_v[hr_index]
                             order.remove(hr_way)
                             order.append(hr_way)
@@ -980,7 +940,6 @@ class SoaGPUSimulator(GPUSimulator):
             lr_stats.reads += n_lr_r
             lr_stats.read_hits += n_lr_rh
             lr_stats.evictions_dirty += n_lr_evd
-            lr_stats.evictions_clean += n_lr_evc
             lr_stats.fills += n_lr_fill
             l2._mon_stats.writes_observed += n_mon_w
             l2._mon_stats.migrations_triggered += n_mon_mig

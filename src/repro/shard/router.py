@@ -62,12 +62,6 @@ class ShardedL2Router:
             self.remap(address), is_write, now
         )
 
-    def fill_from_dram(self, address: int, now: float, dirty: bool = False):
-        """Fill the owning shard's slice from DRAM."""
-        return self._banks[self.shard_of(address)].fill_from_dram(
-            self.remap(address), now, dirty=dirty
-        )
-
     def maintenance(self, now: float) -> int:
         """Run every shard's maintenance; total DRAM write-backs."""
         return sum(bank.maintenance(now) for bank in self._banks)

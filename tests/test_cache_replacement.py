@@ -1,16 +1,9 @@
-"""Tests for replacement policies."""
+"""Tests for LRU replacement."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    NRUPolicy,
-    RandomPolicy,
-    TreePLRUPolicy,
-    make_policy,
-)
+from repro.cache.replacement import LRUPolicy
 from repro.errors import ConfigurationError
 
 ALL_VALID = lambda way: True
@@ -18,16 +11,13 @@ NONE_VALID = lambda way: False
 
 
 class TestVictimPrefersInvalid:
-    @pytest.mark.parametrize("name", ["lru", "plru", "fifo", "random", "nru"])
-    def test_invalid_way_chosen_first(self, name):
-        policy = make_policy(name, 4)
+    def test_invalid_way_chosen_first(self):
+        policy = LRUPolicy(4)
         valid = [True, True, False, True]
         assert policy.victim(lambda w: valid[w]) == 2
 
-    @pytest.mark.parametrize("name", ["lru", "plru", "fifo", "random", "nru"])
-    def test_empty_set_gives_way_zero(self, name):
-        policy = make_policy(name, 4)
-        assert policy.victim(NONE_VALID) == 0
+    def test_empty_set_gives_way_zero(self):
+        assert LRUPolicy(4).victim(NONE_VALID) == 0
 
 
 class TestLRU:
@@ -47,6 +37,10 @@ class TestLRU:
         policy.on_hit(1)
         assert policy.victim(ALL_VALID) == 0
 
+    def test_zero_associativity_rejected(self):
+        with pytest.raises(ConfigurationError):
+            LRUPolicy(0)
+
     def test_way_range_checked(self):
         with pytest.raises(ConfigurationError):
             LRUPolicy(4).on_hit(4)
@@ -63,94 +57,3 @@ class TestLRU:
             order.append(way)
         assert policy.victim(ALL_VALID) == order[0]
 
-
-class TestTreePLRU:
-    def test_victim_avoids_most_recent(self):
-        policy = TreePLRUPolicy(4)
-        policy.on_fill(2)
-        assert policy.victim(ALL_VALID) != 2
-
-    def test_rotation_covers_all_ways(self):
-        """Filling the victim repeatedly must cycle through every way."""
-        policy = TreePLRUPolicy(8)
-        seen = set()
-        for _ in range(16):
-            victim = policy.victim(ALL_VALID)
-            seen.add(victim)
-            policy.on_fill(victim)
-        assert seen == set(range(8))
-
-    def test_non_pow2_associativity(self):
-        policy = TreePLRUPolicy(7)
-        for _ in range(20):
-            victim = policy.victim(ALL_VALID)
-            assert 0 <= victim < 7
-            policy.on_fill(victim)
-
-
-class TestFIFO:
-    def test_hits_do_not_reorder(self):
-        policy = FIFOPolicy(3)
-        for way in (0, 1, 2):
-            policy.on_fill(way)
-        policy.on_hit(0)
-        policy.on_hit(0)
-        assert policy.victim(ALL_VALID) == 0
-
-    def test_fill_moves_to_back(self):
-        policy = FIFOPolicy(3)
-        for way in (0, 1, 2):
-            policy.on_fill(way)
-        policy.on_fill(0)  # refill 0 -> now oldest is 1
-        assert policy.victim(ALL_VALID) == 1
-
-
-class TestRandom:
-    def test_deterministic_with_seed(self):
-        a = RandomPolicy(8, seed=42)
-        b = RandomPolicy(8, seed=42)
-        seq_a = [a.victim(ALL_VALID) for _ in range(20)]
-        seq_b = [b.victim(ALL_VALID) for _ in range(20)]
-        assert seq_a == seq_b
-
-    def test_in_range(self):
-        policy = RandomPolicy(4, seed=7)
-        for _ in range(50):
-            assert 0 <= policy.victim(ALL_VALID) < 4
-
-
-class TestNRU:
-    def test_unreferenced_way_is_victim(self):
-        policy = NRUPolicy(4)
-        policy.on_hit(0)
-        policy.on_hit(1)
-        assert policy.victim(ALL_VALID) == 2
-
-    def test_reference_bits_clear_when_all_set(self):
-        policy = NRUPolicy(2)
-        policy.on_hit(0)
-        policy.on_hit(1)  # all set -> cleared, 1 re-marked
-        assert policy.victim(ALL_VALID) == 0
-
-
-class TestFactory:
-    def test_unknown_policy_raises(self):
-        with pytest.raises(ConfigurationError):
-            make_policy("clock", 4)
-
-    def test_zero_associativity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_policy("lru", 0)
-
-    @pytest.mark.parametrize("name,cls", [
-        ("lru", LRUPolicy),
-        ("plru", TreePLRUPolicy),
-        ("fifo", FIFOPolicy),
-        ("random", RandomPolicy),
-        ("nru", NRUPolicy),
-    ])
-    def test_factory_types(self, name, cls):
-        assert isinstance(make_policy(name, 4), cls)
-
-    def test_factory_case_insensitive(self):
-        assert isinstance(make_policy("LRU", 2), LRUPolicy)

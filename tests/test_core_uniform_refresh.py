@@ -48,12 +48,6 @@ class TestUniformL2:
         l2.access(0x2000, is_write=True, now=1e-9)
         assert l2.energy.total_j > first
 
-    def test_fill_from_dram(self):
-        l2 = self.make()
-        result = l2.fill_from_dram(0x3000, now=0.0, dirty=True)
-        assert l2.array.probe(0x3000)
-        assert result.energy_j > 0
-
     def test_dirty_lines_counted(self):
         l2 = self.make()
         l2.access(0x1000, is_write=True, now=0.0)

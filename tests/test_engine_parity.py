@@ -317,7 +317,8 @@ def _actions(l2):
     {},
     {"write_threshold": 2},
     {"lr_technology": "sram"},
-], ids=["paper", "threshold2", "sram-lr"])
+    {"sequential_search": False},
+], ids=["paper", "threshold2", "sram-lr", "parallel"])
 def test_cold_branches_match_in_lockstep(variant):
     """Migrations, swap-buffer overflows and every refresh-sweep outcome,
     access by access: one-line buffers under a bursty, gappy schedule."""
@@ -349,30 +350,6 @@ def test_cold_branches_match_in_lockstep(variant):
     if kwargs.get("lr_technology", "stt") == "stt":
         branches += ["refresh.lr_refreshes", "refresh.lr_expiries"]
     assert not [name for name in branches if counters[name] == 0]
-
-
-def test_lr_victim_already_in_hr_returns_as_a_fill_hit():
-    """``fill_from_dram`` can put an LR-resident line into HR as well;
-    when LR later evicts it, its return to HR hits the HR copy."""
-    from repro.core.twopart import TwoPartSTTL2
-
-    kwargs = l2_kwargs_from_config(pressure_config().l2)
-    models = (TwoPartSTTL2(**kwargs), SoaTwoPartL2(**kwargs))
-    line_size = kwargs["line_size"]
-    # lines 0, 4 and 8 share LR set 0; each write pair migrates its line
-    for l2 in models:
-        now = 0.0
-        for lineno in (0, 4, 8):
-            if lineno == 4:
-                l2.fill_from_dram(0, now)
-            for _ in range(2):
-                now += 1e-9
-                l2.access(lineno * line_size, True, now)
-    obj, soa = models
-    assert obj.returns_to_hr == soa.returns_to_hr == 1
-    assert soa.hr_array.stats.fills == 4  # three misses and fill_from_dram
-    assert obj.state_snapshot() == soa.state_snapshot()
-    assert dut_counters(obj) == dut_counters(soa)
 
 
 @pytest.mark.parametrize("technology", ["sram", "stt"])

@@ -1,6 +1,7 @@
 """Tests for the differential golden-model oracle (``repro.oracle``)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -49,6 +50,21 @@ class TestZeroDivergence:
         """The tiny config forces evictions/migrations/refreshes constantly."""
         report = run_diff(profile, pressure_config(), seed=3, accesses=2000)
         assert report["divergence"] is None
+
+    @pytest.mark.parametrize("engine", ["object", "soa"])
+    @pytest.mark.parametrize("profile", ["lbm", "bfs"])
+    def test_swap_buffer_overflow_agrees(self, profile, engine):
+        """One-line swap buffers overflow constantly, so every full push
+        forces the oldest entry out (the reference's ``force_pop``)."""
+        base = pressure_config()
+        config = replace(base, l2=replace(base.l2, migration_buffer_lines=1))
+        report = run_diff(
+            profile, config, seed=7, accesses=3000, dt_s=1e-10, engine=engine
+        )
+        assert report["divergence"] is None
+        counters = report["counters"]
+        assert counters["buffer.hr_to_lr.overflows"] > 0
+        assert counters["buffer.lr_to_hr.overflows"] > 0
 
     def test_report_counters_reflect_real_traffic(self):
         report = run_diff("lbm", pressure_config(), seed=0, accesses=2000)

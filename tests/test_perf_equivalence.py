@@ -30,19 +30,15 @@ GEOMETRIES = [
     (1024, 1, 64),       # direct-mapped
 ]
 
-POLICIES = ["lru", "plru", "fifo", "nru", "random"]
 
-
-def _make_pair(capacity, associativity, line_size, policy, write_allocate=True):
-    """Twin caches with identical geometry, policy and seeds."""
-    kwargs = dict(
-        policy=policy,
-        write_allocate=write_allocate,
-        write_counter_saturation=8,
-        seed=7,
+def _make_pair(capacity, associativity, line_size):
+    """Twin caches with identical geometry."""
+    fast = SetAssociativeCache(
+        capacity, associativity, line_size, write_counter_saturation=8
     )
-    fast = SetAssociativeCache(capacity, associativity, line_size, **kwargs)
-    slow = SetAssociativeCache(capacity, associativity, line_size, **kwargs)
+    slow = SetAssociativeCache(
+        capacity, associativity, line_size, write_counter_saturation=8
+    )
     return fast, slow
 
 
@@ -81,12 +77,11 @@ def _observable_state(cache):
     }
 
 
-@pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("geometry", GEOMETRIES)
-def test_dict_path_matches_linear_reference(geometry, policy):
+def test_dict_path_matches_linear_reference(geometry):
     capacity, associativity, line_size = geometry
-    fast, slow = _make_pair(capacity, associativity, line_size, policy)
-    rng = random.Random(hash((geometry, policy)) & 0xFFFF)
+    fast, slow = _make_pair(capacity, associativity, line_size)
+    rng = random.Random(hash(geometry) & 0xFFFF)
     sequence = _random_sequence(rng, line_size, fast.num_sets, 600)
     for address, is_write, allocate, now in sequence:
         fast_outcome = fast.access(address, is_write, now, allocate=allocate)
@@ -100,15 +95,14 @@ def test_dict_path_matches_linear_reference(geometry, policy):
 
 @pytest.mark.parametrize("geometry", GEOMETRIES[:2])
 def test_write_no_allocate_equivalence(geometry):
-    """The GPU L1 global-write configuration (write-no-allocate)."""
+    """The GPU L1 global-write configuration: write misses never allocate."""
     capacity, associativity, line_size = geometry
-    fast, slow = _make_pair(
-        capacity, associativity, line_size, "lru", write_allocate=False
-    )
+    fast, slow = _make_pair(capacity, associativity, line_size)
     rng = random.Random(1234)
     for address, is_write, allocate, now in _random_sequence(
         rng, line_size, fast.num_sets, 400
     ):
+        allocate = allocate and not is_write
         assert fast.access(address, is_write, now, allocate=allocate) == \
             slow._slow_access(address, is_write, now, allocate=allocate)
     assert _observable_state(fast) == _observable_state(slow)
@@ -116,7 +110,7 @@ def test_write_no_allocate_equivalence(geometry):
 
 def test_maintenance_paths_share_the_decomposition():
     """probe/fill/invalidate/evict/extract stay coherent with the dict path."""
-    fast, slow = _make_pair(4096, 4, 64, "lru")
+    fast, slow = _make_pair(4096, 4, 64)
     rng = random.Random(99)
     addresses = [rng.randrange(0, 1 << 20) for _ in range(300)]
     for step, address in enumerate(addresses):
@@ -140,7 +134,7 @@ def test_maintenance_paths_share_the_decomposition():
 
 def test_lookup_matches_lookup_linear():
     """The per-set tag→way dict never disagrees with a raw way scan."""
-    cache = SetAssociativeCache(2048, 4, 64, policy="lru")
+    cache = SetAssociativeCache(2048, 4, 64)
     rng = random.Random(5)
     for step in range(500):
         address = rng.randrange(0, 1 << 18)
@@ -158,7 +152,7 @@ def test_lookup_matches_lookup_linear():
 
 def test_shared_outcomes_are_value_equal_not_identity_dependent():
     """The preallocated hit/miss records carry the same field values."""
-    cache = SetAssociativeCache(1024, 2, 64, policy="lru")
+    cache = SetAssociativeCache(1024, 2, 64)
     first = cache.access(0, False, 0.0)
     hit_a = cache.access(0, False, 1.0)
     hit_b = cache.access(0, True, 2.0)

@@ -2,17 +2,27 @@
 
 Hypothesis drives the cache with random address streams *and* random time
 gaps (including gaps far beyond both retention windows), checking the
-invariants that must survive expiry, refresh, and migration in any order.
+invariants that must survive expiry, refresh, and migration in any order,
+on the object model and on the ``soa`` engine's flat model.  The ``soa``
+fused loop relies on three of them: the parts are exclusive, every LR
+line is dirty, and no resident line is ever at or past its retention.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import TwoPartSTTL2
+from repro.core.refresh import cell_age
+from repro.engine.soa_l2 import SoaTwoPartL2
 from repro.units import KB, MS, US
 
+MODELS = pytest.mark.parametrize(
+    "model", [TwoPartSTTL2, SoaTwoPartL2], ids=["object", "soa"]
+)
 
-def make_l2():
-    return TwoPartSTTL2(
+
+def make_l2(model=TwoPartSTTL2):
+    return model(
         hr_capacity_bytes=16 * KB,
         hr_associativity=4,
         lr_capacity_bytes=4 * KB,
@@ -22,6 +32,15 @@ def make_l2():
     )
 
 
+def resident_lines(array):
+    """Line addresses of every valid block in ``array``."""
+    rebuild = array.mapper.rebuild
+    return {
+        rebuild(block.tag, index)
+        for index, _, block in array.iter_blocks() if block.valid
+    }
+
+
 access_step = st.tuples(
     st.integers(min_value=0, max_value=60),          # line id
     st.booleans(),                                   # write?
@@ -29,22 +48,22 @@ access_step = st.tuples(
 )
 
 
+@MODELS
 class TestTimingProperties:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(access_step, min_size=5, max_size=250))
-    def test_no_duplicate_residency_under_any_timing(self, steps):
-        l2 = make_l2()
+    def test_no_duplicate_residency_under_any_timing(self, model, steps):
+        l2 = make_l2(model)
         now = 0.0
         for lid, is_write, gap in steps:
             now += gap
-            addr = lid * 256
-            l2.access(addr, is_write, now=now)
-            assert not (l2.lr_array.probe(addr) and l2.hr_array.probe(addr))
+            l2.access(lid * 256, is_write, now=now)
+            assert not resident_lines(l2.lr_array) & resident_lines(l2.hr_array)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(access_step, min_size=5, max_size=250))
-    def test_stats_balance_under_any_timing(self, steps):
-        l2 = make_l2()
+    def test_stats_balance_under_any_timing(self, model, steps):
+        l2 = make_l2(model)
         now = 0.0
         for lid, is_write, gap in steps:
             now += gap
@@ -56,33 +75,35 @@ class TestTimingProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(access_step, min_size=5, max_size=250))
-    def test_no_resident_block_is_expired(self, steps):
-        """After every access, no *resident* block may be past retention
-        (the sweeps + access-path checks must keep the arrays clean)."""
-        from repro.core.refresh import cell_age
-
-        l2 = make_l2()
+    def test_no_resident_block_is_expired(self, model, steps):
+        """After every access, no resident block in either part is at or
+        past its retention, and every LR block is dirty: time only moves
+        forward, so the due sweeps alone keep both arrays clean, and a
+        line enters LR only by a migrating write."""
+        l2 = make_l2(model)
+        parts = (
+            (l2.lr_array, l2.lr_spec.retention_s),
+            (l2.hr_array, l2.hr_spec.retention_s),
+        )
         now = 0.0
         for lid, is_write, gap in steps:
             now += gap
             l2.access(lid * 256, is_write, now=now)
-        # verify the invariant at the final time against LR (the part with
-        # the tight window); blocks the sweep hasn't visited yet are only
-        # tolerable within one sweep tick
-        tolerance = l2.lr_spec.tick_s
-        for _, _, block in l2.lr_array.iter_blocks():
-            if block.valid:
-                assert cell_age(block, now) < l2.lr_spec.retention_s + tolerance
+            for array, retention in parts:
+                for _, _, block in array.iter_blocks():
+                    if block.valid:
+                        assert cell_age(block, now) < retention
+                        assert block.dirty or array is l2.hr_array
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(access_step, min_size=5, max_size=150),
            st.integers(min_value=1, max_value=3))
-    def test_monotonic_time_required_semantics(self, steps, reps):
+    def test_monotonic_time_required_semantics(self, model, steps, reps):
         """Re-running the identical stream gives identical statistics
         (the architecture is deterministic)."""
         outcomes = []
         for _ in range(reps + 1):
-            l2 = make_l2()
+            l2 = make_l2(model)
             now = 0.0
             for lid, is_write, gap in steps:
                 now += gap
