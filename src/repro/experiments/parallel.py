@@ -26,10 +26,12 @@ and records one :class:`~repro.telemetry.JobRecord` per unique job.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -179,7 +181,35 @@ def _execute_job_timed(spec: JobSpec) -> Tuple[JobSpec, Dict[str, Any], float, i
     return spec, payload, time.perf_counter() - start, os.getpid()
 
 
-def fan_out(worker, items: Sequence[Any], jobs: int) -> List[Any]:
+#: The ``shared`` object of the pool this worker process serves.
+_shared: Any = None
+
+
+def _install_shared(shared: Any) -> None:
+    """Pool initializer: keep ``fan_out``'s ``shared`` object for the jobs."""
+    global _shared
+    _shared = shared
+
+
+def _with_shared(worker, item: Any) -> Any:
+    """Run one job of a pool started with a ``shared`` object."""
+    return worker(_shared, item)
+
+
+def _pool_context():
+    """The ``fork`` context where the platform offers one, else the default.
+
+    Forked workers inherit the parent's pages, ``shared`` among them,
+    instead of unpickling a copy of it.
+    """
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return None
+
+
+def fan_out(
+    worker, items: Sequence[Any], jobs: int, shared: Any = None
+) -> List[Any]:
     """Run ``worker(item)`` over ``items`` on up to ``jobs`` processes.
 
     Results come back in **submission order** regardless of completion
@@ -189,6 +219,11 @@ def fan_out(worker, items: Sequence[Any], jobs: int) -> List[Any]:
     and each item must be picklable (a module-level function and
     plain-data arguments).
 
+    With ``shared`` given, every call is ``worker(shared, item)`` and
+    ``shared`` reaches each worker process once, at pool start: under
+    ``fork`` it is inherited and never pickled, under ``spawn`` it is
+    pickled once per worker, not once per item.
+
     This is the same fan-out the experiment battery uses; the sharded
     engine (:mod:`repro.shard`) reuses it for bank sub-jobs.
     """
@@ -196,10 +231,18 @@ def fan_out(worker, items: Sequence[Any], jobs: int) -> List[Any]:
         raise ReproError(f"jobs must be >= 1, got {jobs}")
     items = list(items)
     if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-            futures = [pool.submit(worker, item) for item in items]
+        call = worker if shared is None else partial(_with_shared, worker)
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(items)),
+            mp_context=_pool_context(),
+            initializer=_install_shared,
+            initargs=(shared,),
+        ) as pool:
+            futures = [pool.submit(call, item) for item in items]
             return [future.result() for future in futures]
-    return [worker(item) for item in items]
+    if shared is None:
+        return [worker(item) for item in items]
+    return [worker(shared, item) for item in items]
 
 
 def merge_experiment(

@@ -114,10 +114,10 @@ def plan_shards(config: GPUConfig, shards: int) -> ShardPlan:
     )
 
 
-def partition_trace(
-    trace: Trace, line_size: int, shards: int
-) -> List[Optional[Trace]]:
-    """Split a trace into per-shard sub-streams, order-preserving.
+def shard_substream(
+    trace: Trace, line_size: int, shards: int, shard: int
+) -> Optional[Trace]:
+    """Cut shard ``shard``'s sub-stream out of a trace, order-preserving.
 
     Shard ``s`` owns every access whose line-interleaved bank id (under
     ``num_banks = shards``) is ``s``; within a shard, accesses keep their
@@ -125,47 +125,53 @@ def partition_trace(
     reproducible.  Sub-stream addresses have the shard-selector bits
     dropped from the line number (see the module docstring).  A shard
     that owns no accesses gets ``None`` — :class:`~repro.workloads.trace.Trace`
-    cannot be empty, and an idle shard needs no worker anyway.
+    cannot be empty, and an idle shard has nothing to replay.
 
     The trace is walked one :meth:`~repro.workloads.trace.Trace.chunks`
-    chunk at a time, twice: the first pass counts each shard's records,
-    each sub-stream's columns are then allocated once at their final
-    size, and the second pass writes every chunk's records into them in
-    place.  Beyond the sub-streams themselves, memory is set by the chunk.
+    chunk at a time, twice: the first pass counts the shard's records,
+    its columns are then allocated once at their final size, and the
+    second pass writes every chunk's records into them in place.  Beyond
+    the sub-stream itself, memory is set by the chunk.
     """
     from repro.cache.banked import BankedCache
 
+    if not 0 <= shard < shards:
+        raise ConfigurationError(f"shard {shard} is outside [0, {shards})")
     if shards == 1:
-        return [trace]
+        return trace
     router = BankedCache(shards, line_size)
-    counts = np.zeros(shards, dtype=np.int64)
+    count = 0
     for _, address, _ in trace.chunks():
-        counts += np.bincount(router.assign(address), minlength=shards)
-    columns = [
-        (np.empty(count, np.int16), np.empty(count, np.int64),
-         np.empty(count, np.uint8)) if count else None
-        for count in counts.tolist()
-    ]
+        count += int(np.count_nonzero(router.assign(address) == shard))
+    if not count:
+        return None
+    sub_sm = np.empty(count, np.int16)
+    sub_address = np.empty(count, np.int64)
+    sub_flags = np.empty(count, np.uint8)
     shift = log2_int(line_size)
     high_shift = shift + log2_int(shards)
     offset_mask = line_size - 1
-    filled = [0] * shards
+    start = 0
     for sm, address, flags in trace.chunks():
-        owner = router.assign(address)
-        for shard, sub in enumerate(columns):
-            if sub is None:
-                continue
-            mask = owner == shard
-            start = filled[shard]
-            stop = start + int(np.count_nonzero(mask))
-            filled[shard] = stop
-            sub_sm, sub_address, sub_flags = sub
-            np.compress(mask, sm, out=sub_sm[start:stop])
-            np.compress(mask, flags, out=sub_flags[start:stop])
-            owned = sub_address[start:stop]
-            np.compress(mask, address, out=owned)
-            offset = owned & offset_mask
-            owned >>= high_shift
-            owned <<= shift
-            owned |= offset
-    return [None if sub is None else Trace(*sub) for sub in columns]
+        mask = router.assign(address) == shard
+        stop = start + int(np.count_nonzero(mask))
+        np.compress(mask, sm, out=sub_sm[start:stop])
+        np.compress(mask, flags, out=sub_flags[start:stop])
+        owned = sub_address[start:stop]
+        np.compress(mask, address, out=owned)
+        offset = owned & offset_mask
+        owned >>= high_shift
+        owned <<= shift
+        owned |= offset
+        start = stop
+    return Trace(sub_sm, sub_address, sub_flags)
+
+
+def partition_trace(
+    trace: Trace, line_size: int, shards: int
+) -> List[Optional[Trace]]:
+    """Every shard's :func:`shard_substream`, in shard order."""
+    return [
+        shard_substream(trace, line_size, shards, shard)
+        for shard in range(shards)
+    ]

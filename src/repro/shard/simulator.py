@@ -1,10 +1,10 @@
-"""The sharded replay engine's front end: partition, fan out, merge.
+"""The sharded replay engine's front end: plan, fan out, merge.
 
 ``ShardedGPUSimulator`` quacks like the other engines' simulators (same
 constructor shape, a ``run()`` returning a
 :class:`~repro.gpu.metrics.SimulationResult`) but owns no caches itself:
-it plans the shard decomposition, partitions the trace, runs one
-:class:`~repro.shard.worker.BankJob` per non-idle shard on the experiment
+it plans the shard decomposition, runs
+:func:`~repro.shard.worker.run_shard` for every shard on the experiment
 battery's process fan-out, and folds the payloads back deterministically.
 See docs/sharding.md for the topology and the "when sharded beats soa"
 guidance (short answer: >= 2 physical cores and >= ~1M accesses).
@@ -12,7 +12,6 @@ guidance (short answer: >= 2 physical cores and >= ~1M accesses).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.benchmarks import usable_cpus
@@ -21,8 +20,8 @@ from repro.errors import ConfigurationError
 from repro.gpu.metrics import SimulationResult
 from repro.gpu.simulator import TIME_DILATION
 from repro.shard.merge import merge_bank_payloads
-from repro.shard.plan import partition_trace, plan_shards
-from repro.shard.worker import BankJob, idle_payload, run_bank_job
+from repro.shard.plan import plan_shards
+from repro.shard.worker import run_shard
 from repro.workloads.trace import Workload
 
 
@@ -55,32 +54,19 @@ class ShardedGPUSimulator:
         self.bank_payloads: list = []
 
     def run(self) -> SimulationResult:
-        """Partition, replay every shard, and merge deterministically."""
+        """Replay every shard and merge deterministically.
+
+        The pool's workers receive this simulator once, at pool start
+        (inherited, not pickled, under ``fork``), and each cuts its own
+        shard's sub-stream: the parent holds no sub-stream.  With one
+        worker the shards run in turn in this process, each cut just
+        before its replay.
+        """
         from repro.experiments.parallel import fan_out
 
-        plan = self.plan
-        subs = partition_trace(
-            self.workload.trace, plan.line_size, plan.shards
+        self.bank_payloads = fan_out(
+            run_shard, range(self.shards), self.workers, shared=self
         )
-        jobs = []
-        for shard, sub in enumerate(subs):
-            if sub is None:
-                continue
-            jobs.append(BankJob(
-                shard=shard,
-                shards=plan.shards,
-                config=plan.sub_config,
-                workload=replace(self.workload, trace=sub),
-                time_dilation=self.time_dilation,
-                start_time_s=self.start_time_s,
-            ))
-        payloads = fan_out(run_bank_job, jobs, self.workers)
-        for shard, sub in enumerate(subs):
-            if sub is None:
-                payloads.append(
-                    idle_payload(shard, plan.shards, plan.sub_config)
-                )
-        self.bank_payloads = sorted(payloads, key=lambda p: p["shard"])
         return merge_bank_payloads(
             self.config, self.workload, self.bank_payloads
         )

@@ -1,5 +1,10 @@
 """Per-shard worker: one picklable job in, one JSON-safe payload out.
 
+The sharded engine's pool runs :func:`run_shard`: every worker receives
+the run's :class:`~repro.shard.simulator.ShardedGPUSimulator` once, at
+pool start, and each job names only a shard, whose sub-stream the worker
+cuts itself.
+
 This mirrors the experiment battery's JobSpec/compute contract
 (:mod:`repro.experiments.parallel`): a :class:`BankJob` is plain frozen
 data, :func:`run_bank_job` is a module-level function any process can
@@ -11,14 +16,18 @@ sum up once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from repro.cache.banked import BankedCache
 from repro.config import GPUConfig
 from repro.gpu.dram import DRAMModel
 from repro.gpu.simulator import EMPTY_SUMS, TIME_DILATION, replay_counters
+from repro.shard.plan import shard_substream
 from repro.workloads.trace import Workload
+
+if TYPE_CHECKING:
+    from repro.shard.simulator import ShardedGPUSimulator
 
 
 @dataclass(frozen=True)
@@ -29,7 +38,7 @@ class BankJob:
     shards: int
     #: per-shard config from :func:`repro.shard.plan.shard_config`
     config: GPUConfig
-    #: sub-stream workload from :func:`repro.shard.plan.partition_trace`
+    #: sub-stream workload from :func:`repro.shard.plan.shard_substream`
     workload: Workload
     time_dilation: float = TIME_DILATION
     start_time_s: float = 0.0
@@ -67,6 +76,29 @@ def run_bank_job(job: BankJob) -> Dict[str, Any]:
         **sim.counters,
         "bank_stats": _bank_rows(sim.banks),
     }
+
+
+def run_shard(sim: ShardedGPUSimulator, shard: int) -> Dict[str, Any]:
+    """Cut one shard's sub-stream from ``sim``'s trace and replay it.
+
+    An idle shard (one that owns no accesses) returns its
+    :func:`idle_payload`.  Only one sub-stream is alive per call, so a
+    serial loop over the shards holds at most one at a time.
+    """
+    plan = sim.plan
+    sub = shard_substream(
+        sim.workload.trace, plan.line_size, plan.shards, shard
+    )
+    if sub is None:
+        return idle_payload(shard, plan.shards, plan.sub_config)
+    return run_bank_job(BankJob(
+        shard=shard,
+        shards=plan.shards,
+        config=plan.sub_config,
+        workload=replace(sim.workload, trace=sub),
+        time_dilation=sim.time_dilation,
+        start_time_s=sim.start_time_s,
+    ))
 
 
 def idle_payload(shard: int, shards: int, config: GPUConfig) -> Dict[str, Any]:

@@ -162,3 +162,53 @@ def test_replay_memory_does_not_grow_with_the_trace():
         assert grown_mb < 8.0, (replay, grown_mb)
     assert growth["build_mb"] < growth["trace_mb"] + 8.0, growth
     assert growth["partition_mb"] < growth["trace_mb"] + 4.0, growth
+
+
+#: Run in a fresh interpreter: builds a million-access trace, whose
+#: generation leaves the peak RSS (VmHWM) above the RSS, then prints how
+#: far a two-shard, two-worker sharded run raised the peak over the RSS
+#: at the call.  The fan-out module is imported first, so that its
+#: imports do not count against the run.
+SHARDED_MEMORY_PROBE = """
+import json
+import repro.experiments.parallel
+from repro.config import all_configs
+from repro.shard import ShardedGPUSimulator
+from repro.workloads import build_workload
+
+def status_mb(key):
+    with open("/proc/self/status") as handle:
+        for line in handle:
+            if line.startswith(key + ":"):
+                return int(line.split()[1]) / 1024.0
+
+config = all_configs()["C1"]
+workload = build_workload(
+    "bfs", num_accesses=1_000_000, num_sms=config.num_sms, seed=0
+)
+trace = workload.trace
+trace_mb = (trace.sm.nbytes + trace.address.nbytes + trace.flags.nbytes) / 2**20
+rss = status_mb("VmRSS")
+ShardedGPUSimulator(config, workload, shards=2, workers=2).run()
+print(json.dumps({"trace_mb": trace_mb, "run_mb": status_mb("VmHWM") - rss}))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="reads the peak RSS from Linux /proc/self/status",
+)
+def test_sharded_run_holds_no_sub_stream_in_the_parent():
+    """When the parent cut every sub-stream and the pool pickled each one
+    into its job, a 1M-access two-worker run raised the parent's peak by
+    about twice the trace (10.5 MB); workers that inherit the trace and
+    cut their own sub-streams leave it where the trace build set it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", SHARDED_MEMORY_PROBE],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    growth = json.loads(proc.stdout)
+    assert growth["run_mb"] < growth["trace_mb"] / 2, growth

@@ -22,11 +22,13 @@ validation errors, the lockstep oracle with a sharded DUT, and the
 default worker count.
 """
 
+import multiprocessing
 import os
 import random
 
 import pytest
 
+import repro.experiments.parallel as parallel
 import repro.workloads.trace as trace_module
 from repro.benchmarks import host_metadata, result_digest
 from repro.cache.banked import BankStats, BankedCache, summarize_banks
@@ -45,12 +47,18 @@ from repro.shard import (
     plan_shards,
     run_bank_job,
     shard_l2_config,
+    shard_substream,
 )
 from repro.workloads import build_workload
 from tests.pinned import (
     ALL_SCENARIOS, QUICK_SCENARIOS, RESULT_DIGESTS, SUBSTREAM_DIGESTS,
 )
 from tests.test_workloads import trace_digest
+
+
+def _digest(sub):
+    """A sub-stream's trace digest; ``None`` for an idle shard."""
+    return None if sub is None else trace_digest(sub)
 
 
 def _workload(scenario, config):
@@ -105,7 +113,7 @@ class TestShardPlan:
     @pytest.mark.parametrize("chunk", [trace_module.CHUNK_RECORDS, 97])
     def test_sub_streams_hold_their_pins_at_any_chunk(self, monkeypatch, chunk):
         # generation reads the chunk too: build at the default one, so the
-        # small chunk reaches only the partition
+        # small chunk reaches only the cut
         traces = {}
         for key in SUBSTREAM_DIGESTS:
             name, length, _ = key.split("/")
@@ -117,13 +125,23 @@ class TestShardPlan:
         moved = []
         for key, expected in SUBSTREAM_DIGESTS.items():
             name, length, shards = key.split("/")
-            subs = partition_trace(traces[name, length], 256, int(shards[1:]))
-            digests = tuple(
-                None if sub is None else trace_digest(sub) for sub in subs
+            trace, shards = traces[name, length], int(shards[1:])
+            cut = tuple(
+                _digest(shard_substream(trace, 256, shards, shard))
+                for shard in range(shards)
             )
-            if digests != expected:
+            split = tuple(
+                _digest(sub) for sub in partition_trace(trace, 256, shards)
+            )
+            if cut != expected or split != expected:
                 moved.append(key)
         assert moved == []
+
+    def test_substream_rejects_a_shard_outside_the_range(self):
+        trace = build_workload("bfs", num_accesses=500, seed=0).trace
+        for shards, shard in ((4, -1), (4, 4), (1, 1)):
+            with pytest.raises(ConfigurationError, match="outside"):
+                shard_substream(trace, 256, shards, shard)
 
     def test_partition_shards_1_is_identity(self):
         config = all_configs()["C1"]
@@ -175,6 +193,30 @@ class TestShardedParity:
         assert result_digest(serial) == result_digest(pooled)
         assert simulation_result_to_dict(serial) == \
             simulation_result_to_dict(pooled)
+
+    def test_spawned_workers_match_forked_and_serial_runs(self, monkeypatch):
+        """Under ``spawn`` the workers unpickle the run instead of
+        inheriting it; the result must not depend on which."""
+        config = all_configs()["C1"]
+        workload = build_workload(
+            "lbm", num_accesses=6000, num_sms=config.num_sms, seed=0
+        )
+
+        def digest(workers):
+            return result_digest(ShardedGPUSimulator(
+                config, workload, shards=4, workers=workers
+            ).run())
+
+        serial, forked = digest(1), digest(2)
+        contexts = []
+
+        def spawn():
+            contexts.append(multiprocessing.get_context("spawn"))
+            return contexts[-1]
+
+        monkeypatch.setattr(parallel, "_pool_context", spawn)
+        assert digest(2) == serial == forked
+        assert contexts
 
     def test_shuffled_bank_completion_order_is_digest_invariant(self):
         """The merge is a pure function of the payload set: any arrival
