@@ -1,6 +1,7 @@
 """Benches: C1 energy breakdown and seed robustness (extensions)."""
 
-from repro.experiments import energy, variance
+from repro.experiments import fig8, variance
+from repro.experiments.runner import run_experiment
 
 ROBUSTNESS_BENCHMARKS = (
     "bfs", "kmeans", "stencil", "tpacf", "mri-gridding",
@@ -9,7 +10,7 @@ ROBUSTNESS_BENCHMARKS = (
 
 
 def test_bench_energy_breakdown(run_once, bench_trace_length, show):
-    result = run_once(energy.run, trace_length=bench_trace_length)
+    result = run_once(run_experiment, "energy", trace_length=bench_trace_length)
     show()
     show(result.render())
     # the architecture's bet: migration + refresh stay a modest slice of
@@ -27,12 +28,14 @@ def test_bench_energy_breakdown(run_once, bench_trace_length, show):
 
 
 def test_bench_seed_robustness(run_once, show):
-    result = run_once(
-        variance.run,
-        trace_length=10_000,
-        benchmarks=list(ROBUSTNESS_BENCHMARKS),
-        seeds=(0, 1, 2),
-    )
+    def sweep():
+        return variance.merge(ROBUSTNESS_BENCHMARKS, [
+            (seed, [fig8.compute(name, trace_length=10_000, seed=seed)
+                    for name in ROBUSTNESS_BENCHMARKS])
+            for seed in (0, 1, 2)
+        ])
+
+    result = run_once(sweep)
     show()
     show(result.render())
     extras = result.extras

@@ -1,10 +1,10 @@
 """Bench: regenerate Fig. 3 (inter/intra-set write COV per benchmark)."""
 
-from repro.experiments import fig3
+from repro.experiments.runner import run_experiment
 
 
 def test_bench_fig3(run_once, bench_trace_length, show):
-    result = run_once(fig3.run, trace_length=bench_trace_length)
+    result = run_once(run_experiment, "fig3", trace_length=bench_trace_length)
     show()
     show(result.render())
     # paper shape: large spread across benchmarks, with irregular apps

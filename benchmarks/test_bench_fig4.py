@@ -1,10 +1,10 @@
 """Bench: regenerate Fig. 4 (HR write-threshold sweep)."""
 
-from repro.experiments import fig4
+from repro.experiments.runner import run_experiment
 
 
 def test_bench_fig4(run_once, bench_trace_length, show):
-    result = run_once(fig4.run, trace_length=bench_trace_length)
+    result = run_once(run_experiment, "fig4", trace_length=bench_trace_length)
     show()
     show(result.render())
     # paper shape: decreasing the threshold raises LR utilization...

@@ -1,10 +1,10 @@
 """Bench: regenerate Fig. 5 (LR associativity sweep)."""
 
-from repro.experiments import fig5
+from repro.experiments.runner import run_experiment
 
 
 def test_bench_fig5(run_once, bench_trace_length, show):
-    result = run_once(fig5.run, trace_length=bench_trace_length)
+    result = run_once(run_experiment, "fig5", trace_length=bench_trace_length)
     show()
     show(result.render())
     # paper shape: utilization approaches fully-associative as ways grow,

@@ -14,12 +14,15 @@ systems (80 simulations).  The assertions encode the paper's shape claims:
 
 import pytest
 
-from repro.experiments import fig8, regions
+from repro.experiments import fig8
+from repro.experiments.parallel import run_battery
 
 
 def test_bench_fig8(run_once, bench_trace_length, show):
-    simulations = run_once(fig8.run_simulations, trace_length=bench_trace_length)
-    result = fig8.run(results=simulations)
+    results, _ = run_once(
+        run_battery, ["fig8", "regions"], trace_length=bench_trace_length
+    )
+    result = results["fig8"]
     show()
     show(result.render())
     extras = result.extras
@@ -50,7 +53,7 @@ def test_bench_fig8(run_once, bench_trace_length, show):
     )
 
     # region-aggregated view of the same simulations (the paper's framing)
-    by_region = regions.run(results=simulations)
+    by_region = results["regions"]
     show()
     show(by_region.render())
     region_extras = by_region.extras

@@ -5,11 +5,11 @@ two-part STT-RAM L2's total-power advantage over the SRAM baseline must
 grow monotonically from 45 nm through 32 nm.
 """
 
-from repro.experiments import scaling
+from repro.experiments.runner import run_experiment
 
 
 def test_bench_scaling(run_once, show):
-    result = run_once(scaling.run, trace_length=10_000)
+    result = run_once(run_experiment, "scaling", trace_length=10_000)
     show()
     show(result.render())
     extras = result.extras

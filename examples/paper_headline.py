@@ -12,12 +12,12 @@ abstract's claims next to what this reproduction measures:
 Takes a minute or two.  Run:  python examples/paper_headline.py
 """
 
-from repro.experiments import fig8
+from repro.experiments.runner import run_experiment
 
 
 def main() -> None:
     print("running the full suite on all five systems (80 simulations)...")
-    result = fig8.run(trace_length=15_000)
+    result = run_experiment("fig8", trace_length=15_000)
     print()
     print(result.render())
     extras = result.extras

@@ -7,7 +7,6 @@ modules read these rather than re-deriving counts from traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 
 @dataclass
@@ -41,24 +40,9 @@ class CacheStats:
         return self.accesses - self.hits
 
     @property
-    def read_misses(self) -> int:
-        """Read misses."""
-        return self.reads - self.read_hits
-
-    @property
-    def write_misses(self) -> int:
-        """Write misses."""
-        return self.writes - self.write_hits
-
-    @property
     def hit_rate(self) -> float:
         """Demand hit rate; 0.0 when no accesses were made."""
         return self.hits / self.accesses if self.accesses else 0.0
-
-    @property
-    def miss_rate(self) -> float:
-        """Demand miss rate; 0.0 when no accesses were made."""
-        return 1.0 - self.hit_rate if self.accesses else 0.0
 
     @property
     def evictions(self) -> int:
@@ -77,28 +61,3 @@ class CacheStats:
             evictions_dirty=self.evictions_dirty + other.evictions_dirty,
             invalidations=self.invalidations + other.invalidations,
         )
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flatten counters and headline rates for reporting."""
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "read_hits": self.read_hits,
-            "write_hits": self.write_hits,
-            "fills": self.fills,
-            "evictions_clean": self.evictions_clean,
-            "evictions_dirty": self.evictions_dirty,
-            "invalidations": self.invalidations,
-            "hit_rate": self.hit_rate,
-        }
-
-    def reset(self) -> None:
-        """Zero all counters in place."""
-        self.reads = 0
-        self.writes = 0
-        self.read_hits = 0
-        self.write_hits = 0
-        self.fills = 0
-        self.evictions_clean = 0
-        self.evictions_dirty = 0
-        self.invalidations = 0

@@ -667,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--mutant", default=None, choices=sorted(MUTANTS),
                         help="run a deliberately broken DUT variant "
                              "(oracle self-test / shrinking demo)")
-    p_diff.add_argument("--engine", choices=ENGINES, default="object",
+    p_diff.add_argument("--engine", choices=("object", "soa"), default="object",
                         help="which production L2 backend to diff against "
                              "the naive reference (default object; "
                              "see docs/engine.md)")

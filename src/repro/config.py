@@ -91,7 +91,7 @@ class L2Config:
     lr_technology: str = "stt"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sram", "stt", "stt-relaxed", "twopart"):
+        if self.kind not in ("sram", "stt", "twopart"):
             raise ConfigurationError(f"unknown L2 kind {self.kind!r}")
         if self.kind == "twopart" and self.lr is None:
             raise ConfigurationError("two-part L2 needs an LR part config")

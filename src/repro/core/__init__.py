@@ -17,7 +17,6 @@ from repro.core.search import SearchSelector
 from repro.core.retention_counter import RetentionCounterSpec
 from repro.core.refresh import RefreshEngine
 from repro.core.uniform import UniformL2
-from repro.core.relaxed import RelaxedUniformL2
 from repro.core.twopart import TwoPartSTTL2
 from repro.core.factory import build_l2
 
@@ -30,7 +29,6 @@ __all__ = [
     "RetentionCounterSpec",
     "RefreshEngine",
     "UniformL2",
-    "RelaxedUniformL2",
     "TwoPartSTTL2",
     "build_l2",
 ]

@@ -7,7 +7,6 @@ from typing import Optional
 from repro.areapower.technology import TECH_40NM, TechnologyNode
 from repro.config import L2Config
 from repro.core.interface import L2Interface
-from repro.core.relaxed import RelaxedUniformL2
 from repro.core.twopart import TwoPartSTTL2
 from repro.core.uniform import UniformL2
 from repro.errors import ConfigurationError
@@ -40,11 +39,6 @@ def build_l2(
         # imported lazily: repro.engine depends on this module
         from repro.engine.soa_l2 import SoaTwoPartL2, SoaUniformL2
 
-        if config.kind == "stt-relaxed":
-            raise ConfigurationError(
-                "the soa engine does not support the stt-relaxed L2; "
-                "use engine='object'"
-            )
         uniform_cls = SoaUniformL2
         twopart_cls = SoaTwoPartL2
     else:
@@ -64,16 +58,6 @@ def build_l2(
             config.main.associativity,
             config.main.line_size,
             technology="stt",
-            tech=tech,
-            early_write_termination=config.early_write_termination,
-            tracer=tracer,
-        )
-    if config.kind == "stt-relaxed":
-        return RelaxedUniformL2(
-            config.main.capacity_bytes,
-            config.main.associativity,
-            config.main.line_size,
-            retention_s=config.hr_retention_s,
             tech=tech,
             early_write_termination=config.early_write_termination,
             tracer=tracer,

@@ -6,8 +6,7 @@ with ``--engine`` on the CLI, see docs/engine.md):
 ``object``
     The reference model — one Python object per cache block/set, plain
     method dispatch everywhere.  Supports every feature: tracing, fault
-    injection, invariant checkers, the ``stt-relaxed`` L2 and
-    externally-built L2 instances.
+    injection, invariant checkers and externally-built L2 instances.
 
 ``soa``
     The batched structure-of-arrays model — flat vectors for tags,
@@ -56,8 +55,6 @@ def _soa_blockers(
 ) -> list:
     """Feature names in play that the ``soa`` engine does not implement."""
     blockers = []
-    if config.l2.kind == "stt-relaxed":
-        blockers.append("stt-relaxed L2")
     if l2 is not None:
         blockers.append("externally-built L2")
     if tracer is not None and getattr(tracer, "enabled", True):

@@ -52,9 +52,8 @@ orders, buffer deques and the LR due queue are mutated in place; the swap
 buffers' port times and peak occupancies fold back with the counters.
 
 Not supported (the registry falls back to the object engine, see
-``repro.engine._soa_blockers``): tracing, invariant checkers, the
-``stt-relaxed`` L2 kind and externally built L2s, which is how fault
-injection arrives.
+``repro.engine._soa_blockers``): tracing, invariant checkers and
+externally built L2s, which is how fault injection arrives.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Experiment harnesses — one module per table/figure of the paper.
 
-Each module exposes ``run(...)`` returning an
+Each module yields an
 :class:`~repro.experiments.common.ExperimentResult` whose rows regenerate
 the corresponding paper artifact (same rows/series; shape-comparable
-numbers).  ``repro.experiments.runner`` drives them all from the CLI.
+numbers).  :func:`repro.experiments.runner.run_experiment` runs one by
+name; :func:`repro.experiments.parallel.run_battery` runs several, sharing
+their jobs.
 
 ==============  ========================================================
 module          paper artifact

@@ -10,13 +10,13 @@ Job decomposition
 -----------------
 One job per benchmark: :func:`compute` replays one benchmark and returns
 the raw energy-ledger buckets (JSON-safe joules); :func:`merge` turns them
-into shares and aggregates.  ``run`` is ``merge`` over inline ``compute``
-calls, so serial and parallel paths share every arithmetic step.
+into shares and aggregates.  :func:`repro.experiments.parallel.run_battery`
+runs the jobs and folds their payloads through :func:`merge`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.config import config_c1
 from repro.core.factory import build_l2
@@ -26,7 +26,7 @@ from repro.experiments.common import (
     ExperimentResult,
     replay_through_l1,
 )
-from repro.workloads.suite import build_workload, suite_names
+from repro.workloads.suite import build_workload
 
 
 def compute(
@@ -79,13 +79,3 @@ def merge(names: Sequence[str], payloads: Sequence[Dict[str, Any]]) -> Experimen
         extras=extras,
     )
 
-
-def run(
-    trace_length: int = DEFAULT_TRACE_LENGTH,
-    benchmarks: Optional[Iterable[str]] = None,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Energy-bucket shares per benchmark on the C1 geometry."""
-    names = list(benchmarks) if benchmarks is not None else suite_names()
-    payloads = [compute(name, trace_length=trace_length, seed=seed) for name in names]
-    return merge(names, payloads)

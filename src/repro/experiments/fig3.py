@@ -9,14 +9,14 @@ Job decomposition
 -----------------
 One job per benchmark: :func:`compute` measures a single benchmark and
 returns a JSON-safe payload; :func:`merge` deterministically assembles the
-payloads (in benchmark order) into the :class:`ExperimentResult`.  The
-serial :func:`run` path is literally ``merge(names, [compute(n) ...])``, so
-parallel and serial execution share every arithmetic step.
+payloads (in benchmark order) into the :class:`ExperimentResult`.
+:func:`repro.experiments.parallel.run_battery` runs the jobs, in process or
+on a pool, and folds their payloads through :func:`merge`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.analysis.cov import write_variation
 from repro.engine.soa_array import SoaCacheArray
@@ -28,7 +28,7 @@ from repro.experiments.common import (
 )
 from repro.units import KB
 from repro.workloads.profiles import PROFILES
-from repro.workloads.suite import build_workload, suite_names
+from repro.workloads.suite import build_workload
 
 
 def compute(
@@ -85,13 +85,3 @@ def merge(names: Sequence[str], payloads: Sequence[Dict[str, Any]]) -> Experimen
         extras=extras,
     )
 
-
-def run(
-    trace_length: int = DEFAULT_TRACE_LENGTH,
-    benchmarks: Optional[Iterable[str]] = None,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Compute write COVs for each benchmark on the baseline L2 geometry."""
-    names = list(benchmarks) if benchmarks is not None else suite_names()
-    payloads = [compute(name, trace_length=trace_length, seed=seed) for name in names]
-    return merge(names, payloads)

@@ -14,14 +14,12 @@ Job decomposition
 One job per benchmark: :func:`compute` replays one benchmark at every
 threshold and returns a JSON-safe payload (threshold keys are strings so
 the payload survives a JSON round-trip through the result cache);
-:func:`merge` normalizes to TH1 and assembles the table.  ``run`` is
-``merge`` over inline ``compute`` calls, so serial and parallel paths share
-every arithmetic step.
+:func:`merge` normalizes to TH1 and assembles the table.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.config import config_c1
 from repro.engine.soa_l2 import SoaTwoPartL2
@@ -31,7 +29,7 @@ from repro.experiments.common import (
     geomean,
     replay_through_l1,
 )
-from repro.workloads.suite import build_workload, suite_names
+from repro.workloads.suite import build_workload
 
 THRESHOLDS = (1, 3, 7, 15)
 
@@ -119,13 +117,3 @@ def merge(names: Sequence[str], payloads: Sequence[Dict[str, Any]]) -> Experimen
         extras=extras,
     )
 
-
-def run(
-    trace_length: int = DEFAULT_TRACE_LENGTH,
-    benchmarks: Optional[Iterable[str]] = None,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Sweep the migration threshold on the C1 geometry."""
-    names = list(benchmarks) if benchmarks is not None else suite_names()
-    payloads = [compute(name, trace_length=trace_length, seed=seed) for name in names]
-    return merge(names, payloads)

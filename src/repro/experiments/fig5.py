@@ -10,14 +10,12 @@ Job decomposition
 -----------------
 One job per benchmark: :func:`compute` replays one benchmark at every
 associativity (string keys, JSON-safe); :func:`merge` normalizes to the
-fully-associative reference and assembles the table.  ``run`` is ``merge``
-over inline ``compute`` calls, so serial and parallel paths share every
-arithmetic step.
+fully-associative reference and assembles the table.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.config import config_c1
 from repro.engine.soa_l2 import SoaTwoPartL2
@@ -27,7 +25,7 @@ from repro.experiments.common import (
     geomean,
     replay_through_l1,
 )
-from repro.workloads.suite import build_workload, suite_names
+from repro.workloads.suite import build_workload
 
 ASSOCIATIVITIES = (1, 2, 4, 8, 16)
 
@@ -99,13 +97,3 @@ def merge(names: Sequence[str], payloads: Sequence[Dict[str, Any]]) -> Experimen
         extras=extras,
     )
 
-
-def run(
-    trace_length: int = DEFAULT_TRACE_LENGTH,
-    benchmarks: Optional[Iterable[str]] = None,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Sweep LR associativity on the C1 geometry."""
-    names = list(benchmarks) if benchmarks is not None else suite_names()
-    payloads = [compute(name, trace_length=trace_length, seed=seed) for name in names]
-    return merge(names, payloads)

@@ -9,14 +9,12 @@ Job decomposition
 -----------------
 One job per benchmark: :func:`compute` replays one benchmark and returns
 the bucketed fractions (JSON-safe); :func:`merge` averages across
-benchmarks and assembles the table.  ``run`` is ``merge`` over inline
-``compute`` calls, so serial and parallel paths share every arithmetic
-step.
+benchmarks and assembles the table.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
@@ -28,7 +26,7 @@ from repro.experiments.common import (
     ExperimentResult,
     replay_through_l1,
 )
-from repro.workloads.suite import build_workload, suite_names
+from repro.workloads.suite import build_workload
 
 
 def compute(
@@ -81,13 +79,3 @@ def merge(names: Sequence[str], payloads: Sequence[Dict[str, Any]]) -> Experimen
         extras=extras,
     )
 
-
-def run(
-    trace_length: int = DEFAULT_TRACE_LENGTH,
-    benchmarks: Optional[Iterable[str]] = None,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Bucket LR rewrite intervals per benchmark on the C1 geometry."""
-    names = list(benchmarks) if benchmarks is not None else suite_names()
-    payloads = [compute(name, trace_length=trace_length, seed=seed) for name in names]
-    return merge(names, payloads)

@@ -17,10 +17,9 @@ Job decomposition
 One job per benchmark: :func:`compute` simulates one benchmark on all five
 Table 2 systems and returns the per-config metrics the normalization needs
 (JSON-safe floats); :func:`merge` computes the ratios and geometric means.
-``run`` is ``merge`` over inline ``compute`` calls, so serial and parallel
-paths share every arithmetic step.  The same per-benchmark jobs also feed
-the ``regions`` and ``variance`` experiments, which lets the parallel
-runner deduplicate and cache the expensive simulations across all three.
+The same per-benchmark jobs also feed the ``regions`` and
+``variance`` experiments, which lets the parallel runner deduplicate and
+cache the expensive simulations across all three.
 """
 
 from __future__ import annotations
@@ -145,16 +144,3 @@ def merge(names: Sequence[str], payloads: Sequence[Dict[str, Any]]) -> Experimen
         extras=extras,
     )
 
-
-def run(
-    trace_length: int = DEFAULT_TRACE_LENGTH,
-    benchmarks: Optional[Iterable[str]] = None,
-    seed: int = 0,
-    results: Optional[Dict[str, Dict[str, SimulationResult]]] = None,
-) -> ExperimentResult:
-    """Build the Fig. 8 table (pass ``results`` to reuse simulations)."""
-    if results is None:
-        results = run_simulations(trace_length, benchmarks, seed)
-    names = list(results)
-    payloads = [payload_from_sims(results[name]) for name in names]
-    return merge(names, payloads)

@@ -8,10 +8,10 @@ payloads are the JSON-safe dicts returned by the experiment modules'
 ``compute`` functions.  :func:`decompose` produces the specs in
 deterministic order, :func:`execute_job` runs one spec anywhere (worker
 process, cache-warming script, this process), and :func:`merge_experiment`
-folds the payloads back through the module's ``merge`` — the *same* code
-the serial path runs — so the merged :class:`ExperimentResult` is
-byte-identical to a serial ``run()`` at the same seed regardless of worker
-count, scheduling order, or whether payloads came from the cache.
+folds the payloads back through the module's ``merge`` in decomposition
+order, so the merged :class:`ExperimentResult` is byte-identical at the
+same seed regardless of worker count, scheduling order, or whether
+payloads came from the cache.
 
 Three experiments (``fig8``, ``regions``, ``variance``) intentionally share
 the ``fig8sim`` job kind: the runner executes each unique spec once and
@@ -106,7 +106,7 @@ _MERGE_BY_EXPERIMENT = {
 def resolve_benchmarks(
     experiment: str, benchmarks: Optional[Iterable[str]]
 ) -> List[str]:
-    """The benchmark list an experiment runs by default (serial semantics)."""
+    """The benchmarks an experiment runs: ``benchmarks``, else its default."""
     if benchmarks is not None:
         return list(benchmarks)
     if experiment == "scaling":
@@ -289,10 +289,9 @@ def run_battery(
     """Run a set of experiments with fan-out, caching and telemetry.
 
     Determinism guarantee: for any ``jobs`` value and any cache state, the
-    returned results equal a serial ``module.run()`` at the same
-    ``(trace_length, benchmarks, seed)`` — jobs are executed (or loaded)
-    independently and merged in decomposition order by the same merge code
-    the serial path uses.
+    returned results are the same at the same ``(trace_length,
+    benchmarks, seed)`` — jobs are executed (or loaded) independently and
+    merged in decomposition order by the experiment module's ``merge``.
 
     ``cache`` accepts a pre-built :class:`~repro.telemetry.ResultCache`
     (for example the simulation service's shared

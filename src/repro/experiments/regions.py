@@ -17,15 +17,10 @@ and serve them from the shared result cache.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.experiments import fig8
-from repro.experiments.common import (
-    DEFAULT_TRACE_LENGTH,
-    ExperimentResult,
-    geomean,
-)
-from repro.gpu.metrics import SimulationResult
+from repro.experiments.common import ExperimentResult, geomean
 from repro.workloads.profiles import PROFILES
 
 REGION_LABELS = {
@@ -69,16 +64,3 @@ def merge(names: Sequence[str], payloads: Sequence[Dict[str, Any]]) -> Experimen
         extras=extras,
     )
 
-
-def run(
-    trace_length: int = DEFAULT_TRACE_LENGTH,
-    benchmarks: Optional[Iterable[str]] = None,
-    seed: int = 0,
-    results: Optional[Dict[str, Dict[str, SimulationResult]]] = None,
-) -> ExperimentResult:
-    """Aggregate Fig. 8 speedups per region (reuses ``results`` if given)."""
-    if results is None:
-        results = fig8.run_simulations(trace_length, benchmarks, seed)
-    names = list(results)
-    payloads = [fig8.payload_from_sims(results[name]) for name in names]
-    return merge(names, payloads)

@@ -1,22 +1,22 @@
 """Run every experiment and print the paper-artifact tables.
 
-The registry (:data:`EXPERIMENTS`) maps names to experiment modules; both
-:func:`run_experiment` and :func:`run_all` execute through the job
-decomposition in :mod:`repro.experiments.parallel`, so the same entry
-points scale from a serial in-process run (``jobs=1``, the default) to a
-process-pool fan-out with an on-disk result cache and a JSON run manifest.
+The registry (:data:`EXPERIMENTS`) maps names to experiment modules;
+:func:`run_experiment` executes one through the job decomposition in
+:mod:`repro.experiments.parallel`, so the same entry point scales from a
+serial in-process run (``jobs=1``, the default) to a process-pool fan-out
+with an on-disk result cache.  ``python -m repro.experiments.runner`` is
+``repro-sttgpu experiments``.
 
 Determinism guarantees
 ----------------------
 For fixed ``(trace_length, benchmarks, seed)`` the results are a pure
 function of the configuration — independent of ``jobs``, of scheduling
 order, and of whether payloads were computed or served from the cache.
-``run_all(..., jobs=4)`` is byte-identical to the serial path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.experiments.common import DEFAULT_TRACE_LENGTH, ExperimentResult
 from repro.experiments.parallel import run_battery
@@ -55,71 +55,9 @@ def run_experiment(
     return results[name]
 
 
-def run_all(
-    trace_length: int = DEFAULT_TRACE_LENGTH,
-    benchmarks: Optional[Iterable[str]] = None,
-    seed: int = 0,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    manifest_path: Optional[str] = None,
-) -> Dict[str, ExperimentResult]:
-    """Run the whole battery; returns results keyed by experiment name.
-
-    Jobs shared between experiments (``fig8``/``regions``/``variance`` all
-    consume the same per-benchmark simulations) are executed once and fanned
-    out.  ``manifest_path`` writes the run's telemetry manifest (per-job
-    wall time, worker id, cache hit/miss, simulator counters) as JSON.
-    Deterministic: results do not depend on ``jobs`` or cache state.
-    """
-    results, telemetry = run_battery(
-        list(EXPERIMENTS),
-        trace_length=trace_length,
-        benchmarks=benchmarks,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-    )
-    if manifest_path is not None:
-        telemetry.write(manifest_path)
-    return results
-
-
-def main(argv: Optional[Iterable[str]] = None) -> None:  # pragma: no cover - CLI
-    """Print all experiments (used by `python -m repro.experiments.runner`)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("experiments", nargs="*", default=list(EXPERIMENTS),
-                        help="subset of experiments to run")
-    parser.add_argument("--trace-length", type=int, default=DEFAULT_TRACE_LENGTH)
-    parser.add_argument("--benchmarks", nargs="*", default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the job fan-out")
-    parser.add_argument("--cache-dir", default=None,
-                        help="content-keyed result cache directory")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore the result cache even if --cache-dir is set")
-    parser.add_argument("--manifest", metavar="FILE", default=None,
-                        help="write the run telemetry manifest to FILE")
-    args = parser.parse_args(list(argv) if argv is not None else None)
-    results, telemetry = run_battery(
-        list(args.experiments),
-        trace_length=args.trace_length,
-        benchmarks=args.benchmarks,
-        seed=args.seed,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-    )
-    for name in args.experiments:
-        print(results[name].render())
-        print()
-    if args.manifest:
-        telemetry.write(args.manifest)
-
-
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    import sys
+
+    from repro.cli import main
+
+    sys.exit(main(["experiments", *sys.argv[1:]]))

@@ -13,14 +13,13 @@ Job decomposition
 One job per benchmark: :func:`compute` simulates one benchmark at every
 technology node (baseline and C1) and returns the per-node ratios
 (JSON-safe); :func:`merge` takes the geometric means per node in benchmark
-order.  ``run`` is ``merge`` over inline ``compute`` calls, so serial and
-parallel paths share every arithmetic step.
+order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.areapower.technology import TECH_32NM, TECH_40NM, TECH_45NM
 from repro.config import baseline_sram, config_c1
@@ -88,13 +87,3 @@ def merge(names: Sequence[str], payloads: Sequence[Dict[str, Any]]) -> Experimen
         extras=extras,
     )
 
-
-def run(
-    trace_length: int = DEFAULT_TRACE_LENGTH,
-    benchmarks: Optional[Iterable[str]] = None,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Baseline-vs-C1 total-power ratio across technology nodes."""
-    names = list(benchmarks) if benchmarks is not None else list(DEFAULT_BENCHMARKS)
-    payloads = [compute(name, trace_length=trace_length, seed=seed) for name in names]
-    return merge(names, payloads)

@@ -17,11 +17,10 @@ a warm result cache makes the whole study incremental.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.experiments import fig8
-from repro.experiments.common import DEFAULT_TRACE_LENGTH, ExperimentResult
-from repro.workloads.suite import suite_names
+from repro.experiments.common import ExperimentResult
 
 #: Headline metrics tracked across seeds.
 METRICS = (
@@ -87,24 +86,3 @@ def merge(
         extras=extras,
     )
 
-
-def run(
-    trace_length: int = DEFAULT_TRACE_LENGTH,
-    benchmarks: Optional[Iterable[str]] = None,
-    seed: int = 0,
-    seeds: Optional[Sequence[int]] = None,
-) -> ExperimentResult:
-    """Fig. 8 headline metrics across generator seeds.
-
-    ``seeds`` overrides the swept set; by default three consecutive seeds
-    starting at ``seed`` are used.  Deterministic: the result depends only
-    on ``(trace_length, benchmarks, seeds)``.
-    """
-    if seeds is None:
-        seeds = default_seeds(seed)
-    names = list(benchmarks) if benchmarks is not None else suite_names()
-    payloads_by_seed = [
-        (s, [fig8.compute(name, trace_length=trace_length, seed=s) for name in names])
-        for s in seeds
-    ]
-    return merge(names, payloads_by_seed)

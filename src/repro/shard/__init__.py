@@ -26,7 +26,6 @@ from repro.shard.plan import (
     shard_l2_config,
     shard_substream,
 )
-from repro.shard.router import ShardedL2Router
 from repro.shard.simulator import ShardedGPUSimulator
 from repro.shard.worker import BankJob, idle_payload, run_bank_job, run_shard
 
@@ -34,7 +33,6 @@ __all__ = [
     "BankJob",
     "ShardPlan",
     "ShardedGPUSimulator",
-    "ShardedL2Router",
     "idle_payload",
     "merge_bank_payloads",
     "partition_trace",

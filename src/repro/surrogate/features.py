@@ -96,15 +96,6 @@ class WorkloadFeatures:
                 f"malformed feature payload: {error}"
             ) from error
 
-    def vector(self) -> Dict[str, float]:
-        """The scalar features the model's nearest-workload metric uses."""
-        return {
-            "write_fraction": self.write_fraction,
-            "wws_fraction": self.wws_fraction,
-            "rewrite_under_10us": self.rewrite_under_10us,
-            "l2_write_share": self.l2_write_share,
-        }
-
 
 def feature_key(benchmark: str, trace_length: int, seed: int) -> str:
     """Content key of one feature vector in the battery key space."""

@@ -13,11 +13,8 @@ Model form (documented in docs/surrogate.md):
   surrogate anchors each ``(config, benchmark)`` pair on a handful of
   ground-truth simulations at :data:`DEFAULT_ANCHOR_LENGTHS` and
   interpolates log-linearly in trace length between them (clamped linear
-  extrapolation outside).
-* **Feature-space fallback.**  A benchmark the model was never fitted on
-  is mapped to its nearest characterized neighbour in normalized feature
-  space (:meth:`~repro.surrogate.features.WorkloadFeatures.vector`) — the
-  PPT move of projecting a new workload onto characterized ones.
+  extrapolation outside).  A pair the model was never fitted on is an
+  error, never a guess.
 
 Predictions are seed-independent (anchors are run at one seed); the
 validation harness (:mod:`repro.surrogate.validate`) measures the
@@ -176,43 +173,19 @@ class SurrogateModel:
         """Benchmark names the model was fitted on (sorted)."""
         return sorted(self.features)
 
-    def _nearest_benchmark(self, features: WorkloadFeatures) -> str:
-        """The fitted benchmark closest to ``features`` (normalized L2)."""
-        vectors = {b: f.vector() for b, f in self.features.items()}
-        if not vectors:
-            raise SurrogateError("model has no fitted benchmarks")
-        keys = next(iter(vectors.values())).keys()
-        spans = {
-            k: max(v[k] for v in vectors.values())
-            - min(v[k] for v in vectors.values())
-            for k in keys
-        }
-        query = features.vector()
-
-        def distance(name: str) -> float:
-            return sum(
-                ((vectors[name][k] - query[k]) / spans[k]) ** 2
-                for k in keys if spans[k] > 0
-            )
-
-        return min(sorted(vectors), key=distance)
-
-    def _pair_anchors(
-        self, config: str, benchmark: str
-    ) -> Tuple[str, List[AnchorPoint]]:
+    def _pair_anchors(self, config: str, benchmark: str) -> List[AnchorPoint]:
         per_config = self.anchors.get(config)
         if per_config is None:
             raise SurrogateError(
                 f"no anchors for config {config!r}; fitted on {self.configs}"
             )
         points = per_config.get(benchmark)
-        if points is not None:
-            return benchmark, points
-        # feature-space fallback: project the unseen benchmark onto its
-        # nearest characterized neighbour
-        features = characterize_workload(benchmark)
-        neighbour = self._nearest_benchmark(features)
-        return neighbour, per_config[neighbour]
+        if points is None:
+            raise SurrogateError(
+                f"no anchors for benchmark {benchmark!r} on {config}; "
+                f"fitted on {sorted(per_config)}"
+            )
+        return points
 
     def predict(
         self,
@@ -226,15 +199,15 @@ class SurrogateModel:
 
         Returns a JSON-safe dict carrying :data:`PREDICTED_METRICS` plus
         ``l1_hit_rate`` and the closed-form ``l2_leakage_power_w``; the
-        ``via`` field names the anchor benchmark (differs from
-        ``benchmark`` only on a feature-space fallback).  Microseconds per
-        call — no trace is generated, nothing is simulated.
+        ``via`` field names the anchor benchmark, which is ``benchmark``
+        itself.  Microseconds per call — no trace is generated, nothing is
+        simulated.
         """
         if trace_length <= 0:
             raise SurrogateError(
                 f"trace_length must be positive, got {trace_length}"
             )
-        via, points = self._pair_anchors(config, benchmark)
+        points = self._pair_anchors(config, benchmark)
         first, last = points[0], points[-1]
         x0, x1 = math.log(first.trace_length), math.log(last.trace_length)
         x = math.log(trace_length)
@@ -255,7 +228,7 @@ class SurrogateModel:
             "config": config,
             "trace_length": trace_length,
             "seed": seed,
-            "via": via,
+            "via": benchmark,
             "ipc": ipc,
             "l2_hit_rate": hit,
             "l1_hit_rate": l1_hit,

@@ -9,7 +9,7 @@ are calibrated per benchmark so the paper's characterization figures
 the substitution rationale.
 """
 
-from repro.workloads.trace import MemoryAccess, Trace, Workload
+from repro.workloads.trace import Trace, Workload
 from repro.workloads.patterns import (
     SegmentSpec,
     StreamingSegment,
@@ -22,7 +22,6 @@ from repro.workloads.profiles import BenchmarkProfile, PROFILES, get_profile
 from repro.workloads.suite import build_workload, suite_names, build_suite
 
 __all__ = [
-    "MemoryAccess",
     "Trace",
     "Workload",
     "SegmentSpec",

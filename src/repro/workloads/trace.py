@@ -32,29 +32,6 @@ FLAG_TEXTURE = 0x8
 CHUNK_RECORDS = 8192
 
 
-@dataclass(frozen=True)
-class MemoryAccess:
-    """One decoded access (convenience view; the hot path uses columns)."""
-
-    sm: int
-    address: int
-    is_write: bool
-    is_local: bool
-    is_const: bool = False
-    is_texture: bool = False
-
-    @property
-    def space(self) -> str:
-        """Address space: global, local, const or texture."""
-        if self.is_const:
-            return "const"
-        if self.is_texture:
-            return "texture"
-        if self.is_local:
-            return "local"
-        return "global"
-
-
 class Trace:
     """Column-stored access stream."""
 
@@ -108,18 +85,6 @@ class Trace:
             for sm, address, flags in self.chunks()
         )
 
-    def records(self) -> Iterator[MemoryAccess]:
-        """Decode accesses one by one (tests/analysis; slow path)."""
-        for sm, address, flags in self.rows():
-            yield MemoryAccess(
-                sm=sm,
-                address=address,
-                is_write=bool(flags & FLAG_WRITE),
-                is_local=bool(flags & FLAG_LOCAL),
-                is_const=bool(flags & FLAG_CONST),
-                is_texture=bool(flags & FLAG_TEXTURE),
-            )
-
     def lockstep_sequence(self, dt_s: float) -> List[Tuple[int, bool, float]]:
         """``(address, is_write, now)`` triples on a fixed ``dt_s`` grid.
 
@@ -138,27 +103,6 @@ class Trace:
             (address, is_write, (i + 1) * dt_s)
             for i, (address, is_write) in enumerate(zip(addresses, writes))
         ]
-
-    def slice(self, start: int, stop: int) -> "Trace":
-        """Sub-trace [start:stop) (phase analysis)."""
-        if not 0 <= start < stop <= len(self):
-            raise TraceError(f"bad slice [{start}:{stop}) of {len(self)}-entry trace")
-        return Trace(self.sm[start:stop], self.address[start:stop], self.flags[start:stop])
-
-    def save(self, path) -> None:
-        """Persist the trace as a compressed ``.npz`` file."""
-        np.savez_compressed(
-            path, sm=self.sm, address=self.address, flags=self.flags
-        )
-
-    @classmethod
-    def load(cls, path) -> "Trace":
-        """Load a trace written by :meth:`save`."""
-        try:
-            with np.load(path) as data:
-                return cls(data["sm"], data["address"], data["flags"])
-        except (OSError, KeyError, ValueError) as error:
-            raise TraceError(f"cannot load trace from {path}: {error}") from error
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,9 @@ def test_chunks_cover_the_trace_in_order(small_chunks):
         assert np.array_equal(
             np.concatenate([chunk[index] for chunk in chunks]), column
         )
-    records = list(trace.records())
-    assert len(records) == len(trace)
-    assert [record.address for record in records] == trace.address.tolist()
+    rows = list(trace.rows())
+    assert len(rows) == len(trace)
+    assert [address for _, address, _ in rows] == trace.address.tolist()
 
 
 def test_generated_traces_do_not_depend_on_the_chunk_size(small_chunks):

@@ -1,9 +1,27 @@
 """Tests for the ``repro-sttgpu`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import repro
 from repro.cli import main
 from repro.experiments.runner import EXPERIMENTS
+
+
+def run_runner_module(*argv):
+    """``python -m repro.experiments.runner ARGV`` in a fresh interpreter."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "repro.experiments.runner", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 class TestUnknownExperiment:
@@ -60,6 +78,27 @@ class TestExperimentsCommand:
         main(["experiments", "table1", "--json", str(out_file)])
         document = json.loads(out_file.read_text())
         assert "table1" in document["experiments"]
+
+
+class TestRunnerModule:
+    """``python -m repro.experiments.runner`` is ``repro-sttgpu experiments``."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["nope"], "unknown experiment(s): 'nope'"),
+        (["fig3", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+    ])
+    def test_bad_input_exits_two_with_the_cli_message(self, argv, message):
+        result = run_runner_module(*argv)
+        assert result.returncode == 2
+        assert f"repro-sttgpu experiments: {message}" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    def test_prints_what_the_cli_prints(self, capsys):
+        result = run_runner_module("table1", "table2")
+        assert result.returncode == 0
+        assert main(["experiments", "table1", "table2"]) == 0
+        assert result.stdout == capsys.readouterr().out
 
 
 class TestOtherCommands:

@@ -51,6 +51,11 @@ class TestL2Config:
         with pytest.raises(ConfigurationError):
             L2Config(kind="dram", main=L2PartConfig(384 * KB, 8))
 
+    def test_relaxed_kind_is_rejected(self):
+        """The uniform relaxed-retention comparator is not an L2 kind."""
+        with pytest.raises(ConfigurationError, match="stt-relaxed"):
+            L2Config(kind="stt-relaxed", main=L2PartConfig(1536 * KB, 8))
+
     def test_total_capacity_sums_parts(self):
         config = config_c1().l2
         assert config.total_capacity_bytes == 1536 * KB

@@ -112,6 +112,4 @@ def test_runner_documents_determinism():
     from repro.experiments import runner
 
     assert "determinism" in runner.__doc__.lower()
-    assert "identical" in (runner.run_all.__doc__ or "").lower() or \
-        "deterministic" in (runner.run_all.__doc__ or "").lower()
-    assert runner.run_experiment.__doc__
+    assert "identical" in (runner.run_experiment.__doc__ or "").lower()

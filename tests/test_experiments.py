@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.experiments import fig3, fig4, fig5, fig6, fig8, table1, table2
+from repro.experiments import fig6, fig8, table1, table2
 from repro.experiments.common import ExperimentResult, geomean
-from repro.experiments.runner import EXPERIMENTS, run_all, run_experiment
+from repro.experiments.parallel import run_battery
+from repro.experiments.runner import EXPERIMENTS, run_experiment
 
 SMALL = 3000
 SUBSET = ["bfs", "stencil", "tpacf"]
@@ -73,72 +74,72 @@ class TestTable2:
 
 class TestFig3:
     def test_rows_per_benchmark_plus_gmean(self):
-        result = fig3.run(trace_length=SMALL, benchmarks=SUBSET)
+        result = run_experiment("fig3", trace_length=SMALL, benchmarks=SUBSET)
         assert len(result.rows) == len(SUBSET) + 1
         assert result.rows[-1][0] == "Gmean"
 
     def test_bfs_more_skewed_than_stencil(self):
         """The paper's Fig. 3 contrast: irregular vs regular writes."""
-        result = fig3.run(trace_length=SMALL, benchmarks=["bfs", "stencil"])
+        result = run_experiment("fig3", trace_length=SMALL, benchmarks=["bfs", "stencil"])
         bfs_cov = result.row_for("bfs")[2]
         stencil_cov = result.row_for("stencil")[2]
         assert bfs_cov > 3 * stencil_cov
 
     def test_covs_non_negative(self):
-        result = fig3.run(trace_length=SMALL, benchmarks=SUBSET)
+        result = run_experiment("fig3", trace_length=SMALL, benchmarks=SUBSET)
         for row in result.rows[:-1]:
             assert row[2] >= 0 and row[3] >= 0
 
 
 class TestFig4:
     def test_th1_is_reference(self):
-        result = fig4.run(trace_length=SMALL, benchmarks=["bfs"])
+        result = run_experiment("fig4", trace_length=SMALL, benchmarks=["bfs"])
         row = result.row_for("bfs")
         assert row[1] == pytest.approx(1.0)  # lr/hr ratio at TH1
         assert row[5] == pytest.approx(1.0)  # total writes at TH1
 
     def test_higher_threshold_lower_lr_utilization(self):
         """The paper's Fig. 4: TH1 maximizes LR usage."""
-        result = fig4.run(trace_length=SMALL, benchmarks=["bfs", "kmeans"])
+        result = run_experiment("fig4", trace_length=SMALL, benchmarks=["bfs", "kmeans"])
         avg = result.row_for("AVG")
         th1, th3, th7, th15 = avg[1:5]
         assert th1 >= th3 >= th7 >= th15
 
     def test_write_overhead_of_th1_small(self):
         """...while costing almost no extra writes (justifies TH=1)."""
-        result = fig4.run(trace_length=SMALL, benchmarks=["bfs", "kmeans"])
+        result = run_experiment("fig4", trace_length=SMALL, benchmarks=["bfs", "kmeans"])
         assert result.extras["avg_write_overhead_th1_vs_th15"] < 1.10
 
 
 class TestFig5:
     def test_normalized_to_full_associativity(self):
-        result = fig5.run(trace_length=SMALL, benchmarks=["bfs"])
+        result = run_experiment("fig5", trace_length=SMALL, benchmarks=["bfs"])
         row = result.row_for("bfs")
         # every column is a fraction of the fully-associative utilization
         for value in row[1:]:
             assert 0 < value <= 1.05
 
     def test_higher_associativity_at_least_as_good(self):
-        result = fig5.run(trace_length=SMALL, benchmarks=["bfs", "kmeans"])
+        result = run_experiment("fig5", trace_length=SMALL, benchmarks=["bfs", "kmeans"])
         gmean_row = result.rows[-1]
         assert gmean_row[1] <= gmean_row[-1] * 1.02  # 1-way <= 16-way
 
     def test_two_way_close_to_full(self):
         """The paper picks 2-way: nearly fully-associative utilization."""
-        result = fig5.run(trace_length=SMALL, benchmarks=SUBSET)
+        result = run_experiment("fig5", trace_length=SMALL, benchmarks=SUBSET)
         assert result.extras["two_way_gap_to_full"] < 0.10
 
 
 class TestFig6:
     def test_fractions_rows(self):
-        result = fig6.run(trace_length=SMALL, benchmarks=["bfs"])
+        result = run_experiment("fig6", trace_length=SMALL, benchmarks=["bfs"])
         row = result.row_for("bfs")
         fractions = row[1:-1]
         assert sum(fractions) == pytest.approx(1.0, abs=0.01)
 
     def test_most_rewrites_fast(self):
         """The paper's Fig. 6: most LR rewrites land within ~10 us."""
-        result = fig6.run(trace_length=SMALL, benchmarks=["bfs", "kmeans"])
+        result = run_experiment("fig6", trace_length=SMALL, benchmarks=["bfs", "kmeans"])
         assert result.extras["avg_fraction_under_10us"] > 0.5
 
     def test_exact_10us_interval_counts_as_under_10us(self):
@@ -165,7 +166,7 @@ class TestFig8:
     @pytest.fixture(scope="class")
     def result(self):
         # bfs needs enough trace for its 1.1 MB hot set to show reuse
-        return fig8.run(trace_length=10_000, benchmarks=["bfs", "tpacf"])
+        return run_experiment("fig8", trace_length=10_000, benchmarks=["bfs", "tpacf"])
 
     def test_row_structure(self, result):
         assert len(result.rows) == 3  # two benchmarks + Gmean
@@ -193,7 +194,7 @@ class TestFig8:
 
     def test_reuse_of_precomputed_results(self):
         sims = fig8.run_simulations(trace_length=2000, benchmarks=["nn"])
-        result = fig8.run(results=sims)
+        result = fig8.merge(["nn"], [fig8.payload_from_sims(sims["nn"])])
         assert result.row_for("nn")
 
 
@@ -209,5 +210,7 @@ class TestRunner:
         assert isinstance(result, ExperimentResult)
 
     def test_run_all_small(self):
-        results = run_all(trace_length=1500, benchmarks=["nn"])
+        results, _ = run_battery(
+            list(EXPERIMENTS), trace_length=1500, benchmarks=["nn"]
+        )
         assert set(results) == set(EXPERIMENTS)

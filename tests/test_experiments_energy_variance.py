@@ -2,13 +2,16 @@
 
 import pytest
 
-from repro.experiments import energy, variance
+from repro.experiments import fig8, variance
+from repro.experiments.runner import run_experiment
 
 
 class TestEnergyBreakdown:
     @pytest.fixture(scope="class")
     def result(self):
-        return energy.run(trace_length=3000, benchmarks=["bfs", "streamcluster"])
+        return run_experiment(
+            "energy", trace_length=3000, benchmarks=["bfs", "streamcluster"]
+        )
 
     def test_shares_sum_to_one(self, result):
         for row in result.rows:
@@ -32,9 +35,12 @@ class TestEnergyBreakdown:
 class TestVariance:
     @pytest.fixture(scope="class")
     def result(self):
-        return variance.run(
-            trace_length=2000, benchmarks=["nn", "tpacf"], seeds=(0, 1)
-        )
+        names = ["nn", "tpacf"]
+        return variance.merge(names, [
+            (seed, [fig8.compute(name, trace_length=2000, seed=seed)
+                    for name in names])
+            for seed in (0, 1)
+        ])
 
     def test_one_row_per_metric(self, result):
         assert len(result.rows) == len(variance.METRICS)
@@ -50,8 +56,8 @@ class TestVariance:
 
     def test_default_seed_expansion(self):
         # seed=5 expands to (5, 6, 7)
-        result = variance.run(
-            trace_length=800, benchmarks=["nn"], seed=5
+        result = run_experiment(
+            "variance", trace_length=800, benchmarks=["nn"], seed=5
         )
         assert "(5, 6, 7)" in result.name
 

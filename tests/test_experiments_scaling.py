@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.experiments import scaling
+from repro.experiments.runner import run_experiment
 
 
 @pytest.fixture(scope="module")
 def result():
-    return scaling.run(trace_length=4000, benchmarks=["nn"])
+    return run_experiment("scaling", trace_length=4000, benchmarks=["nn"])
 
 
 class TestScalingExperiment:

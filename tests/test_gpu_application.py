@@ -1,14 +1,12 @@
-"""Tests for multi-kernel application runs and trace persistence."""
+"""Tests for multi-kernel application runs."""
 
-import numpy as np
 import pytest
 
 from repro.config import baseline_sram, config_c1
-from repro.errors import SimulationError, TraceError
+from repro.errors import SimulationError
 from repro.gpu import run_application, compare_applications
 from repro.gpu.simulator import GPUSimulator
 from repro.workloads import build_workload
-from repro.workloads.trace import Trace
 
 
 def make_kernels(n=2, length=2500):
@@ -79,24 +77,3 @@ class TestApplicationRun:
         workload = build_workload("nn", num_accesses=200, seed=0)
         with pytest.raises(SimulationError):
             GPUSimulator(baseline_sram(), workload, start_time_s=-1.0)
-
-
-class TestTracePersistence:
-    def test_roundtrip(self, tmp_path):
-        workload = build_workload("bfs", num_accesses=1000, seed=4)
-        path = tmp_path / "bfs.npz"
-        workload.trace.save(path)
-        restored = Trace.load(path)
-        assert np.array_equal(restored.sm, workload.trace.sm)
-        assert np.array_equal(restored.address, workload.trace.address)
-        assert np.array_equal(restored.flags, workload.trace.flags)
-
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(TraceError):
-            Trace.load(tmp_path / "nope.npz")
-
-    def test_load_wrong_contents(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, foo=np.zeros(3))
-        with pytest.raises(TraceError):
-            Trace.load(path)

@@ -98,11 +98,3 @@ class TestSimulatorRouting:
         workload = build_workload("bfs", num_accesses=2000, seed=0)
         assert workload.trace.const_fraction == 0.0
         assert workload.trace.texture_fraction == 0.0
-
-    def test_memory_access_space_property(self):
-        from repro.workloads.trace import MemoryAccess
-
-        assert MemoryAccess(0, 0, False, False, is_const=True).space == "const"
-        assert MemoryAccess(0, 0, False, False, is_texture=True).space == "texture"
-        assert MemoryAccess(0, 0, False, True).space == "local"
-        assert MemoryAccess(0, 0, True, False).space == "global"

@@ -12,7 +12,7 @@ from repro.experiments.parallel import (
     merge_experiment,
     run_battery,
 )
-from repro.experiments.runner import EXPERIMENTS, run_all, run_experiment
+from repro.experiments.runner import EXPERIMENTS, run_experiment
 
 SMALL = 1000
 SUBSET = ["nn", "bfs"]
@@ -55,8 +55,10 @@ class TestDecompose:
 
 class TestSerialParallelEquivalence:
     def test_run_all_jobs4_identical_to_serial(self):
-        serial = run_all(trace_length=SMALL, benchmarks=SUBSET)
-        parallel = run_all(trace_length=SMALL, benchmarks=SUBSET, jobs=4)
+        serial, _ = run_battery(EXPERIMENTS, trace_length=SMALL, benchmarks=SUBSET)
+        parallel, _ = run_battery(
+            EXPERIMENTS, trace_length=SMALL, benchmarks=SUBSET, jobs=4
+        )
         assert set(serial) == set(EXPERIMENTS)
         for name in EXPERIMENTS:
             assert parallel[name].headers == serial[name].headers, name
@@ -71,11 +73,15 @@ class TestSerialParallelEquivalence:
         assert parallel.extras == serial.extras
 
     def test_merge_matches_module_run(self):
-        """merge_experiment over execute_job payloads == the module's run()."""
+        """merge_experiment over execute_job payloads == the module's merge
+        over simulations run directly."""
         specs = decompose("fig8", SMALL, SUBSET, seed=0)
         payloads = {spec: execute_job(spec) for spec in specs}
         merged = merge_experiment("fig8", specs, payloads)
-        direct = fig8.run(trace_length=SMALL, benchmarks=SUBSET, seed=0)
+        sims = fig8.run_simulations(SMALL, SUBSET, seed=0)
+        direct = fig8.merge(
+            SUBSET, [fig8.payload_from_sims(sims[name]) for name in SUBSET]
+        )
         assert merged.rows == direct.rows
         assert merged.extras == direct.extras
 

@@ -4,16 +4,19 @@ import pytest
 
 from repro.analysis.plot import ascii_bars, bars_for_columns
 from repro.errors import AnalysisError
-from repro.experiments import fig8, regions
+from repro.experiments import fig8
+from repro.experiments.parallel import run_battery
 
 
 class TestRegionsExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        sims = fig8.run_simulations(
-            trace_length=6000, benchmarks=["stencil", "tpacf", "mri-gridding"]
+        results, _ = run_battery(
+            ["regions"],
+            trace_length=6000,
+            benchmarks=["stencil", "tpacf", "mri-gridding"],
         )
-        return regions.run(results=sims)
+        return results["regions"]
 
     def test_one_row_per_region_present(self, result):
         labels = [row[0] for row in result.rows]

@@ -6,7 +6,7 @@ Covers the contracts docs/surrogate.md promises:
   round-trip in the battery key space, malformed-payload rejection;
 * the fitted model — anchor-exact predictions, log-length interpolation,
   clamping, serialization/digest stability, config-fingerprint and
-  schema rejection, the feature-space nearest-neighbour fallback;
+  schema rejection, the unfitted-benchmark error;
 * the lazy :class:`~repro.surrogate.SurrogateOracle` (what the service
   embeds) — per-pair fitting, shared-cache reuse;
 * the validation harness — deterministic grid sampling, error
@@ -96,13 +96,6 @@ class TestFeatures:
         with pytest.raises(SurrogateError):
             WorkloadFeatures.from_dict({"benchmark": "bfs"})
 
-    def test_vector_keys_are_stable(self):
-        features = characterize_workload("bfs", trace_length=3000)
-        assert set(features.vector()) == {
-            "write_fraction", "wws_fraction", "rewrite_under_10us",
-            "l2_write_share",
-        }
-
 
 class TestModel:
     def test_prediction_at_anchor_reproduces_ground_truth(self, small_model):
@@ -131,10 +124,11 @@ class TestModel:
             anchor.l2_dynamic_energy_j / anchor.trace_length
         )
 
-    def test_unseen_benchmark_falls_back_to_nearest_neighbour(self, small_model):
-        predicted = small_model.predict("C1", "kmeans", 1200)
-        assert predicted["benchmark"] == "kmeans"
-        assert predicted["via"] in ("bfs", "nn")
+    def test_unfitted_benchmark_is_an_error_naming_the_fitted_ones(
+        self, small_model
+    ):
+        with pytest.raises(SurrogateError, match=r"'kmeans'.*\['bfs', 'nn'\]"):
+            small_model.predict("C1", "kmeans", 1200)
 
     def test_serialization_round_trip_preserves_digest(self, small_model):
         document = small_model.to_dict()
