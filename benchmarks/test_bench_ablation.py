@@ -41,10 +41,11 @@ def test_bench_search_policy(run_once, show):
                 l2 = _build_c1_l2(sequential_search=sequential)
                 replay_through_l1(workload, l2.access)
                 key = "sequential" if sequential else "parallel"
+                stats = l2.selector.stats
                 energies[key] = (
                     l2.energy.demand_j,
-                    l2.selector.stats.second_probes,
-                    l2.selector.stats.first_hit_rate,
+                    stats.second_probes,
+                    stats.first_probe_hits / stats.accesses,
                 )
             rows.append([
                 name,

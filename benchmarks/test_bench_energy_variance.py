@@ -23,7 +23,7 @@ def test_bench_energy_breakdown(run_once, bench_trace_length, show):
         shares = row[1:5]
         assert abs(sum(shares) - 1.0) < 0.02, f"{row[0]}: shares must sum to 1"
     # write-skewed cache-friendly apps keep overheads small
-    bfs = result.row_for("bfs")
+    bfs = next(row for row in result.rows if row[0] == "bfs")
     assert bfs[2] + bfs[3] < 0.15
 
 

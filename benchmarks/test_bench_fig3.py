@@ -12,4 +12,5 @@ def test_bench_fig3(run_once, bench_trace_length, show):
     assert result.extras["max_inter_pct"] > 100.0
     assert result.extras["min_inter_pct"] < 30.0
     # bfs-style benchmarks must out-skew stencil-style ones
-    assert result.row_for("bfs")[2] > 3 * result.row_for("stencil")[2]
+    cov = {row[0]: row[2] for row in result.rows}
+    assert cov["bfs"] > 3 * cov["stencil"]

@@ -36,7 +36,7 @@ from repro.config import (
 from repro.core import TwoPartSTTL2, UniformL2, build_l2
 from repro.gpu import GPUSimulator, SimulationResult, simulate
 from repro.sttram import RetentionLevel, retention_catalogue
-from repro.workloads import Workload, build_suite, build_workload, suite_names
+from repro.workloads import Workload, build_workload, suite_names
 
 __version__ = "1.0.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "RetentionLevel",
     "retention_catalogue",
     "Workload",
-    "build_suite",
     "build_workload",
     "suite_names",
     "__version__",

@@ -15,7 +15,7 @@ from repro.analysis.lifetime import (
     lifetime_report,
     relative_lifetime,
 )
-from repro.analysis.tables import format_table, to_csv
+from repro.analysis.tables import format_table
 
 __all__ = [
     "WriteVariation",
@@ -33,5 +33,4 @@ __all__ = [
     "lifetime_report",
     "relative_lifetime",
     "format_table",
-    "to_csv",
 ]

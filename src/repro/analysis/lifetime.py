@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.cache.array import SetAssociativeCache
 from repro.errors import AnalysisError
-from repro.units import YEAR
 
 #: Conservative STT-RAM write endurance (writes per cell).
 DEFAULT_ENDURANCE_WRITES = 4.0e12
@@ -57,11 +56,6 @@ class LifetimeReport:
         if self.max_frame_writes == 0:
             return float("inf")
         return self.endurance_writes / self.max_write_rate
-
-    @property
-    def lifetime_years(self) -> float:
-        """Lifetime in years."""
-        return self.lifetime_s / YEAR
 
     @property
     def imbalance(self) -> float:

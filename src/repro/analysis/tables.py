@@ -34,11 +34,3 @@ def format_table(
     for row in rendered:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def to_csv(headers: Sequence[str], rows: Sequence[Sequence[Cell]]) -> str:
-    """Comma-separated rendering (no quoting; keep cells comma-free)."""
-    lines = [",".join(str(h) for h in headers)]
-    for row in rows:
-        lines.append(",".join(_render(cell, 6) for cell in row))
-    return "\n".join(lines)

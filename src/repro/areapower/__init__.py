@@ -16,7 +16,7 @@ from repro.areapower.technology import TechnologyNode, TECH_40NM, TECH_32NM, TEC
 from repro.areapower.wire import WireModel
 from repro.areapower.sram import SRAMArrayModel
 from repro.areapower.sttram_array import STTDataArrayModel
-from repro.areapower.cache_model import CacheEnergyModel, CachePhysicalReport
+from repro.areapower.cache_model import CacheEnergyModel
 from repro.areapower.partitioned import (
     Organization,
     explore,
@@ -32,7 +32,6 @@ __all__ = [
     "SRAMArrayModel",
     "STTDataArrayModel",
     "CacheEnergyModel",
-    "CachePhysicalReport",
     "Organization",
     "explore",
     "optimal_organization",

@@ -30,7 +30,7 @@ from repro.areapower.wire import WireModel
 from repro.errors import GeometryError
 from repro.sttram.ewt import EWTModel
 from repro.sttram.retention import RetentionLevel
-from repro.units import format_capacity, format_energy, format_time, is_power_of_two
+from repro.units import is_power_of_two
 
 #: Physical address width assumed for tag sizing.
 PHYSICAL_ADDRESS_BITS = 40
@@ -206,50 +206,3 @@ class CacheEnergyModel:
         else:
             data_latency = self.data_array.write_latency
         return self.tag_array.access_latency + data_latency
-
-    def report(self) -> "CachePhysicalReport":
-        """Snapshot all derived figures for printing/serialization."""
-        return CachePhysicalReport(
-            capacity_bytes=self.capacity_bytes,
-            associativity=self.associativity,
-            line_size_bytes=self.line_size_bytes,
-            technology=self.tech.name,
-            data_technology="SRAM" if self.sram_data else (
-                f"STT-RAM[{self.retention_level.name}]"
-                if self.retention_level else "STT-RAM"
-            ),
-            area_m2=self.area,
-            leakage_w=self.leakage_power,
-            read_hit_energy_j=self.read_hit_energy,
-            write_hit_energy_j=self.write_hit_energy,
-            read_latency_s=self.read_latency,
-            write_latency_s=self.write_latency,
-        )
-
-
-@dataclass(frozen=True)
-class CachePhysicalReport:
-    """Printable physical summary of one cache array."""
-
-    capacity_bytes: int
-    associativity: int
-    line_size_bytes: int
-    technology: str
-    data_technology: str
-    area_m2: float
-    leakage_w: float
-    read_hit_energy_j: float
-    write_hit_energy_j: float
-    read_latency_s: float
-    write_latency_s: float
-
-    def __str__(self) -> str:
-        return (
-            f"{format_capacity(self.capacity_bytes)} {self.associativity}-way "
-            f"{self.line_size_bytes}B-line {self.data_technology} @ {self.technology}: "
-            f"area={self.area_m2 * 1e6:.3f}mm2 leak={self.leakage_w * 1e3:.1f}mW "
-            f"Erd={format_energy(self.read_hit_energy_j)} "
-            f"Ewr={format_energy(self.write_hit_energy_j)} "
-            f"trd={format_time(self.read_latency_s)} "
-            f"twr={format_time(self.write_latency_s)}"
-        )

@@ -149,17 +149,9 @@ class BankedCache:
             bank_stats.total_wait += wait
         return wait
 
-    def busy_until(self, address: int) -> float:
-        """When the bank owning ``address`` frees up."""
-        return self._busy_until[self.bank_for(address)]
-
     def utilization(self, elapsed: float) -> float:
         """Aggregate bank busy fraction over ``elapsed`` seconds."""
         if elapsed <= 0:
             return 0.0
         busy = sum(min(t, elapsed) for t in self._busy_until)
         return busy / (self.num_banks * elapsed)
-
-    def reset(self) -> None:
-        """Clear all bank timing state."""
-        self._busy_until = [0.0] * self.num_banks

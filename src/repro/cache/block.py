@@ -79,12 +79,6 @@ class CacheBlock:
         self.last_write_time = now
         self.last_access_time = now
 
-    def age_since_write(self, now: float) -> float:
-        """Seconds since the line was last written (or filled dirty)."""
-        if self.total_writes == 0:
-            return float("inf")
-        return now - self.last_write_time
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "V" if self.valid else "-"
         state += "D" if self.dirty else "-"

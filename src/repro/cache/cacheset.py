@@ -102,10 +102,6 @@ class CacheSet:
         """Account a read hit on ``way``."""
         self.blocks[way].record_read(now)
 
-    def valid_blocks(self) -> List[CacheBlock]:
-        """All currently valid lines (analysis helper)."""
-        return [b for b in self.blocks if b.valid]
-
     def occupancy(self) -> int:
         """Number of valid ways."""
         return sum(1 for b in self.blocks if b.valid)

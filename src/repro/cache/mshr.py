@@ -9,7 +9,7 @@ extra exposed latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import ConfigurationError, SimulationError
 
@@ -84,11 +84,3 @@ class MSHRFile:
             )
         self.stats.completions += 1
         return merged
-
-    def outstanding_lines(self) -> List[int]:
-        """Line addresses with fetches in flight."""
-        return list(self._entries)
-
-    def reset(self) -> None:
-        """Drop all in-flight state (between kernels)."""
-        self._entries.clear()

@@ -143,12 +143,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         sim_kwargs["shards"] = 4 if args.shards is None else args.shards
         if args.workers is not None:
             sim_kwargs["workers"] = args.workers
+    engine = args.engine
+    if engine is None and tracer is not None:
+        # tracing is an object-engine feature; an explicit --engine soa
+        # or sharded with --trace is refused below
+        engine = "object"
     try:
-        # with --trace the registry falls back to (or, for an explicit
-        # --engine soa, refuses with) the object engine: tracing is an
-        # object-engine feature
         simulator = make_simulator(
-            configs[args.config], workload, engine=args.engine, tracer=tracer,
+            configs[args.config], workload, engine=engine, tracer=tracer,
             **sim_kwargs,
         )
     except ConfigurationError as exc:
@@ -604,8 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.engine import ENGINES
 
     p_sim.add_argument("--engine", choices=ENGINES, default=None,
-                       help="replay engine (default: soa where supported, "
-                            "object otherwise; see docs/engine.md)")
+                       help="replay engine (default: soa, or object with "
+                            "--trace; see docs/engine.md)")
     p_sim.add_argument("--shards", type=int, default=None, metavar="N",
                        help="bank shards for --engine sharded (power of "
                             "two, <= L2 banks, default 4; see "

@@ -32,12 +32,6 @@ class BufferStats:
     overflows: int = 0
     peak_occupancy: int = 0
 
-    @property
-    def overflow_rate(self) -> float:
-        """Fraction of push attempts that overflowed to DRAM."""
-        attempts = self.pushes + self.overflows
-        return self.overflows / attempts if attempts else 0.0
-
 
 class MigrationBuffer:
     """Fixed-depth FIFO buffer with a single drain port.
@@ -129,13 +123,6 @@ class MigrationBuffer:
             self.stats.drains += 1
         return ready
 
-    def drain_all(self) -> List[Tuple[int, bool]]:
-        """Pop everything regardless of timing (end-of-simulation flush)."""
-        ready = [(a, d) for a, d, _ in self._entries]
-        self.stats.drains += len(self._entries)
-        self._entries.clear()
-        return ready
-
     def snapshot(self) -> dict:
         """JSON-safe dump of the in-flight entries and port timing.
 
@@ -150,7 +137,3 @@ class MigrationBuffer:
     def pending(self) -> List[int]:
         """Line addresses currently in flight."""
         return [a for a, _, _ in self._entries]
-
-    def contains(self, line_address: int) -> bool:
-        """Is this line currently in the buffer? (search must check here)"""
-        return any(a == line_address for a, _, _ in self._entries)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Optional
 
 from repro.areapower.technology import TECH_40NM, TechnologyNode
 from repro.config import L2Config
@@ -11,6 +11,30 @@ from repro.core.twopart import TwoPartSTTL2
 from repro.core.uniform import UniformL2
 from repro.errors import ConfigurationError
 from repro.tracing import TraceCollector
+
+
+def twopart_kwargs(config: L2Config) -> Dict[str, Any]:
+    """The two-part L2 constructor keywords that ``config`` sets.
+
+    The one mapping from an :class:`L2Config` of kind ``twopart`` to
+    :class:`TwoPartSTTL2` (and its SoA subclass); callers add the
+    technology node, tracer and any other run-time objects.
+    """
+    assert config.lr is not None  # validated by L2Config
+    return {
+        "hr_capacity_bytes": config.main.capacity_bytes,
+        "hr_associativity": config.main.associativity,
+        "lr_capacity_bytes": config.lr.capacity_bytes,
+        "lr_associativity": config.lr.associativity,
+        "line_size": config.main.line_size,
+        "write_threshold": config.write_threshold,
+        "hr_retention_s": config.hr_retention_s,
+        "lr_retention_s": config.lr_retention_s,
+        "buffer_lines": config.migration_buffer_lines,
+        "sequential_search": config.sequential_search,
+        "early_write_termination": config.early_write_termination,
+        "lr_technology": config.lr_technology,
+    }
 
 
 def build_l2(
@@ -63,22 +87,10 @@ def build_l2(
             tracer=tracer,
         )
     if config.kind == "twopart":
-        assert config.lr is not None  # validated by L2Config
         return twopart_cls(
-            hr_capacity_bytes=config.main.capacity_bytes,
-            hr_associativity=config.main.associativity,
-            lr_capacity_bytes=config.lr.capacity_bytes,
-            lr_associativity=config.lr.associativity,
-            line_size=config.main.line_size,
-            write_threshold=config.write_threshold,
-            hr_retention_s=config.hr_retention_s,
-            lr_retention_s=config.lr_retention_s,
-            buffer_lines=config.migration_buffer_lines,
-            sequential_search=config.sequential_search,
+            **twopart_kwargs(config),
             tech=tech,
             track_intervals=track_intervals,
-            early_write_termination=config.early_write_termination,
-            lr_technology=config.lr_technology,
             tracer=tracer,
         )
     raise ConfigurationError(f"unknown L2 kind {config.kind!r}")

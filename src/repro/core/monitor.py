@@ -70,11 +70,6 @@ class WWSMonitor:
         """Saturating cap for per-block write counters."""
         return (1 << self.counter_bits) - 1
 
-    @property
-    def is_free(self) -> bool:
-        """True when the modified bit alone implements the monitor (TH=1)."""
-        return self.threshold == 1
-
     def should_migrate(self, block: CacheBlock) -> bool:
         """Called on a write *hit* in HR: migrate this block to LR?
 

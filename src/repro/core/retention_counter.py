@@ -54,22 +54,6 @@ class RetentionCounterSpec:
         return self.retention_s / self.states
 
     @property
-    def tick_frequency_hz(self) -> float:
-        """Equivalent counter clock frequency."""
-        return 1.0 / self.tick_s
-
-    def count_for_age(self, age_s: float) -> int:
-        """Counter value for a line last written ``age_s`` seconds ago.
-
-        Saturates at ``states - 1``; negative ages clamp to zero (a write in
-        the same tick).
-        """
-        if age_s <= 0:
-            return 0
-        ticks = int(age_s / self.tick_s)
-        return min(ticks, self.states - 1)
-
-    @property
     def refresh_age_s(self) -> float:
         """Age at which refresh must happen.
 

@@ -24,11 +24,6 @@ class SearchStats:
     first_probe_hits: int = 0
     second_probes: int = 0
 
-    @property
-    def first_hit_rate(self) -> float:
-        """How often the predicted part held the line."""
-        return self.first_probe_hits / self.accesses if self.accesses else 0.0
-
 
 class SearchSelector:
     """Chooses probe order and accounts probe counts/energy.

@@ -14,7 +14,7 @@ with ``--engine`` on the CLI, see docs/engine.md):
     fused replay loop with zero per-access allocation in steady state.
     Byte-identical results to ``object`` on every supported
     configuration, roughly an order of magnitude faster.  Unsupported
-    features fall back (see :func:`resolve_engine`).
+    features raise (see :func:`resolve_engine`).
 
 ``sharded``
     The multi-process model (:mod:`repro.shard`, docs/sharding.md): the
@@ -73,14 +73,15 @@ def resolve_engine(
 ) -> str:
     """Pick the engine to run: the caller's choice, validated, or the default.
 
-    ``engine=None`` means "no preference": the default (``soa``) is used
-    when the run's feature set supports it, with a silent fallback to
-    ``object`` otherwise — so tracing or fault-injection callers keep
-    working unchanged.  An explicit ``engine="soa"`` on an unsupported
-    feature set raises :class:`~repro.errors.ConfigurationError` instead
-    of silently degrading, and an unknown name always raises.
+    ``engine=None`` means :data:`DEFAULT_ENGINE` (``soa``; never
+    ``sharded``, which is opt-in only).  A feature the resolved engine
+    does not support raises :class:`~repro.errors.ConfigurationError`
+    naming it, whether the engine was asked for or defaulted: nothing
+    falls back silently to ``object``.  An unknown name always raises.
     """
-    if engine is not None and engine not in ENGINES:
+    if engine is None:
+        engine = DEFAULT_ENGINE
+    elif engine not in ENGINES:
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
         )
@@ -93,9 +94,6 @@ def resolve_engine(
             f"the {engine} engine does not support: " + ", ".join(blockers)
             + "; use engine='object'"
         )
-    if engine is None:
-        # never auto-select sharded: opt-in only (see the module docstring)
-        return "object" if blockers else DEFAULT_ENGINE
     return engine
 
 
@@ -112,8 +110,8 @@ def make_simulator(
     with ``engine="sharded"`` only; any other keyword raises
     :class:`~repro.errors.ConfigurationError` on every engine.  The ones
     the ``soa`` engine cannot honour (a pre-built ``l2``, an enabled
-    ``tracer``, an ``invariant_checker``) force or validate the engine
-    choice via :func:`resolve_engine`.
+    ``tracer``, an ``invariant_checker``) need ``engine="object"``; see
+    :func:`resolve_engine`.
     """
     from repro.gpu.simulator import GPUSimulator
 

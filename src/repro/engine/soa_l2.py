@@ -24,8 +24,8 @@ just statistically equivalent.
 Unsupported features raise at construction instead of silently diverging:
 enabled tracers (per-access trace hooks would have to be replicated in
 every inlined path) and fault injectors (per-access fault hooks likewise).
-The engine registry (:mod:`repro.engine`) falls back to the object engine
-for those configurations.
+The engine registry (:mod:`repro.engine`) refuses those configurations
+unless the object engine is named.
 """
 
 from __future__ import annotations

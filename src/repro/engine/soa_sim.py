@@ -51,7 +51,7 @@ the real component objects at the end of the run.  L2 vectors, LRU
 orders, buffer deques and the LR due queue are mutated in place; the swap
 buffers' port times and peak occupancies fold back with the counters.
 
-Not supported (the registry falls back to the object engine, see
+Not supported (the registry raises and names the object engine, see
 ``repro.engine._soa_blockers``): tracing, invariant checkers and
 externally built L2s, which is how fault injection arrives.
 """

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.analysis.tables import format_table, to_csv
+from repro.analysis.tables import format_table
 from repro.cache.address import AddressMapper
 from repro.config import GPUConfig, baseline_sram
 from repro.errors import SimulationError
@@ -39,10 +39,6 @@ class ExperimentResult:
             parts = ", ".join(f"{k}={v:.4g}" for k, v in sorted(self.extras.items()))
             extras = f"\n[{parts}]"
         return f"== {self.name} ==\n{table}{extras}"
-
-    def csv(self) -> str:
-        """CSV rendering of the rows."""
-        return to_csv(self.headers, self.rows)
 
     def column(self, header: str) -> List:
         """Extract one column by header name."""
@@ -78,13 +74,6 @@ class ExperimentResult:
                     bars_for_columns(labels, header, values, reference=reference)
                 )
         return "\n\n".join(blocks)
-
-    def row_for(self, key: str) -> List:
-        """Find the row whose first cell equals ``key``."""
-        for row in self.rows:
-            if row[0] == key:
-                return row
-        raise KeyError(f"no row {key!r} in experiment {self.name!r}")
 
 
 def geomean(values: Iterable[float]) -> float:

@@ -8,49 +8,22 @@ experiment checks that bet per benchmark.
 
 Job decomposition
 -----------------
-One job per benchmark: :func:`compute` replays one benchmark and returns
-the raw energy-ledger buckets (JSON-safe joules); :func:`merge` turns them
-into shares and aggregates.  :func:`repro.experiments.parallel.run_battery`
-runs the jobs and folds their payloads through :func:`merge`.
+This experiment reuses the Fig. 6 per-benchmark jobs (:func:`fig6.compute`,
+job kind ``c1replay``) verbatim: their C1 replay also records the energy
+ledger, and :func:`merge` turns its raw buckets (JSON-safe joules) into
+shares and aggregates.  The parallel runner deduplicates the replays with
+``fig6`` and serves them from the shared result cache.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence
 
-from repro.config import config_c1
-from repro.core.factory import build_l2
-from repro.core.twopart import TwoPartSTTL2
-from repro.experiments.common import (
-    DEFAULT_TRACE_LENGTH,
-    ExperimentResult,
-    replay_through_l1,
-)
-from repro.workloads.suite import build_workload
-
-
-def compute(
-    benchmark: str,
-    trace_length: int = DEFAULT_TRACE_LENGTH,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """One job: C1 energy-ledger buckets for ``benchmark``."""
-    workload = build_workload(benchmark, num_accesses=trace_length, seed=seed)
-    l2 = build_l2(config_c1().l2, engine="soa")
-    assert isinstance(l2, TwoPartSTTL2)
-    replay_through_l1(workload, l2.access)
-    ledger = l2.energy
-    return {
-        "demand_j": ledger.demand_j,
-        "migration_j": ledger.migration_j,
-        "refresh_j": ledger.refresh_j,
-        "fill_j": ledger.fill_j,
-        "total_j": ledger.total_j,
-    }
+from repro.experiments.common import ExperimentResult
 
 
 def merge(names: Sequence[str], payloads: Sequence[Dict[str, Any]]) -> ExperimentResult:
-    """Assemble per-benchmark ledger payloads into the share table."""
+    """Assemble the ledgers of Fig. 6 job payloads into the share table."""
     rows: List[List] = []
     overhead_shares = []
     for name, payload in zip(names, payloads):
@@ -78,4 +51,3 @@ def merge(names: Sequence[str], payloads: Sequence[Dict[str, Any]]) -> Experimen
         rows=rows,
         extras=extras,
     )
-

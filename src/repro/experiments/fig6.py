@@ -8,8 +8,11 @@ justifies microsecond-scale LR retention.
 Job decomposition
 -----------------
 One job per benchmark: :func:`compute` replays one benchmark and returns
-the bucketed fractions (JSON-safe); :func:`merge` averages across
-benchmarks and assembles the table.
+the bucketed fractions plus the replay's energy-ledger buckets
+(JSON-safe); :func:`merge` averages the fractions across benchmarks and
+assembles the table.  The job kind is ``c1replay``:
+:mod:`repro.experiments.energy` merges the same payloads' ledger, so the
+parallel runner replays each benchmark once for both experiments.
 """
 
 from __future__ import annotations
@@ -34,16 +37,22 @@ def compute(
     trace_length: int = DEFAULT_TRACE_LENGTH,
     seed: int = 0,
 ) -> Dict[str, Any]:
-    """One job: LR rewrite-interval buckets for ``benchmark``."""
+    """One job: LR rewrite-interval buckets and C1 energy-ledger buckets."""
     workload = build_workload(benchmark, num_accesses=trace_length, seed=seed)
     l2 = build_l2(config_c1().l2, track_intervals=True, engine="soa")
     replay_through_l1(workload, l2.access)
     distribution = rewrite_interval_distribution(l2.rewrite_intervals)
     fractions = distribution.fractions()
+    ledger = l2.energy
     return {
         "fractions": {label: fractions[label] for label, _ in REWRITE_BUCKETS},
         "total": distribution.total,
         "under_10us": distribution.fraction_under(10e-6),
+        "demand_j": ledger.demand_j,
+        "migration_j": ledger.migration_j,
+        "refresh_j": ledger.refresh_j,
+        "fill_j": ledger.fill_j,
+        "total_j": ledger.total_j,
         "counters": {"rewrite_samples": distribution.total},
     }
 
@@ -78,4 +87,3 @@ def merge(names: Sequence[str], payloads: Sequence[Dict[str, Any]]) -> Experimen
         rows=rows,
         extras=extras,
     )
-

@@ -13,9 +13,11 @@ order, so the merged :class:`ExperimentResult` is byte-identical at the
 same seed regardless of worker count, scheduling order, or whether
 payloads came from the cache.
 
-Three experiments (``fig8``, ``regions``, ``variance``) intentionally share
-the ``fig8sim`` job kind: the runner executes each unique spec once and
-fans its payload out to every experiment that needs it.
+Experiments intentionally share job kinds: ``fig8``, ``regions`` and
+``variance`` share ``fig8sim``, and ``fig6`` and ``energy`` share
+``c1replay`` (one C1 replay yields both the rewrite intervals and the
+energy ledger).  The runner executes each unique spec once and fans its
+payload out to every experiment that needs it.
 
 :func:`run_battery` is the orchestrator: it dedupes specs across the
 requested experiments, serves what it can from a
@@ -71,23 +73,23 @@ _COMPUTE = {
     "fig3": fig3.compute,
     "fig4": fig4.compute,
     "fig5": fig5.compute,
-    "fig6": fig6.compute,
+    "c1replay": fig6.compute,
     "fig8sim": fig8.compute,
     "scaling": scaling.compute,
-    "energy": energy.compute,
 }
 
-#: Job kind used by each per-benchmark experiment (fig8sim is shared).
+#: Job kind used by each per-benchmark experiment (fig8sim and c1replay
+#: are shared).
 _KIND_BY_EXPERIMENT = {
     "fig3": "fig3",
     "fig4": "fig4",
     "fig5": "fig5",
-    "fig6": "fig6",
+    "fig6": "c1replay",
     "fig8": "fig8sim",
     "regions": "fig8sim",
     "variance": "fig8sim",
     "scaling": "scaling",
-    "energy": "energy",
+    "energy": "c1replay",
 }
 
 #: Merge function for each per-benchmark experiment (variance is special).

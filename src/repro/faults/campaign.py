@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from repro.config import all_configs
+from repro.core.factory import twopart_kwargs
 from repro.core.twopart import TwoPartSTTL2
 from repro.errors import FaultInjectionError
 from repro.faults.injector import FaultInjector, FaultPlan
@@ -181,21 +182,9 @@ def run_campaign(
     if l2_config.lr_technology != "sram":
         retention_by_part["lr"] = l2_config.lr_retention_s
     injector = FaultInjector(plan, retention_by_part, tracer=tracer)
-    assert l2_config.lr is not None  # twopart kind guarantees an LR part
     l2 = TwoPartSTTL2(
-        hr_capacity_bytes=l2_config.main.capacity_bytes,
-        hr_associativity=l2_config.main.associativity,
-        lr_capacity_bytes=l2_config.lr.capacity_bytes,
-        lr_associativity=l2_config.lr.associativity,
-        line_size=l2_config.main.line_size,
-        write_threshold=l2_config.write_threshold,
-        hr_retention_s=l2_config.hr_retention_s,
-        lr_retention_s=l2_config.lr_retention_s,
-        buffer_lines=l2_config.migration_buffer_lines,
-        sequential_search=l2_config.sequential_search,
+        **twopart_kwargs(l2_config),
         tech=gpu_config.tech,
-        early_write_termination=l2_config.early_write_termination,
-        lr_technology=l2_config.lr_technology,
         tracer=tracer,
         faults=injector,
     )

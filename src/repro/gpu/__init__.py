@@ -16,7 +16,6 @@ from repro.gpu.metrics import SimulationResult
 from repro.gpu.simulator import GPUSimulator, simulate
 from repro.gpu.application import (
     ApplicationResult,
-    compare_applications,
     run_application,
 )
 from repro.gpu.readonly import ReadOnlyCache, ROCacheConfig
@@ -35,7 +34,6 @@ __all__ = [
     "simulate",
     "ApplicationResult",
     "run_application",
-    "compare_applications",
     "ReadOnlyCache",
     "ROCacheConfig",
 ]

@@ -17,7 +17,7 @@ part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.config import GPUConfig
 from repro.core.factory import build_l2
@@ -113,13 +113,3 @@ def run_application(
         core_clock_hz=config.core_clock_hz,
         kernels=results,
     )
-
-
-def compare_applications(
-    configs: Dict[str, GPUConfig], kernels: Sequence[Workload]
-) -> Dict[str, ApplicationResult]:
-    """Run one application on several configurations."""
-    return {
-        name: run_application(config, kernels)
-        for name, config in configs.items()
-    }

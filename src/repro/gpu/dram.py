@@ -168,9 +168,3 @@ class DRAMModel:
             if served_s > 0:
                 busy += served_s
         return busy / (self.num_channels * elapsed_s)
-
-    def reset(self) -> None:
-        """Clear channel state between kernels."""
-        self._busy_until = [0.0] * self.num_channels
-        self._busy_s = [0.0] * self.num_channels
-        self._open_row = [-1] * self.num_channels

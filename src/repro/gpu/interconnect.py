@@ -70,16 +70,3 @@ class ButterflyNoC:
         return self.traversal_cycles(request_bytes) + self.traversal_cycles(
             response_bytes
         )
-
-    def contention_cycles(self, utilization: float) -> float:
-        """Queueing penalty (cycles) at offered ``utilization`` in [0, 1).
-
-        An M/D/1-flavoured term ``u / (2 (1 - u))`` per stage, capped so a
-        saturated network reports a large-but-finite penalty instead of
-        diverging (the real network would throttle injection).
-        """
-        if utilization < 0:
-            raise ConfigurationError("utilization must be non-negative")
-        u = min(utilization, 0.95)
-        per_stage = u / (2.0 * (1.0 - u))
-        return per_stage * self.num_stages * self.hop_cycles

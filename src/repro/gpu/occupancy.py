@@ -33,11 +33,6 @@ class OccupancyResult:
     warps_per_sm: int
     limiter: str
 
-    @property
-    def occupancy_fraction(self) -> float:
-        """Warps resident relative to a 48-warp SM (informational)."""
-        return self.warps_per_sm / 48.0
-
 
 def compute_occupancy(kernel: KernelDescriptor, config: GPUConfig) -> OccupancyResult:
     """Resident blocks/warps for ``kernel`` on ``config``'s SMs."""

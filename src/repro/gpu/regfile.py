@@ -56,9 +56,3 @@ class RegisterFile:
     def leakage_power(self) -> float:
         """Static power (W)."""
         return self.physical_model().leakage_power
-
-    def max_concurrent_threads(self, regs_per_thread: int) -> int:
-        """How many threads the file can host at ``regs_per_thread``."""
-        if regs_per_thread <= 0:
-            raise ConfigurationError("registers per thread must be positive")
-        return self.num_registers // regs_per_thread

@@ -15,7 +15,7 @@ import dataclasses
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, Union
+from typing import Any, Dict, Mapping, Union
 
 from repro.errors import ReproError
 from repro.experiments.common import ExperimentResult
@@ -107,33 +107,5 @@ def save_experiments(
             name: experiment_result_to_dict(result)
             for name, result in results.items()
         },
-    }
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True))
-
-
-def load_experiments(path: PathLike) -> Dict[str, ExperimentResult]:
-    """Read a battery written by :func:`save_experiments`."""
-    try:
-        document = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise ReproError(f"cannot load experiments from {path}: {error}") from error
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ReproError(
-            f"unsupported schema version {document.get('schema_version')!r} "
-            f"in {path} (expected {SCHEMA_VERSION})"
-        )
-    return {
-        name: experiment_result_from_dict(payload)
-        for name, payload in document.get("experiments", {}).items()
-    }
-
-
-def save_simulations(
-    results: Iterable[SimulationResult], path: PathLike
-) -> None:
-    """Write a list of simulation results to one JSON file."""
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "simulations": [simulation_result_to_dict(r) for r in results],
     }
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=True))

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import GPUConfig, L2Config
+from repro.core.factory import twopart_kwargs
 from repro.core.twopart import TwoPartSTTL2
 from repro.errors import OracleError
 from repro.oracle.reference import ReferenceTwoPartL2
@@ -60,19 +61,11 @@ def l2_kwargs_from_config(l2: L2Config) -> Dict[str, Any]:
         raise OracleError("the oracle reference models only the STT LR part")
     if l2.early_write_termination:
         raise OracleError("the oracle reference does not model EWT")
-    assert l2.lr is not None  # validated by L2Config
-    return {
-        "hr_capacity_bytes": l2.main.capacity_bytes,
-        "hr_associativity": l2.main.associativity,
-        "lr_capacity_bytes": l2.lr.capacity_bytes,
-        "lr_associativity": l2.lr.associativity,
-        "line_size": l2.main.line_size,
-        "write_threshold": l2.write_threshold,
-        "hr_retention_s": l2.hr_retention_s,
-        "lr_retention_s": l2.lr_retention_s,
-        "buffer_lines": l2.migration_buffer_lines,
-        "sequential_search": l2.sequential_search,
-    }
+    kwargs = twopart_kwargs(l2)
+    # the refusals above leave both at the DUT's defaults; the reference
+    # takes neither
+    del kwargs["early_write_termination"], kwargs["lr_technology"]
+    return kwargs
 
 
 def pressure_config(name: str = "oracle-small") -> GPUConfig:
@@ -318,11 +311,17 @@ def make_pair(
     builds the production DUT.  ``engine`` picks which production model is
     the DUT: the ``object`` :class:`TwoPartSTTL2` or the ``soa``
     structure-of-arrays subclass (see docs/engine.md).  Mutants are
-    object-engine subclasses, so ``mutant`` requires ``engine="object"``.
+    object-engine subclasses, so ``mutant`` requires ``engine="object"``,
+    and so does an enabled ``tracer``.
     """
     if engine not in ("object", "soa"):
         raise OracleError(f"unknown engine {engine!r}; expected object or soa")
     kwargs = l2_kwargs_from_config(config.l2)
+    if engine == "soa" and tracer is not None and tracer.enabled:
+        raise OracleError(
+            "the soa engine does not support per-access tracing; "
+            "drop --engine soa or --trace-out"
+        )
     if mutant is None:
         if engine == "soa":
             from repro.engine.soa_l2 import SoaTwoPartL2

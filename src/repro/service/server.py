@@ -39,7 +39,7 @@ import asyncio
 import sys
 import threading
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
 from repro.errors import ServiceError, SurrogateError
 from repro.service import protocol
@@ -124,30 +124,52 @@ class SimulationServer:
 
     # --- request handlers -----------------------------------------------
 
-    async def _handle_simulate(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        digest = protocol.request_digest(request)
+    async def _serve(
+        self,
+        kind: str,
+        key: str,
+        descriptor: Dict[str, Any],
+        compute: Callable[[], Awaitable[Dict[str, Any]]],
+        count_requests: bool = True,
+    ) -> Tuple[Dict[str, Any], str]:
+        """Lookup -> coalesce -> compute -> publish one content-keyed payload.
+
+        Returns ``(payload, provenance)``, provenance being ``"hit"``,
+        ``"coalesced"`` or ``"miss"``.  Only the leader of a key awaits
+        ``compute()``, publishes the payload under ``key`` (single-writer
+        discipline: only the leader task, on the event loop, ever
+        publishes a key) and counts ``service.jobs.<kind>``;
+        ``count_requests`` also counts each request's provenance under
+        ``service.<kind>.``.
+        """
         if self.store is not None:
-            cached = self.store.get(digest)
+            cached = self.store.get(key)
             if cached is not None:
-                self.tracer.count("service.simulate.hits")
-                return protocol.ok_response(
-                    "simulate", digest=digest, cache="hit", payload=cached
-                )
+                if count_requests:
+                    self.tracer.count(f"service.{kind}.hits")
+                return cached, "hit"
 
         async def leader() -> Dict[str, Any]:
-            payload = await self.pool.run(digest, compute_simulate, request)
+            payload = await compute()
             if self.store is not None:
-                # single-writer discipline: only the leader task, on the
-                # event loop, ever publishes this digest
-                self.store.put(digest, request, payload)
-            self.tracer.count("service.jobs.simulate")
+                self.store.put(key, descriptor, payload)
+            self.tracer.count(f"service.jobs.{kind}")
             return payload
 
-        payload, coalesced = await self.inflight.run(digest, leader)
-        provenance = "coalesced" if coalesced else "miss"
-        self.tracer.count(
-            "service.simulate.coalesced" if coalesced
-            else "service.simulate.misses"
+        payload, coalesced = await self.inflight.run(key, leader)
+        if count_requests:
+            self.tracer.count(
+                f"service.{kind}.coalesced" if coalesced else f"service.{kind}.misses"
+            )
+        return payload, "coalesced" if coalesced else "miss"
+
+    async def _handle_simulate(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        digest = protocol.request_digest(request)
+        payload, provenance = await self._serve(
+            "simulate",
+            digest,
+            request,
+            lambda: self.pool.run(digest, compute_simulate, request),
         )
         return protocol.ok_response(
             "simulate", digest=digest, cache=provenance, payload=payload
@@ -155,58 +177,39 @@ class SimulationServer:
 
     async def _handle_predict(self, request: Dict[str, Any]) -> Dict[str, Any]:
         digest = protocol.request_digest(request)
-        if self.store is not None:
-            cached = self.store.get(digest)
-            if cached is not None:
-                self.tracer.count("service.predict.hits")
-                return protocol.ok_response(
-                    "predict", digest=digest, cache="hit", payload=cached
-                )
-
-        async def leader() -> Dict[str, Any]:
-            # the surrogate answers off-loop but never touches the worker
-            # pool: a cold (config, benchmark) pair costs two anchor
-            # simulations on a helper thread, a warm one is microseconds
-            payload = await asyncio.to_thread(
+        # the surrogate answers off-loop but never touches the worker
+        # pool: a cold (config, benchmark) pair costs two anchor
+        # simulations on a helper thread, a warm one is microseconds
+        payload, provenance = await self._serve(
+            "predict",
+            digest,
+            request,
+            lambda: asyncio.to_thread(
                 self.oracle.predict,
                 request["config"],
                 request["benchmark"],
                 request["trace_length"],
                 request["seed"],
-            )
-            if self.store is not None:
-                self.store.put(digest, request, payload)
-            self.tracer.count("service.jobs.predict")
-            return payload
-
-        payload, coalesced = await self.inflight.run(digest, leader)
-        provenance = "coalesced" if coalesced else "miss"
-        self.tracer.count(
-            "service.predict.coalesced" if coalesced
-            else "service.predict.misses"
+            ),
         )
         return protocol.ok_response(
             "predict", digest=digest, cache=provenance, payload=payload
         )
 
     async def _run_experiment_spec(self, spec) -> Dict[str, Any]:
-        from repro.experiments.parallel import job_descriptor, job_key
+        from repro.experiments.parallel import job_descriptor
+        from repro.telemetry import content_key
 
-        key = job_key(spec)
-        if self.store is not None:
-            cached = self.store.get(key)
-            if cached is not None:
-                return cached
-
-        async def leader() -> Dict[str, Any]:
-            fields = (spec.kind, spec.benchmark, spec.trace_length, spec.seed)
-            payload = await self.pool.run(key, compute_experiment_job, fields)
-            if self.store is not None:
-                self.store.put(key, job_descriptor(spec), payload)
-            self.tracer.count("service.jobs.experiment")
-            return payload
-
-        payload, _ = await self.inflight.run(key, leader)
+        descriptor = job_descriptor(spec)
+        key = content_key(descriptor)  # the battery's job_key(spec)
+        fields = (spec.kind, spec.benchmark, spec.trace_length, spec.seed)
+        payload, _ = await self._serve(
+            "experiment",
+            key,
+            descriptor,
+            lambda: self.pool.run(key, compute_experiment_job, fields),
+            count_requests=False,
+        )
         return payload
 
     async def _handle_experiment(self, request: Dict[str, Any]) -> Dict[str, Any]:

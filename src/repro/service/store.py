@@ -94,18 +94,6 @@ class SharedResultStore(ResultCache):
             )
             self._total_bytes = sum(self._lru.values())
 
-    @property
-    def entry_count(self) -> int:
-        """Number of entries currently accounted for."""
-        with self._lock:
-            return len(self._lru)
-
-    @property
-    def total_bytes(self) -> int:
-        """Sum of the accounted entry file sizes in bytes."""
-        with self._lock:
-            return self._total_bytes
-
     def counters(self) -> Dict[str, Any]:
         """JSON-safe snapshot of accounting and hit/miss/eviction counters."""
         with self._lock:

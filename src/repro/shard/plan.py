@@ -93,15 +93,6 @@ class ShardPlan:
     #: the scaled per-shard GPU config every worker receives
     sub_config: GPUConfig
 
-    @property
-    def banks_per_shard(self) -> int:
-        """Local banks inside one shard (``num_banks / shards`` globally)."""
-        return self.sub_config.l2.num_banks
-
-    def global_bank(self, shard: int, local_bank: int) -> int:
-        """Map a shard's local bank index back to the global bank id."""
-        return (local_bank << self.shard_bits) | shard
-
 
 def plan_shards(config: GPUConfig, shards: int) -> ShardPlan:
     """Validate and fix the shard decomposition for one run."""

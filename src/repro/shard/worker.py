@@ -55,9 +55,7 @@ def run_bank_job(job: BankJob) -> Dict[str, Any]:
     The payload is the simulator's
     :func:`~repro.gpu.simulator.replay_counters` record plus the shard's
     identity and per-bank stats.  The engine resolves per shard exactly
-    like a standalone run (``engine=None``): SoA when the scaled config
-    supports it, the object engine otherwise — the blocker-based fallback
-    the registry already implements.
+    like a standalone run (``engine=None``), to the default SoA engine.
     """
     from repro.engine import make_simulator
 

@@ -19,7 +19,6 @@ lower current -> quadratically lower write energy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import DeviceModelError
@@ -110,19 +109,6 @@ class STTCell:
         """Cell-level read latency (s); array wires/decoders add more."""
         return self.read_pulse_width
 
-    @property
-    def read_disturb_margin(self) -> float:
-        """Ratio of switching current at the read pulse to the sense current.
-
-        Values comfortably above 1 mean reads will not flip the cell.
-        """
-        pulse = max(self.read_pulse_width, 2.0 * self.mtj.tau0)
-        try:
-            critical = self.mtj.switching_current(pulse)
-        except DeviceModelError:
-            return math.inf
-        return critical / self.read_current
-
     # --- geometry ---------------------------------------------------------
 
     @staticmethod
@@ -131,8 +117,3 @@ class STTCell:
         if feature_size_m <= 0:
             raise DeviceModelError("feature size must be positive")
         return STT_CELL_AREA_F2 * feature_size_m * feature_size_m
-
-    @staticmethod
-    def density_advantage_over_sram() -> float:
-        """Area ratio SRAM cell / STT cell (~4x, as the paper assumes)."""
-        return SRAM_CELL_AREA_F2 / STT_CELL_AREA_F2

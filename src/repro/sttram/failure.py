@@ -82,13 +82,6 @@ def max_refresh_interval(
     return -retention_s * math.log1p(-p_bit)
 
 
-def expected_failed_bits(elapsed_s: float, retention_s: float, block_bits: int) -> float:
-    """Expected number of collapsed bits in a block after ``elapsed_s``."""
-    if block_bits <= 0:
-        raise DeviceModelError(f"block size must be positive, got {block_bits}")
-    return block_bits * bit_failure_probability(elapsed_s, retention_s)
-
-
 def sample_lifetime(mean_lifetime_s: float, u: float) -> float:
     """Inverse-CDF sample of one block's survival time (device view).
 

@@ -134,25 +134,3 @@ class MTJParameters:
                 f"window of a Delta={self.delta:.1f} junction"
             )
         return self.ic0 * factor
-
-    def min_pulse_width(self, current_a: float) -> float:
-        """Pulse width (s) needed to switch with drive current ``current_a``.
-
-        Inverse of :meth:`switching_current`. Currents at or above ``ic0``
-        switch at the model floor (``tau0`` plus a guard band); currents too
-        small to switch within the retention time raise.
-        """
-        if current_a <= 0:
-            raise DeviceModelError(f"current must be positive, got {current_a}")
-        if current_a >= self.ic0:
-            return self.tau0 * math.e  # floor: one decade above tau0 in log space
-        exponent = self.delta * (1.0 - current_a / self.ic0)
-        # A useful write must complete well inside the retention window; we
-        # require at least an e-fold of margin (exponent <= delta - 1),
-        # i.e. currents below ~ic0/delta cannot switch the junction usefully.
-        if exponent > self.delta - 1.0:
-            raise DeviceModelError(
-                f"current {current_a}A cannot switch a Delta={self.delta:.1f} "
-                "junction before its own retention expires"
-            )
-        return self.tau0 * math.exp(exponent)

@@ -21,12 +21,12 @@ Three canonical levels mirror the paper's design:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.errors import DeviceModelError
 from repro.sttram.cell import STTCell
 from repro.sttram.mtj import MTJParameters
-from repro.units import MS, US, YEAR, format_energy, format_time
+from repro.units import MS, US, YEAR
 
 #: Canonical retention times (seconds).
 HIGH_RETENTION_SECONDS = 10 * YEAR
@@ -108,17 +108,6 @@ class RetentionLevel:
             raise DeviceModelError("line size must be positive")
         return self.cell.read_energy_per_bit * line_size_bytes * 8
 
-    def table_row(self, line_size_bytes: int = 256) -> Dict[str, str]:
-        """Render this level as a Table 1 row (formatted strings)."""
-        return {
-            "level": self.name,
-            "delta": f"{self.delta:.1f}",
-            "retention": format_time(self.retention_time),
-            "write_latency": format_time(self.write_latency),
-            "write_energy": format_energy(self.write_energy_per_line(line_size_bytes)),
-            "refreshing": self.refresh_scope,
-        }
-
 
 def retention_catalogue(
     hr_retention_s: float = HR_RETENTION_SECONDS,
@@ -145,17 +134,3 @@ def retention_catalogue(
             "lr", lr_retention_s, refresh_scope="buffer-assisted block refresh"
         ),
     }
-
-
-def render_table1(levels: Iterable[RetentionLevel], line_size_bytes: int = 256) -> str:
-    """Format retention levels as the paper's Table 1 (ASCII)."""
-    rows = [level.table_row(line_size_bytes) for level in levels]
-    headers = ["level", "delta", "retention", "write_latency", "write_energy", "refreshing"]
-    widths = {h: max(len(h), *(len(r[h]) for r in rows)) for h in headers}
-    lines = [
-        "  ".join(h.ljust(widths[h]) for h in headers),
-        "  ".join("-" * widths[h] for h in headers),
-    ]
-    for row in rows:
-        lines.append("  ".join(row[h].ljust(widths[h]) for h in headers))
-    return "\n".join(lines)

@@ -13,8 +13,8 @@ parameterized hardware model:
   (config, benchmark) pair on a handful of ground-truth simulations and
   :class:`SurrogateModel` predicts IPC / L2 hit rate / L2 dynamic energy
   for any (config, workload, trace length) point in microseconds
-  (closed-form energy/leakage, log-length grid interpolation for rates,
-  feature-space nearest-neighbour fallback for unseen workloads);
+  (closed-form energy/leakage, log-length grid interpolation for rates;
+  an unfitted (config, benchmark) pair is an error);
   :class:`SurrogateOracle` is the lazy thread-safe variant the
   simulation service embeds;
 * :mod:`repro.surrogate.validate` — the >=200-point validation grid,

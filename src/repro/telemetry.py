@@ -162,17 +162,6 @@ class RunTelemetry:
         write_json_atomic(self.manifest(), path)
 
 
-def load_manifest(path: PathLike) -> Dict[str, Any]:
-    """Read a manifest written by :meth:`RunTelemetry.write`, validated."""
-    document = load_json(path)
-    if document.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-        raise ReproError(
-            f"unsupported manifest schema {document.get('schema_version')!r} "
-            f"in {path} (expected {MANIFEST_SCHEMA_VERSION})"
-        )
-    return document
-
-
 class ResultCache:
     """Content-keyed on-disk cache of job payloads.
 

@@ -5,8 +5,8 @@ All internal quantities in :mod:`repro` use a single base unit per dimension:
 ========== ============ ==========================================
 dimension  base unit    notes
 ========== ============ ==========================================
-time       second       latencies are often carried in *cycles*;
-                        convert with :func:`cycles_to_seconds`
+time       second       latencies are often carried in *cycles*
+                        (a cycle count over the clock in hertz)
 energy     joule        per-access energies are tiny; use ``nJ``
                         and ``pJ`` constants for readability
 power      watt
@@ -71,20 +71,6 @@ VOLT = 1.0
 AMPERE = 1.0
 UA = 1e-6
 MA = 1e-3
-
-
-def cycles_to_seconds(cycles: float, frequency_hz: float) -> float:
-    """Convert a cycle count at ``frequency_hz`` to seconds."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return cycles / frequency_hz
-
-
-def seconds_to_cycles(seconds: float, frequency_hz: float) -> float:
-    """Convert a duration in seconds to (fractional) cycles at ``frequency_hz``."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return seconds * frequency_hz
 
 
 def format_time(seconds: float) -> str:

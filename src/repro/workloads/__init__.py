@@ -19,7 +19,7 @@ from repro.workloads.patterns import (
 )
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.profiles import BenchmarkProfile, PROFILES, get_profile
-from repro.workloads.suite import build_workload, suite_names, build_suite
+from repro.workloads.suite import build_workload, suite_names
 
 __all__ = [
     "Trace",
@@ -35,5 +35,4 @@ __all__ = [
     "get_profile",
     "build_workload",
     "suite_names",
-    "build_suite",
 ]

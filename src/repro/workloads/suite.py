@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import List
 
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.profiles import PROFILES, get_profile
@@ -29,17 +29,3 @@ def build_workload(
         num_accesses=num_accesses, num_sms=num_sms, seed=seed
     )
     return Workload(name=name, kernel=profile.kernel_descriptor(), trace=trace)
-
-
-def build_suite(
-    names: Optional[Iterable[str]] = None,
-    num_accesses: int = DEFAULT_TRACE_LENGTH,
-    num_sms: int = 15,
-    seed: int = 0,
-) -> Dict[str, Workload]:
-    """Generate the whole suite (or a subset), keyed by benchmark name."""
-    selected = list(names) if names is not None else suite_names()
-    return {
-        name: build_workload(name, num_accesses=num_accesses, num_sms=num_sms, seed=seed)
-        for name in selected
-    }

@@ -54,21 +54,6 @@ class Trace:
         """Fraction of accesses that are writes."""
         return float(np.mean((self.flags & FLAG_WRITE) != 0))
 
-    @property
-    def local_fraction(self) -> float:
-        """Fraction of accesses to local (per-thread) data."""
-        return float(np.mean((self.flags & FLAG_LOCAL) != 0))
-
-    @property
-    def const_fraction(self) -> float:
-        """Fraction of constant-memory reads."""
-        return float(np.mean((self.flags & FLAG_CONST) != 0))
-
-    @property
-    def texture_fraction(self) -> float:
-        """Fraction of texture reads."""
-        return float(np.mean((self.flags & FLAG_TEXTURE) != 0))
-
     def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """``(sm, address, flags)`` column views, :data:`CHUNK_RECORDS`
         records each (the last may be shorter), in trace order."""

@@ -17,6 +17,8 @@ the repo benchmark pins its own, longer workloads in
 * :data:`SERVICE_DIGESTS` holds the service's coalescing digest and
   payload SHA-256 for six ``(benchmark, config)`` requests on ``soa`` at
   :data:`SERVICE_TRACE_LENGTH` accesses, seed 0.
+* :data:`EXPERIMENT_DIGESTS` pins three characterization experiments'
+  merged results on :data:`EXPERIMENT_BENCHMARKS`.
 * :data:`TRACE_DIGESTS` pins the generated traces themselves, the input of
   every digest above.
 * :data:`SUBSTREAM_DIGESTS` pins the sharded engine's per-shard
@@ -125,6 +127,18 @@ SERVICE_DIGESTS = {
         "request": "7e509d501e46e924224faa1003971221cc6229e5e2f9d7e4cb39e382027fd34e",
         "payload": "e3832145e54bee8afae4f92903e7b322a1cbad4c4e134eee9eba43213ee2d253",
     },
+}
+
+#: Benchmarks and trace length of :data:`EXPERIMENT_DIGESTS`.
+EXPERIMENT_BENCHMARKS = ("bfs", "lbm")
+EXPERIMENT_TRACE_LENGTH = 3000
+
+#: SHA-256 of the canonical JSON of ``experiment_result_to_dict`` for each
+#: experiment's ``run_battery`` result, seed 0.
+EXPERIMENT_DIGESTS = {
+    "fig3": "5c870d88d1713639cb16960e600caadf55cc082251ea1b23a6072517864e69e7",
+    "fig6": "53b6e6d0be8463a4a96f0a65d9b01cf9ef4390cdb951e5a246fdb20fbbee5ff2",
+    "energy": "1196884ad8c6e1c6faf55b590dc097f6203933174c2bbcf425f724c7d48ba9ce",
 }
 
 #: SHA-256 of generated traces (``build_workload``, 15 SMs), over the raw

@@ -12,7 +12,7 @@ from repro.analysis.intervals import (
     rewrite_interval_distribution,
     snap_threshold,
 )
-from repro.analysis.tables import format_table, to_csv
+from repro.analysis.tables import format_table
 from repro.analysis.wws import weighted_wws_fraction, write_working_set
 from repro.cache.array import SetAssociativeCache
 from repro.errors import AnalysisError
@@ -271,7 +271,3 @@ class TestTables:
     def test_format_table_empty_rows(self):
         table = format_table(["x"], [])
         assert "x" in table
-
-    def test_csv(self):
-        csv = to_csv(["a", "b"], [[1, "x"], [2, "y"]])
-        assert csv.splitlines() == ["a,b", "1,x", "2,y"]

@@ -179,17 +179,6 @@ class TestCacheEnergyModel:
         model = self.make_sram()
         assert model.read_latency == pytest.approx(model.write_latency)
 
-    def test_report_str_mentions_technology(self):
-        report = self.make_stt(level="hr").report()
-        assert "STT-RAM[hr]" in str(report)
-        assert "40nm" in str(report)
-
-    def test_report_fields_positive(self):
-        report = self.make_sram().report()
-        assert report.area_m2 > 0
-        assert report.leakage_w > 0
-        assert report.read_hit_energy_j > 0
-
     def test_seven_way_hr_geometry_from_table2(self):
         """C1's HR part: 1344KB 7-way 256B lines must factor cleanly."""
         model = CacheEnergyModel(

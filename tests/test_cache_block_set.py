@@ -44,16 +44,6 @@ class TestCacheBlock:
             block.record_write(now=float(i))
         assert block.write_count == 10
 
-    def test_age_since_write(self):
-        block = CacheBlock()
-        block.fill(0x1, now=0.0, dirty=True)
-        assert block.age_since_write(5.0) == pytest.approx(5.0)
-
-    def test_age_infinite_when_never_written(self):
-        block = CacheBlock()
-        block.fill(0x1, now=0.0)
-        assert block.age_since_write(5.0) == float("inf")
-
     def test_reset_clears_everything(self):
         block = CacheBlock()
         block.fill(0x1, now=1.0, dirty=True)
@@ -93,12 +83,6 @@ class TestCacheSet:
         cache_set.install(0, 0x1, now=0.0, dirty=True)
         cache_set.record_write(0, now=1.0)
         assert cache_set.set_writes == 2
-
-    def test_valid_blocks(self):
-        cache_set = CacheSet(4)
-        cache_set.install(0, 0x1, now=0.0)
-        cache_set.install(1, 0x2, now=0.0)
-        assert len(cache_set.valid_blocks()) == 2
 
     def test_victim_prefers_invalid(self):
         cache_set = CacheSet(2)

@@ -172,6 +172,17 @@ class TestDiffCommand:
         names = {e.get("name") for e in trace["traceEvents"]}
         assert "oracle.divergence" in names
 
+    def test_soa_engine_with_trace_out_exits_two(self, tmp_path, capsys):
+        trace_file = tmp_path / "trace.json"
+        code = main(["diff", "lbm", "--config", "oracle-small",
+                     "--engine", "soa", "--accesses", "200",
+                     "--trace-out", str(trace_file)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "per-access tracing" in err
+        assert not trace_file.exists()
+
     def test_unknown_config_exits_two(self, capsys):
         assert main(["diff", "lbm", "--config", "nope"]) == 2
         assert "unknown config" in capsys.readouterr().err

@@ -399,8 +399,12 @@ def test_engine_resolution_fallbacks_and_errors():
 
     assert resolve_engine(config) == "soa"
     assert resolve_engine(config, engine="object") == "object"
-    assert resolve_engine(config, tracer=_Tracer()) == "object"
-    assert resolve_engine(config, invariant_checker=object()) == "object"
+    assert resolve_engine(config, engine="object", tracer=_Tracer()) == "object"
+    # no engine named: the default engine's blockers raise, never fall back
+    with pytest.raises(ConfigurationError, match="soa engine does not support: tracing"):
+        resolve_engine(config, tracer=_Tracer())
+    with pytest.raises(ConfigurationError, match="invariant checker"):
+        resolve_engine(config, invariant_checker=object())
     with pytest.raises(ConfigurationError):
         resolve_engine(config, engine="soa", tracer=_Tracer())
     with pytest.raises(ConfigurationError):
@@ -420,6 +424,21 @@ def test_make_simulator_returns_the_resolved_engine():
     )
     explicit = make_simulator(config, workload, engine="object")
     assert type(explicit) is GPUSimulator
+
+
+def test_make_simulator_never_falls_back_to_the_object_engine():
+    from repro.tracing import TraceCollector
+
+    config = all_configs()["C1"]
+    workload = build_workload(
+        "bfs", num_accesses=200, num_sms=config.num_sms, seed=0
+    )
+    with pytest.raises(ConfigurationError, match="engine='object'"):
+        make_simulator(config, workload, tracer=TraceCollector())
+    traced = make_simulator(
+        config, workload, engine="object", tracer=TraceCollector()
+    )
+    assert type(traced) is GPUSimulator
 
 
 @pytest.mark.parametrize("config_name", ["C1", "baseline"])

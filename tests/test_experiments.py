@@ -11,6 +11,11 @@ SMALL = 3000
 SUBSET = ["bfs", "stencil", "tpacf"]
 
 
+def row_of(result, key):
+    """The row of ``result`` whose first cell is ``key``."""
+    return next(row for row in result.rows if row[0] == key)
+
+
 class TestCommon:
     def test_geomean_basic(self):
         assert geomean([1.0, 4.0]) == pytest.approx(2.0)
@@ -27,19 +32,9 @@ class TestCommon:
         result = ExperimentResult("demo", ["a"], [[1]])
         assert "demo" in result.render()
 
-    def test_result_column_and_row(self):
+    def test_result_column(self):
         result = ExperimentResult("demo", ["k", "v"], [["x", 1], ["y", 2]])
         assert result.column("v") == [1, 2]
-        assert result.row_for("y") == ["y", 2]
-
-    def test_result_row_missing_raises(self):
-        result = ExperimentResult("demo", ["k"], [["x"]])
-        with pytest.raises(KeyError):
-            result.row_for("z")
-
-    def test_result_csv(self):
-        result = ExperimentResult("demo", ["k", "v"], [["x", 1.5]])
-        assert result.csv().splitlines()[0] == "k,v"
 
 
 class TestTable1:
@@ -81,8 +76,8 @@ class TestFig3:
     def test_bfs_more_skewed_than_stencil(self):
         """The paper's Fig. 3 contrast: irregular vs regular writes."""
         result = run_experiment("fig3", trace_length=SMALL, benchmarks=["bfs", "stencil"])
-        bfs_cov = result.row_for("bfs")[2]
-        stencil_cov = result.row_for("stencil")[2]
+        bfs_cov = row_of(result, "bfs")[2]
+        stencil_cov = row_of(result, "stencil")[2]
         assert bfs_cov > 3 * stencil_cov
 
     def test_covs_non_negative(self):
@@ -94,14 +89,14 @@ class TestFig3:
 class TestFig4:
     def test_th1_is_reference(self):
         result = run_experiment("fig4", trace_length=SMALL, benchmarks=["bfs"])
-        row = result.row_for("bfs")
+        row = row_of(result, "bfs")
         assert row[1] == pytest.approx(1.0)  # lr/hr ratio at TH1
         assert row[5] == pytest.approx(1.0)  # total writes at TH1
 
     def test_higher_threshold_lower_lr_utilization(self):
         """The paper's Fig. 4: TH1 maximizes LR usage."""
         result = run_experiment("fig4", trace_length=SMALL, benchmarks=["bfs", "kmeans"])
-        avg = result.row_for("AVG")
+        avg = row_of(result, "AVG")
         th1, th3, th7, th15 = avg[1:5]
         assert th1 >= th3 >= th7 >= th15
 
@@ -114,7 +109,7 @@ class TestFig4:
 class TestFig5:
     def test_normalized_to_full_associativity(self):
         result = run_experiment("fig5", trace_length=SMALL, benchmarks=["bfs"])
-        row = result.row_for("bfs")
+        row = row_of(result, "bfs")
         # every column is a fraction of the fully-associative utilization
         for value in row[1:]:
             assert 0 < value <= 1.05
@@ -133,7 +128,7 @@ class TestFig5:
 class TestFig6:
     def test_fractions_rows(self):
         result = run_experiment("fig6", trace_length=SMALL, benchmarks=["bfs"])
-        row = result.row_for("bfs")
+        row = row_of(result, "bfs")
         fractions = row[1:-1]
         assert sum(fractions) == pytest.approx(1.0, abs=0.01)
 
@@ -173,12 +168,12 @@ class TestFig8:
         assert len(result.headers) == 2 + 12
 
     def test_tpacf_flat(self, result):
-        row = result.row_for("tpacf")
+        row = row_of(result, "tpacf")
         for speedup in row[2:6]:
             assert speedup == pytest.approx(1.0, abs=0.06)
 
     def test_bfs_gains_on_c1(self, result):
-        row = result.row_for("bfs")
+        row = row_of(result, "bfs")
         speedup_c1 = row[3]
         assert speedup_c1 > 1.15
 
@@ -195,7 +190,7 @@ class TestFig8:
     def test_reuse_of_precomputed_results(self):
         sims = fig8.run_simulations(trace_length=2000, benchmarks=["nn"])
         result = fig8.merge(["nn"], [fig8.payload_from_sims(sims["nn"])])
-        assert result.row_for("nn")
+        assert row_of(result, "nn")
 
 
 class TestRunner:

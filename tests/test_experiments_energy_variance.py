@@ -22,7 +22,7 @@ class TestEnergyBreakdown:
             assert all(share >= 0 for share in row[1:5])
 
     def test_read_mostly_benchmark_low_migration(self, result):
-        row = result.row_for("streamcluster")
+        row = next(row for row in result.rows if row[0] == "streamcluster")
         assert row[2] < 0.10  # migration share
 
     def test_extras_present(self, result):
@@ -63,7 +63,7 @@ class TestVariance:
 
     def test_flat_benchmarks_are_seed_stable(self, result):
         """nn/tpacf are insensitive: speedups must be ~1 at every seed."""
-        row = result.row_for("gmean_speedup_c1")
+        row = next(row for row in result.rows if row[0] == "gmean_speedup_c1")
         assert row[3] == pytest.approx(1.0, abs=0.05)  # min
         assert row[4] == pytest.approx(1.0, abs=0.05)  # max
 

@@ -22,7 +22,7 @@ class TestScalingExperiment:
 
     def test_extras_match_rows(self, result):
         assert result.extras["total_ratio_40nm"] == pytest.approx(
-            result.row_for("40nm")[2], abs=5e-4
+            next(row for row in result.rows if row[0] == "40nm")[2], abs=5e-4
         )
 
     def test_leakage_ratio_below_one(self, result):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import baseline_sram, config_c1
 from repro.errors import SimulationError
-from repro.gpu import run_application, compare_applications
+from repro.gpu import run_application
 from repro.gpu.simulator import GPUSimulator
 from repro.workloads import build_workload
 
@@ -52,13 +52,6 @@ class TestApplicationRun:
     def test_empty_application_rejected(self):
         with pytest.raises(SimulationError):
             run_application(baseline_sram(), [])
-
-    def test_compare_applications(self):
-        kernels = make_kernels(1, length=1200)
-        results = compare_applications(
-            {"baseline": baseline_sram(), "C1": config_c1()}, kernels
-        )
-        assert set(results) == {"baseline", "C1"}
 
     def test_retention_clock_monotone_across_kernels(self):
         """The L2's replay clock must not jump backwards at boundaries."""

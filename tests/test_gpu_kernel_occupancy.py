@@ -34,9 +34,6 @@ class TestRegisterFile:
     def test_capacity(self):
         assert RegisterFile(32768).capacity_bytes == 128 * 1024
 
-    def test_max_threads(self):
-        assert RegisterFile(32768).max_concurrent_threads(32) == 1024
-
     def test_area_scales_with_registers(self):
         small = RegisterFile(32768)
         large = RegisterFile(65536)
@@ -45,10 +42,6 @@ class TestRegisterFile:
     def test_rejects_zero_registers(self):
         with pytest.raises(ConfigurationError):
             RegisterFile(0)
-
-    def test_rejects_zero_regs_per_thread(self):
-        with pytest.raises(ConfigurationError):
-            RegisterFile(1024).max_concurrent_threads(0)
 
 
 class TestOccupancy:
@@ -95,11 +88,6 @@ class TestOccupancy:
         )
         with pytest.raises(ConfigurationError):
             compute_occupancy(kernel, baseline_sram())
-
-    def test_occupancy_fraction(self):
-        kernel = KernelDescriptor(name="k", regs_per_thread=8, threads_per_block=256)
-        occ = compute_occupancy(kernel, baseline_sram())
-        assert 0 < occ.occupancy_fraction <= 1.0
 
     @given(st.integers(min_value=8, max_value=64),
            st.sampled_from([64, 128, 192, 256, 512]))

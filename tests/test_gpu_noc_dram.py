@@ -1,7 +1,6 @@
 """Tests for the butterfly NoC and DRAM models."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.gpu.dram import DRAMModel
@@ -26,15 +25,6 @@ class TestButterflyNoC:
             noc.traversal_cycles(8) + noc.traversal_cycles(256)
         )
 
-    def test_contention_grows_with_utilization(self):
-        noc = ButterflyNoC()
-        assert noc.contention_cycles(0.0) == 0.0
-        assert noc.contention_cycles(0.5) < noc.contention_cycles(0.9)
-
-    def test_contention_capped(self):
-        noc = ButterflyNoC()
-        assert noc.contention_cycles(10.0) == noc.contention_cycles(0.95)
-
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigurationError):
             ButterflyNoC(radix=1)
@@ -42,11 +32,6 @@ class TestButterflyNoC:
             ButterflyNoC(num_sources=0)
         with pytest.raises(ConfigurationError):
             ButterflyNoC().traversal_cycles(-1)
-
-    @given(st.floats(min_value=0, max_value=0.94))
-    def test_contention_monotone(self, u):
-        noc = ButterflyNoC()
-        assert noc.contention_cycles(u) <= noc.contention_cycles(u + 0.01)
 
 
 class TestDRAMModel:
@@ -103,14 +88,6 @@ class TestDRAMModel:
         assert dram._channel(256) == 1
         assert dram._channel(6 * 256) == 0
 
-    def test_reset_clears_state(self):
-        dram = DRAMModel(num_channels=1)
-        dram.access(0x0, is_write=False, now=0.0)
-        dram.reset()
-        assert dram.access(0x0, is_write=False, now=0.0) == pytest.approx(
-            dram.base_latency_s
-        )
-
     def test_utilization_bounded(self):
         dram = DRAMModel()
         for i in range(100):
@@ -140,12 +117,6 @@ class TestDRAMModel:
         # horizon cut mid-queue: busy time can never exceed the horizon
         horizon = 10 * dram.service_time_s
         assert dram.utilization(horizon) == pytest.approx(1.0)
-
-    def test_utilization_reset(self):
-        dram = DRAMModel(num_channels=1)
-        dram.access(0x0, is_write=False, now=0.0)
-        dram.reset()
-        assert dram.utilization(1.0) == 0.0
 
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigurationError):

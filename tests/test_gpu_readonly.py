@@ -10,6 +10,7 @@ from repro.gpu.readonly import (
     ROCacheConfig,
 )
 from repro.units import KB
+from repro.workloads.trace import FLAG_CONST, FLAG_TEXTURE
 
 
 class TestROCacheConfig:
@@ -71,8 +72,9 @@ def make_workload_with_const():
 class TestSimulatorRouting:
     def test_trace_carries_const_tex_fractions(self):
         workload, profile = make_workload_with_const()
-        assert workload.trace.const_fraction == pytest.approx(0.20, abs=0.05)
-        assert workload.trace.texture_fraction == pytest.approx(0.20, abs=0.05)
+        flags = workload.trace.flags
+        assert ((flags & FLAG_CONST) != 0).mean() == pytest.approx(0.20, abs=0.05)
+        assert ((flags & FLAG_TEXTURE) != 0).mean() == pytest.approx(0.20, abs=0.05)
 
     def test_simulator_routes_to_ro_caches(self):
         from repro.config import baseline_sram
@@ -96,5 +98,4 @@ class TestSimulatorRouting:
         from repro.workloads import build_workload
 
         workload = build_workload("bfs", num_accesses=2000, seed=0)
-        assert workload.trace.const_fraction == 0.0
-        assert workload.trace.texture_fraction == 0.0
+        assert not (workload.trace.flags & (FLAG_CONST | FLAG_TEXTURE)).any()

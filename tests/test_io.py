@@ -10,9 +10,7 @@ from repro.io import (
     SCHEMA_VERSION,
     experiment_result_from_dict,
     experiment_result_to_dict,
-    load_experiments,
     save_experiments,
-    save_simulations,
     simulation_result_to_dict,
 )
 
@@ -31,31 +29,18 @@ class TestExperimentSerialization:
         results = {"table1": table1.run(), "table2": table2.run()}
         path = tmp_path / "battery.json"
         save_experiments(results, path)
-        restored = load_experiments(path)
+        restored = json.loads(path.read_text())["experiments"]
         assert set(restored) == {"table1", "table2"}
-        assert restored["table2"].rows == results["table2"].rows
+        assert (
+            experiment_result_from_dict(restored["table2"]).rows
+            == results["table2"].rows
+        )
 
     def test_schema_version_stamped(self, tmp_path):
         path = tmp_path / "battery.json"
         save_experiments({"table1": table1.run()}, path)
         document = json.loads(path.read_text())
         assert document["schema_version"] == SCHEMA_VERSION
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema_version": 999, "experiments": {}}))
-        with pytest.raises(ReproError):
-            load_experiments(path)
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "garbage.json"
-        path.write_text("{not json")
-        with pytest.raises(ReproError):
-            load_experiments(path)
-
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(ReproError):
-            load_experiments(tmp_path / "nope.json")
 
     def test_from_dict_missing_key(self):
         with pytest.raises(ReproError):
@@ -80,12 +65,6 @@ class TestSimulationSerialization:
         payload = simulation_result_to_dict(result)
         assert payload["l2_total_power_w"] == pytest.approx(result.l2_total_power_w)
 
-    def test_save_simulations(self, result, tmp_path):
-        path = tmp_path / "sims.json"
-        save_simulations([result, result], path)
-        document = json.loads(path.read_text())
-        assert len(document["simulations"]) == 2
-
 
 class TestCLIJson:
     def test_experiments_json_flag(self, tmp_path, capsys):
@@ -94,5 +73,5 @@ class TestCLIJson:
         path = tmp_path / "out.json"
         code = cli_main(["experiments", "table1", "--json", str(path)])
         assert code == 0
-        restored = load_experiments(path)
+        restored = json.loads(path.read_text())["experiments"]
         assert "table1" in restored

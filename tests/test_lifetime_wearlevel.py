@@ -7,7 +7,7 @@ from repro.analysis.lifetime import lifetime_report, relative_lifetime
 from repro.cache.array import SetAssociativeCache
 from repro.cache.wearlevel import WearLevelingCache
 from repro.errors import AnalysisError, ConfigurationError
-from repro.units import KB, YEAR
+from repro.units import KB
 
 
 def make_array(capacity=4 * KB, assoc=2, line=256):
@@ -63,12 +63,6 @@ class TestLifetimeReport:
             array.access(line * 256, is_write=True)
         report = lifetime_report(array, elapsed_s=1.0)
         assert report.imbalance == pytest.approx(1.0)
-
-    def test_lifetime_years(self):
-        array = make_array()
-        array.access(0x0, is_write=True)
-        report = lifetime_report(array, elapsed_s=1.0, endurance_writes=YEAR)
-        assert report.lifetime_years == pytest.approx(1.0)
 
     def test_relative_lifetime(self):
         array = make_array()

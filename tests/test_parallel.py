@@ -1,5 +1,7 @@
 """Tests for the parallel experiment harness (decompose / execute / merge)."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import ReproError
@@ -13,6 +15,12 @@ from repro.experiments.parallel import (
     run_battery,
 )
 from repro.experiments.runner import EXPERIMENTS, run_experiment
+from repro.io import canonical_json, experiment_result_to_dict
+from tests.pinned import (
+    EXPERIMENT_BENCHMARKS,
+    EXPERIMENT_DIGESTS,
+    EXPERIMENT_TRACE_LENGTH,
+)
 
 SMALL = 1000
 SUBSET = ["nn", "bfs"]
@@ -36,6 +44,11 @@ class TestDecompose:
         # the variance sweep's seed-0 slice is exactly the fig8 job set
         assert [s for s in variance_specs if s.seed == 0] == fig8_specs
         assert {s.seed for s in variance_specs} == {0, 1, 2}
+
+    def test_fig6_and_energy_share_one_replay(self):
+        fig6_specs = decompose("fig6", SMALL, SUBSET, seed=0)
+        assert decompose("energy", SMALL, SUBSET, seed=0) == fig6_specs
+        assert {s.kind for s in fig6_specs} == {"c1replay"}
 
     def test_scaling_uses_its_default_mix(self):
         specs = decompose("scaling", trace_length=SMALL)
@@ -116,6 +129,15 @@ class TestCache:
         assert telemetry.cache_hits == 0
         assert not telemetry.cache_enabled
 
+    def test_energy_after_fig6_is_all_hits(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        run_battery(["fig6"], trace_length=SMALL, benchmarks=SUBSET,
+                    cache_dir=cache_dir)
+        _, telemetry = run_battery(["energy"], trace_length=SMALL,
+                                   benchmarks=SUBSET, cache_dir=cache_dir)
+        assert telemetry.cache_misses == 0
+        assert telemetry.cache_hits == len(SUBSET)
+
     def test_different_seed_misses(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         run_battery(["fig3"], trace_length=SMALL, benchmarks=["nn"], seed=0,
@@ -146,3 +168,19 @@ class TestBattery:
         (record,) = telemetry.records
         assert record.counters["l2_requests"] > 0
         assert record.counters["dram_accesses"] >= 0
+
+
+def test_characterization_results_hold_their_pins():
+    results, _ = run_battery(
+        sorted(EXPERIMENT_DIGESTS),
+        trace_length=EXPERIMENT_TRACE_LENGTH,
+        benchmarks=list(EXPERIMENT_BENCHMARKS),
+        use_cache=False,
+    )
+    digests = {
+        name: hashlib.sha256(
+            canonical_json(experiment_result_to_dict(result)).encode()
+        ).hexdigest()
+        for name, result in results.items()
+    }
+    assert digests == EXPERIMENT_DIGESTS

@@ -140,24 +140,24 @@ class TestSharedResultStore:
     def test_newest_entry_is_never_evicted(self, tmp_path):
         store = SharedResultStore(tmp_path, max_entries=1)
         _fill(store, ["a" * 8, "b" * 8])
-        assert store.entry_count == 1
+        assert store.counters()["entries"] == 1
         assert store.get("b" * 8) is not None
 
     def test_size_accounting_matches_disk(self, tmp_path):
         store = SharedResultStore(tmp_path)
         _fill(store, ["a" * 8, "b" * 8, "c" * 8])
         on_disk = sum(p.stat().st_size for p in store.entries())
-        assert store.total_bytes == on_disk
-        assert store.entry_count == 3
+        assert store.counters()["bytes"] == on_disk
+        assert store.counters()["entries"] == 3
 
     def test_byte_budget_evicts_down(self, tmp_path):
         store = SharedResultStore(tmp_path)
         _fill(store, ["a" * 8], payload_size=64)
-        entry_bytes = store.total_bytes
+        entry_bytes = store.counters()["bytes"]
         store.max_bytes = entry_bytes * 2
         _fill(store, ["b" * 8, "c" * 8], payload_size=64)
-        assert store.entry_count <= 2
-        assert store.total_bytes <= store.max_bytes
+        assert store.counters()["entries"] <= 2
+        assert store.counters()["bytes"] <= store.max_bytes
         assert store.get("c" * 8) is not None  # newest survives
 
     def test_corrupt_entry_is_a_miss_not_a_crash(self, tmp_path):
@@ -177,7 +177,7 @@ class TestSharedResultStore:
         _fill(first, ["a" * 8, "b" * 8, "c" * 8])
         assert first.get("a" * 8) is not None  # touches mtime: now newest
         reopened = SharedResultStore(tmp_path, max_entries=2)
-        assert reopened.entry_count == 3  # budgets bound between operations
+        assert reopened.counters()["entries"] == 3  # budgets bound between operations
         # the next put evicts down by the *persisted* recency: the touched
         # "a" must survive, the untouched oldest entries must not
         reopened.put("d" * 8, {}, {"v": 4})
@@ -201,9 +201,9 @@ class TestSharedResultStore:
             t.start()
         for t in threads:
             t.join()
-        assert store.entry_count == len(keys)
+        assert store.counters()["entries"] == len(keys)
         on_disk = sum(p.stat().st_size for p in store.entries())
-        assert store.total_bytes == on_disk
+        assert store.counters()["bytes"] == on_disk
         for key in keys:
             assert store.get(key) == {"v": key}
 

@@ -87,10 +87,9 @@ class TestShardPlan:
         plan = plan_shards(config, 4)
         sub = plan.sub_config.l2
         assert sub.num_banks == config.l2.num_banks // 4
-        assert plan.banks_per_shard == sub.num_banks
         # bank bijection: global = (local << shard_bits) | shard
         seen = sorted(
-            plan.global_bank(shard, local)
+            (local << plan.shard_bits) | shard
             for shard in range(4) for local in range(sub.num_banks)
         )
         assert seen == list(range(config.l2.num_banks))
@@ -460,4 +459,3 @@ class TestShardedOracle:
             main(["diff", "bfs", "--engine", "sharded"])
         assert exit_info.value.code == 2
         assert "invalid choice: 'sharded'" in capsys.readouterr().err
-

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import DeviceModelError
-from repro.sttram.cell import STTCell, SRAM_CELL_AREA_F2, STT_CELL_AREA_F2
+from repro.sttram.cell import STTCell
 from repro.sttram.mtj import MTJParameters
 from repro.sttram.retention import (
     HIGH_RETENTION_SECONDS,
     HR_RETENTION_SECONDS,
     LR_RETENTION_SECONDS,
     RetentionLevel,
-    render_table1,
     retention_catalogue,
 )
 from repro.units import MS, US, YEAR
@@ -40,17 +39,6 @@ class TestSTTCell:
     def test_read_energy_well_below_write_energy(self):
         cell = make_cell(40 * MS)
         assert cell.read_energy_per_bit < 0.1 * cell.write_energy_per_bit
-
-    def test_read_disturb_margin_comfortable(self):
-        # sense current must sit far below the switching current
-        cell = make_cell(40 * US)
-        assert cell.read_disturb_margin > 1.5
-
-    def test_density_advantage_near_4x(self):
-        assert STTCell.density_advantage_over_sram() == pytest.approx(
-            SRAM_CELL_AREA_F2 / STT_CELL_AREA_F2
-        )
-        assert 3.5 < STTCell.density_advantage_over_sram() < 4.5
 
     def test_area_positive(self):
         assert STTCell.area(40e-9) > 0
@@ -97,14 +85,6 @@ class TestRetentionLevel:
         with pytest.raises(DeviceModelError):
             level.read_energy_per_line(-1)
 
-    def test_table_row_fields(self):
-        level = RetentionLevel.from_retention_time("lr", 40 * US)
-        row = level.table_row()
-        assert set(row) == {
-            "level", "delta", "retention", "write_latency",
-            "write_energy", "refreshing",
-        }
-
 
 class TestCatalogue:
     def test_default_catalogue_has_three_levels(self):
@@ -143,9 +123,3 @@ class TestCatalogue:
     def test_rejects_inverted_targets(self):
         with pytest.raises(DeviceModelError):
             retention_catalogue(hr_retention_s=10 * US, lr_retention_s=40 * MS)
-
-    def test_render_table1_has_all_levels(self):
-        cat = retention_catalogue()
-        table = render_table1(cat.values())
-        for name in cat:
-            assert name in table

@@ -9,7 +9,6 @@ from repro.errors import DeviceModelError
 from repro.sttram.failure import (
     bit_failure_probability,
     block_failure_probability,
-    expected_failed_bits,
     max_refresh_interval,
 )
 from repro.units import MS, US
@@ -101,16 +100,3 @@ class TestRefreshInterval:
         tight = max_refresh_interval(40 * US, 2048, target_block_failure=1e-12)
         loose = max_refresh_interval(40 * US, 2048, target_block_failure=1e-6)
         assert loose > tight
-
-
-class TestExpectedFailedBits:
-    def test_expected_bits_at_retention_time(self):
-        expected = expected_failed_bits(40 * US, 40 * US, 2048)
-        assert expected == pytest.approx(2048 * (1 - math.exp(-1)))
-
-    def test_zero_elapsed(self):
-        assert expected_failed_bits(0.0, 40 * US, 2048) == 0.0
-
-    def test_rejects_bad_block(self):
-        with pytest.raises(DeviceModelError):
-            expected_failed_bits(1.0, 1.0, -5)

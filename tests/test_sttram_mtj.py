@@ -96,36 +96,3 @@ class TestSwitchingCurrent:
     def test_current_below_ic0(self):
         mtj = MTJParameters(delta=TEN_YEAR_DELTA, ic0=55e-6)
         assert mtj.switching_current(10 * NS) < 55e-6
-
-
-class TestMinPulseWidth:
-    def test_inverse_of_switching_current(self):
-        mtj = MTJParameters(delta=25)
-        pulse = 8 * NS
-        current = mtj.switching_current(pulse)
-        assert mtj.min_pulse_width(current) == pytest.approx(pulse, rel=1e-9)
-
-    def test_overdrive_hits_floor(self):
-        mtj = MTJParameters(delta=25, ic0=55e-6)
-        assert mtj.min_pulse_width(60e-6) == pytest.approx(DEFAULT_TAU0 * math.e)
-
-    def test_undercurrent_raises(self):
-        mtj = MTJParameters(delta=25, ic0=55e-6)
-        with pytest.raises(DeviceModelError):
-            mtj.min_pulse_width(1e-9)
-
-    def test_rejects_nonpositive_current(self):
-        mtj = MTJParameters(delta=25)
-        with pytest.raises(DeviceModelError):
-            mtj.min_pulse_width(0.0)
-
-    @given(st.floats(min_value=12.0, max_value=45.0),
-           st.floats(min_value=2e-9, max_value=50e-9))
-    def test_roundtrip_property(self, delta, pulse):
-        mtj = MTJParameters(delta=delta)
-        try:
-            current = mtj.switching_current(pulse)
-        except DeviceModelError:
-            return  # outside the thermal window for this delta
-        recovered = mtj.min_pulse_width(current)
-        assert recovered == pytest.approx(pulse, rel=1e-6)

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.errors import ReproError
 from repro.experiments.parallel import run_battery
 from repro.telemetry import (
     CACHE_SCHEMA_VERSION,
@@ -14,7 +13,6 @@ from repro.telemetry import (
     RunTelemetry,
     config_fingerprint,
     content_key,
-    load_manifest,
 )
 
 
@@ -96,14 +94,8 @@ class TestManifest:
     def test_write_and_load_round_trip(self, tmp_path):
         path = tmp_path / "manifest.json"
         self._telemetry().write(path)
-        document = load_manifest(path)
+        document = json.loads(path.read_text())
         assert document["totals"]["jobs"] == 2
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"schema_version": 999}))
-        with pytest.raises(ReproError):
-            load_manifest(path)
 
     def test_manifest_is_json_serializable_end_to_end(self, tmp_path):
         """A real battery run produces a loadable manifest."""
@@ -112,7 +104,7 @@ class TestManifest:
                                    cache_dir=str(tmp_path / "cache"))
         path = tmp_path / "m.json"
         telemetry.write(path)
-        document = load_manifest(path)
+        document = json.loads(path.read_text())
         assert document["run"]["cache_enabled"] is True
         assert document["totals"]["jobs"] == 2
         kinds = {job["kind"] for job in document["jobs"]}

@@ -7,28 +7,6 @@ from hypothesis import given, strategies as st
 from repro import units
 
 
-class TestConversions:
-    def test_cycles_to_seconds_basic(self):
-        assert units.cycles_to_seconds(700, 700e6) == pytest.approx(1e-6)
-
-    def test_seconds_to_cycles_roundtrip(self):
-        assert units.seconds_to_cycles(1e-6, 700e6) == pytest.approx(700)
-
-    def test_cycles_to_seconds_rejects_zero_frequency(self):
-        with pytest.raises(ValueError):
-            units.cycles_to_seconds(10, 0.0)
-
-    def test_seconds_to_cycles_rejects_negative_frequency(self):
-        with pytest.raises(ValueError):
-            units.seconds_to_cycles(1.0, -1.0)
-
-    @given(st.floats(min_value=1e-12, max_value=1e6),
-           st.floats(min_value=1e3, max_value=1e10))
-    def test_roundtrip_property(self, seconds, freq):
-        cycles = units.seconds_to_cycles(seconds, freq)
-        assert units.cycles_to_seconds(cycles, freq) == pytest.approx(seconds)
-
-
 class TestFormatting:
     def test_format_time_ns(self):
         assert units.format_time(5e-9) == "5ns"
