@@ -97,8 +97,8 @@ class SetAssociativeCache:
     def sets(self) -> List[CacheSet]:
         """The per-set way objects, built on first use.
 
-        Arrays whose state lives elsewhere (the ``soa`` engine's L1 and
-        read-only caches keep flat per-SM vectors) never pay for them.
+        Arrays whose state lives elsewhere (the ``soa`` engine's L1s keep
+        flat per-SM vectors) never pay for them.
         """
         return [CacheSet(self.associativity) for _ in range(self._num_sets)]
 

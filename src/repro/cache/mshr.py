@@ -38,18 +38,9 @@ class MSHRFile:
         self.stats = MSHRStats()
 
     @property
-    def occupancy(self) -> int:
-        """Entries currently allocated."""
-        return len(self._entries)
-
-    @property
     def full(self) -> bool:
         """True when no new line can be tracked."""
         return len(self._entries) >= self.num_entries
-
-    def lookup(self, line_address: int) -> bool:
-        """Is a fetch already outstanding for this line?"""
-        return line_address in self._entries
 
     def register_miss(self, line_address: int) -> str:
         """Track a miss; returns ``"allocated"``, ``"coalesced"`` or ``"stall"``.

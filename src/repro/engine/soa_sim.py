@@ -3,12 +3,12 @@
 :class:`SoaGPUSimulator` subclasses
 :class:`repro.gpu.simulator.GPUSimulator` and overrides only :meth:`run`:
 the trace is decoded with NumPy per chunk of
-:data:`~repro.workloads.trace.CHUNK_RECORDS` records (flags,
-read-only-cache set groups, L1 tag/set/line splits), so replay memory does
-not grow with the trace, and the per-record work — L1 write policies, MSHR
-coalescing, deferred fills, read-only caches, the L2 serve paths, bank
-scheduling and DRAM — is fused into one interpreter loop over flat per-SM
-state vectors with zero per-access object allocation.  The L2 state lives
+:data:`~repro.workloads.trace.CHUNK_RECORDS` records (flags, L1
+tag/set/line splits), so replay memory does not grow with the trace, and
+the per-record work — L1 write policies, MSHR coalescing, deferred fills,
+the L2 serve paths, bank scheduling and DRAM — is fused into one
+interpreter loop over flat per-SM state vectors with zero per-access
+object allocation.  The L2 state lives
 in the SoA model built by :func:`repro.core.factory.build_l2`
 (``engine="soa"``); its demand paths and HR->LR migration (with the LR
 victim's return to HR and the force-pops of full swap buffers) are
@@ -40,7 +40,7 @@ bookkeeping liberties keep that true while staying fast:
   exactly the object engine's.
 
 The one intentional divergence: *wear* counters that nothing reads are
-not kept.  The L1 and read-only caches keep no per-line wear counters
+not kept.  The L1s keep no per-line wear counters
 (``set_writes``/``frame_writes``/``set_evictions``) or per-block
 timestamps, and the flat L2 arrays keep no per-frame write or per-set
 eviction counts (:class:`~repro.engine.soa_array.SoaCacheArray` has no
@@ -74,13 +74,7 @@ from repro.gpu.simulator import (
     TIME_DILATION,
     GPUSimulator,
 )
-from repro.workloads.trace import (
-    FLAG_CONST,
-    FLAG_LOCAL,
-    FLAG_TEXTURE,
-    FLAG_WRITE,
-    Workload,
-)
+from repro.workloads.trace import FLAG_LOCAL, FLAG_WRITE, Workload
 
 
 class SoaGPUSimulator(GPUSimulator):
@@ -117,13 +111,13 @@ class SoaGPUSimulator(GPUSimulator):
         # and per-request temporaries are bound first and setup binds only
         # what the loop reads; names bound on rare paths or in the fold
         # after the loop take the high numbers.
-        sm = is_write = is_local = group = line = tag = set_index = None
+        sm = is_write = is_local = line = tag = set_index = None
         reqs = pend_sm = entry = ready = pending_line = new_min = None
         landed = mshr_sm = slot = t2w = way = order = base = None
         candidate = slot_index = fill_way = fill_tag = fill_no = None
         fill_set = fill_dirty = evicted_line = dirty_intent = kind = None
         raddr = l2_write = now2 = lineno = wb_total = dram_fetch = None
-        part = index = last = written = first_hit = None
+        part = index = first_hit = None
         hr_tag = hr_index = hr_way = hr_slot = None
         tag_latency = energy = latency = tag_map = initial = None
         fway = fslot = evicted_dirty = bank = busy = start = wait = None
@@ -169,16 +163,6 @@ class SoaGPUSimulator(GPUSimulator):
         g_gr = [0] * S; g_gw = [0] * S; g_lr = [0] * S; g_lw = [0] * S
         g_wev = [0] * S; g_lwb = [0] * S; g_coal = [0] * S; g_stall = [0] * S
         m_alloc = [0] * S; m_coal = [0] * S; m_stall = [0] * S; m_comp = [0] * S
-
-        # read-only state and counters, one entry per set group (none
-        # without read-only records): line -> way maps, resident line per
-        # way, LRU orders (LRU first)
-        ro_resident = [[-1] * assoc for assoc in self._read_only_ways()]
-        ro_ways = [dict() for _ in ro_resident]
-        ro_lru = [list(range(len(ways))) for ways in ro_resident]
-        ro_hits = [0] * len(ro_resident)
-        ro_fills = [0] * len(ro_resident)
-        ro_evictions = [0] * len(ro_resident)
 
         # --- shared-component locals -------------------------------------
         bank_busy = self.banks._busy_until
@@ -310,11 +294,11 @@ class SoaGPUSimulator(GPUSimulator):
         n_h2l_push = n_h2l_over = n_l2h_push = n_l2h_over = 0
 
         # --- the fused replay loop ---------------------------------------
-        # A record first runs its read-only or L1 step, which queues the L2
-        # requests it makes in ``reqs``: the write-backs of landed fills,
-        # then at most one request of its own (0 fetch, 1 write, 2 wb).
-        # The L2 block at the bottom serves them in that order.
-        for sm, is_write, is_local, group, line, tag, set_index in (
+        # A record first runs its L1 step, which queues the L2 requests it
+        # makes in ``reqs``: the write-backs of landed fills, then at most
+        # one request of its own (0 fetch, 1 write, 2 wb).  The L2 block
+        # at the bottom serves them in that order.
+        for sm, is_write, is_local, line, tag, set_index in (
             chain.from_iterable(self._decoded_chunks())
         ):
             now += dt
@@ -323,218 +307,192 @@ class SoaGPUSimulator(GPUSimulator):
                 stall_sum_s += l1_hit_s
                 read_latency_sum_s += l1_hit_s
 
-            if group >= 0:
-                # ---- read-only (const/texture) cache --------------------
-                ways = ro_ways[group]
-                way = ways.get(line)
-                order = ro_lru[group]
+            # ---- L1 data cache ------------------------------------------
+            pend_sm = pend[sm]
+            reqs = None
+            # deferred fills whose fetch landed install first; their
+            # dirty evictions queue as L2 write-backs, in landed order
+            if pend_sm and now >= min_ready[sm]:
+                landed = []
+                new_min = inf
+                for pending_line, entry in pend_sm.items():
+                    ready = entry[0]
+                    if ready is None:
+                        continue
+                    if ready <= now:
+                        landed.append(pending_line)
+                    elif ready < new_min:
+                        new_min = ready
+                min_ready[sm] = new_min
+                mshr_sm = mshr_map[sm]
+                for pending_line in landed:
+                    fill_dirty = pend_sm.pop(pending_line)[1]
+                    fill_no = pending_line >> l1_off
+                    if l1_pow2:
+                        fill_tag = fill_no >> l1_bits
+                        fill_set = fill_no & l1_mask
+                    else:
+                        fill_tag, fill_set = divmod(fill_no, l1_nsets)
+                    slot = sm * l1_nsets + fill_set
+                    t2w = l1_t2w[slot]
+                    fill_way = t2w.get(fill_tag)
+                    evicted_line = -1
+                    if fill_way is not None:
+                        # already present: OR in the dirty intent, touch
+                        if fill_dirty:
+                            l1_dirty[slot * l1_assoc + fill_way] = True
+                        order = l1_lru[slot]
+                        order.remove(fill_way)
+                        order.append(fill_way)
+                    else:
+                        base = slot * l1_assoc
+                        fill_way = -1
+                        for candidate in range(l1_assoc):
+                            if not l1_valid[base + candidate]:
+                                fill_way = candidate
+                                break
+                        if fill_way < 0:
+                            fill_way = l1_lru[slot][0]
+                        slot_index = base + fill_way
+                        if l1_valid[slot_index]:
+                            victim_tag = l1_tags[slot_index]
+                            if l1_dirty[slot_index]:
+                                ar_evd[sm] += 1
+                                if l1_pow2:
+                                    victim_no = (
+                                        (victim_tag << l1_bits) | fill_set
+                                    )
+                                else:
+                                    victim_no = (
+                                        victim_tag * l1_nsets + fill_set
+                                    )
+                                evicted_line = victim_no << l1_off
+                            else:
+                                ar_evc[sm] += 1
+                            del t2w[victim_tag]
+                        l1_tags[slot_index] = fill_tag
+                        l1_valid[slot_index] = True
+                        l1_dirty[slot_index] = fill_dirty
+                        t2w[fill_tag] = fill_way
+                        order = l1_lru[slot]
+                        order.remove(fill_way)
+                        order.append(fill_way)
+                        ar_fills[sm] += 1
+                    if mshr_sm.pop(pending_line, None) is None:
+                        raise SimulationError(
+                            "completing a fetch that was never "
+                            f"registered: {pending_line:#x}"
+                        )
+                    m_comp[sm] += 1
+                    if evicted_line >= 0:
+                        g_lwb[sm] += 1
+                        if reqs is None:
+                            reqs = []
+                        reqs.append((2, evicted_line))
+
+            slot = sm * l1_nsets + set_index
+            t2w = l1_t2w[slot]
+            if is_local:
+                # conventional write-back/write-allocate for local data
+                if is_write:
+                    g_lw[sm] += 1
+                    ar_writes[sm] += 1
+                else:
+                    g_lr[sm] += 1
+                    ar_reads[sm] += 1
+                way = t2w.get(tag)
                 if way is not None:
-                    ro_hits[group] += 1
+                    if is_write:
+                        ar_wh[sm] += 1
+                        l1_dirty[slot * l1_assoc + way] = True
+                    else:
+                        ar_rh[sm] += 1
+                    order = l1_lru[slot]
                     order.remove(way)
                     order.append(way)
-                    continue
-                resident = ro_resident[group]
-                # read-only lines are never invalidated, so the valid ways
-                # are always ways 0 .. len(ways) - 1
-                if len(ways) < len(resident):
-                    way = len(ways)
+                    if reqs is None:
+                        continue
+                    kind = -1
                 else:
-                    way = order[0]
-                    del ways[resident[way]]
-                    ro_evictions[group] += 1  # never dirty: silent
-                resident[way] = line
-                ways[line] = way
-                order.remove(way)
-                order.append(way)
-                ro_fills[group] += 1
-                reqs = ((0, line),)
+                    kind = 0
+                    dirty_intent = is_write
+            elif is_write:
+                # global store: write-evict on hit, write-no-allocate
+                g_gw[sm] += 1
+                ar_writes[sm] += 1
+                way = t2w.get(tag)
+                if way is not None:
+                    ar_wh[sm] += 1
+                    slot_index = slot * l1_assoc + way
+                    del t2w[tag]
+                    l1_tags[slot_index] = -1
+                    l1_valid[slot_index] = False
+                    l1_dirty[slot_index] = False
+                    ar_inv[sm] += 1
+                    g_wev[sm] += 1
+                elif line in pend_sm:
+                    # the store supersedes an in-flight fetch: cancel it
+                    del pend_sm[line]
+                    if mshr_map[sm].pop(line, None) is None:
+                        raise SimulationError(
+                            "completing a fetch that was never "
+                            f"registered: {line:#x}"
+                        )
+                    m_comp[sm] += 1
+                kind = 1
             else:
-                # ---- L1 data cache --------------------------------------
-                pend_sm = pend[sm]
-                reqs = None
-                # deferred fills whose fetch landed install first; their
-                # dirty evictions queue as L2 write-backs, in landed order
-                if pend_sm and now >= min_ready[sm]:
-                    landed = []
-                    new_min = inf
-                    for pending_line, entry in pend_sm.items():
-                        ready = entry[0]
-                        if ready is None:
-                            continue
-                        if ready <= now:
-                            landed.append(pending_line)
-                        elif ready < new_min:
-                            new_min = ready
-                    min_ready[sm] = new_min
-                    mshr_sm = mshr_map[sm]
-                    for pending_line in landed:
-                        fill_dirty = pend_sm.pop(pending_line)[1]
-                        fill_no = pending_line >> l1_off
-                        if l1_pow2:
-                            fill_tag = fill_no >> l1_bits
-                            fill_set = fill_no & l1_mask
-                        else:
-                            fill_tag, fill_set = divmod(fill_no, l1_nsets)
-                        slot = sm * l1_nsets + fill_set
-                        t2w = l1_t2w[slot]
-                        fill_way = t2w.get(fill_tag)
-                        evicted_line = -1
-                        if fill_way is not None:
-                            # already present: OR in the dirty intent, touch
-                            if fill_dirty:
-                                l1_dirty[slot * l1_assoc + fill_way] = True
-                            order = l1_lru[slot]
-                            order.remove(fill_way)
-                            order.append(fill_way)
-                        else:
-                            base = slot * l1_assoc
-                            fill_way = -1
-                            for candidate in range(l1_assoc):
-                                if not l1_valid[base + candidate]:
-                                    fill_way = candidate
-                                    break
-                            if fill_way < 0:
-                                fill_way = l1_lru[slot][0]
-                            slot_index = base + fill_way
-                            if l1_valid[slot_index]:
-                                victim_tag = l1_tags[slot_index]
-                                if l1_dirty[slot_index]:
-                                    ar_evd[sm] += 1
-                                    if l1_pow2:
-                                        victim_no = (
-                                            (victim_tag << l1_bits) | fill_set
-                                        )
-                                    else:
-                                        victim_no = (
-                                            victim_tag * l1_nsets + fill_set
-                                        )
-                                    evicted_line = victim_no << l1_off
-                                else:
-                                    ar_evc[sm] += 1
-                                del t2w[victim_tag]
-                            l1_tags[slot_index] = fill_tag
-                            l1_valid[slot_index] = True
-                            l1_dirty[slot_index] = fill_dirty
-                            t2w[fill_tag] = fill_way
-                            order = l1_lru[slot]
-                            order.remove(fill_way)
-                            order.append(fill_way)
-                            ar_fills[sm] += 1
-                        if mshr_sm.pop(pending_line, None) is None:
-                            raise SimulationError(
-                                "completing a fetch that was never "
-                                f"registered: {pending_line:#x}"
-                            )
-                        m_comp[sm] += 1
-                        if evicted_line >= 0:
-                            g_lwb[sm] += 1
-                            if reqs is None:
-                                reqs = []
-                            reqs.append((2, evicted_line))
-
-                slot = sm * l1_nsets + set_index
-                t2w = l1_t2w[slot]
-                if is_local:
-                    # conventional write-back/write-allocate for local data
-                    if is_write:
-                        g_lw[sm] += 1
-                        ar_writes[sm] += 1
-                    else:
-                        g_lr[sm] += 1
-                        ar_reads[sm] += 1
-                    way = t2w.get(tag)
-                    if way is not None:
-                        if is_write:
-                            ar_wh[sm] += 1
-                            l1_dirty[slot * l1_assoc + way] = True
-                        else:
-                            ar_rh[sm] += 1
-                        order = l1_lru[slot]
-                        order.remove(way)
-                        order.append(way)
-                        if reqs is None:
-                            continue
-                        kind = -1
-                    else:
-                        kind = 0
-                        dirty_intent = is_write
-                elif is_write:
-                    # global store: write-evict on hit, write-no-allocate
-                    g_gw[sm] += 1
-                    ar_writes[sm] += 1
-                    way = t2w.get(tag)
-                    if way is not None:
-                        ar_wh[sm] += 1
-                        slot_index = slot * l1_assoc + way
-                        del t2w[tag]
-                        l1_tags[slot_index] = -1
-                        l1_valid[slot_index] = False
-                        l1_dirty[slot_index] = False
-                        ar_inv[sm] += 1
-                        g_wev[sm] += 1
-                    elif line in pend_sm:
-                        # the store supersedes an in-flight fetch: cancel it
-                        del pend_sm[line]
-                        if mshr_map[sm].pop(line, None) is None:
-                            raise SimulationError(
-                                "completing a fetch that was never "
-                                f"registered: {line:#x}"
-                            )
-                        m_comp[sm] += 1
-                    kind = 1
+                # global read: allocate-on-miss through the MSHRs
+                g_gr[sm] += 1
+                ar_reads[sm] += 1
+                way = t2w.get(tag)
+                if way is not None:
+                    ar_rh[sm] += 1
+                    order = l1_lru[slot]
+                    order.remove(way)
+                    order.append(way)
+                    if reqs is None:
+                        continue
+                    kind = -1
                 else:
-                    # global read: allocate-on-miss through the MSHRs
-                    g_gr[sm] += 1
-                    ar_reads[sm] += 1
-                    way = t2w.get(tag)
-                    if way is not None:
-                        ar_rh[sm] += 1
-                        order = l1_lru[slot]
-                        order.remove(way)
-                        order.append(way)
-                        if reqs is None:
-                            continue
-                        kind = -1
-                    else:
-                        kind = 0
-                        dirty_intent = False
+                    kind = 0
+                    dirty_intent = False
 
-                if kind == 0:
-                    # shared read/local miss path: register in the MSHR file
-                    mshr_sm = mshr_map[sm]
-                    entry = pend_sm.get(line)
-                    if entry is not None:
-                        # secondary miss to an in-flight line: coalesce
-                        merged = mshr_sm.get(line)
-                        if merged is None:
-                            raise SimulationError(
-                                "coalescing onto a fetch that was never "
-                                f"registered: {line:#x}"
-                            )
-                        if merged >= mshr_max_merged:
-                            m_stall[sm] += 1
-                        else:
-                            mshr_sm[line] = merged + 1
-                            m_coal[sm] += 1
-                        if dirty_intent:
-                            entry[1] = True
-                        g_coal[sm] += 1
-                        # the line is already on its way: no request
-                        if reqs is None:
-                            continue
-                        kind = -1
-                    elif len(mshr_sm) >= mshr_entries:
-                        # MSHRs full: uncached non-allocating fetch
+            if kind == 0:
+                # shared read/local miss path: register in the MSHR file
+                mshr_sm = mshr_map[sm]
+                entry = pend_sm.get(line)
+                if entry is not None:
+                    # secondary miss to an in-flight line: coalesce
+                    merged = mshr_sm.get(line)
+                    if merged is None:
+                        raise SimulationError(
+                            "coalescing onto a fetch that was never "
+                            f"registered: {line:#x}"
+                        )
+                    if merged >= mshr_max_merged:
                         m_stall[sm] += 1
-                        g_stall[sm] += 1
                     else:
-                        mshr_sm[line] = 1
-                        m_alloc[sm] += 1
-                        pend_sm[line] = [None, dirty_intent]
-                if reqs is None:
-                    reqs = ((kind, line),)
-                elif kind >= 0:
-                    reqs.append((kind, line))
+                        mshr_sm[line] = merged + 1
+                        m_coal[sm] += 1
+                    if dirty_intent:
+                        entry[1] = True
+                    g_coal[sm] += 1
+                    # the line is already on its way: no request
+                    if reqs is None:
+                        continue
+                    kind = -1
+                elif len(mshr_sm) >= mshr_entries:
+                    # MSHRs full: uncached non-allocating fetch
+                    m_stall[sm] += 1
+                    g_stall[sm] += 1
+                else:
+                    mshr_sm[line] = 1
+                    m_alloc[sm] += 1
+                    pend_sm[line] = [None, dirty_intent]
+            if reqs is None:
+                reqs = ((kind, line),)
+            elif kind >= 0:
+                reqs.append((kind, line))
 
             # ---- the L2: each queued request end to end -----------------
             # An inline transcription of SoaTwoPartL2.access with
@@ -1002,17 +960,6 @@ class SoaGPUSimulator(GPUSimulator):
             l1._pending.update(pend[s])
             if min_ready[s] < l1._min_ready:
                 l1._min_ready = min_ready[s]
-        first_group = 0
-        for cache in self.const_caches + self.texture_caches:
-            end = first_group + cache.array.num_sets
-            hits = sum(ro_hits[first_group:end])
-            fills = sum(ro_fills[first_group:end])
-            ro_stats = cache.array.stats
-            ro_stats.reads += hits + fills  # every read-only miss fills
-            ro_stats.read_hits += hits
-            ro_stats.fills += fills
-            ro_stats.evictions_clean += sum(ro_evictions[first_group:end])
-            first_group = end
 
         return self._finish({
             "reads": reads,
@@ -1033,66 +980,20 @@ class SoaGPUSimulator(GPUSimulator):
                 f"trace SM id {bad} exceeds configured {num_sms} SMs"
             )
 
-    def _read_only_ways(self) -> list:
-        """Associativity of each read-only set group, const caches first.
-
-        Empty when no record is read-only, so the loop builds no
-        read-only state it would never touch.
-        """
-        ro_flags = FLAG_CONST | FLAG_TEXTURE
-        if not any(
-            (flags & ro_flags).any()
-            for _, _, flags in self.workload.trace.chunks()
-        ):
-            return []
-        return [
-            cache.array.associativity
-            for cache in self.const_caches + self.texture_caches
-            for _ in range(cache.array.num_sets)
-        ]
-
     def _decoded_chunks(self):
         """The fused loop's records, decoded by NumPy one trace chunk at a time.
 
         Yields one iterator per :meth:`~repro.workloads.trace.Trace.chunks`
-        chunk over ``(sm, is_write, is_local, ro_group, line, l1_tag,
-        l1_set)`` records.  The const and texture caches of every SM share
-        one read-only state, laid out back to back: one set group per
-        (cache, set), the const caches' groups first.  A read-only record
-        carries its group in ``ro_group`` and its line address in that
-        cache's geometry in ``line``; every other record has group -1 and
-        its L1 line address.  A record with both read-only flags goes to
-        const (the object loop tests FLAG_CONST first).
+        chunk over ``(sm, is_write, is_local, line, l1_tag, l1_set)``
+        records, ``line`` being the record's L1 line address.
         """
         l1_geom = self.l1s[0].array.mapper
-        num_sms = self.config.num_sms
         for sm_np, addr_np, flags_np in self.workload.trace.chunks():
             line_np, l1_tag_np, l1_set_np = l1_geom.split_columns(addr_np)
-            const_np = (flags_np & FLAG_CONST) != 0
-            texture_np = ((flags_np & FLAG_TEXTURE) != 0) & ~const_np
-            ro_group_np = np.full(len(sm_np), -1, dtype=np.int32)
-            first_group = 0
-            for records, caches in (
-                (const_np, self.const_caches),
-                (texture_np, self.texture_caches),
-            ):
-                array = caches[0].array
-                if records.any():
-                    ro_lines, _, ro_sets = array.mapper.split_columns(
-                        addr_np[records]
-                    )
-                    ro_group_np[records] = (
-                        first_group
-                        + sm_np[records].astype(np.int32) * array.num_sets
-                        + ro_sets
-                    )
-                    line_np[records] = ro_lines
-                first_group += num_sms * array.num_sets
             yield zip(
                 sm_np.tolist(),
                 ((flags_np & FLAG_WRITE) != 0).tolist(),
                 ((flags_np & FLAG_LOCAL) != 0).tolist(),
-                ro_group_np.tolist(),
                 line_np.tolist(),
                 l1_tag_np.tolist(),
                 l1_set_np.tolist(),

@@ -103,11 +103,13 @@ def replay_through_l1(
     L2 — see :data:`repro.gpu.simulator.TIME_DILATION`.
 
     The L1s apply the paper's write policies (:mod:`repro.gpu.l1`) with
-    fills landing at once (no MSHR file): a global store is written through
-    and evicts any L1 copy; a global read or any local access allocates on
-    a miss (LRU, invalid ways first), a dirty victim is written back before
-    the fetch, and a local store dirties its line.  Const and texture
-    records take the data-L1 path here.  State lives in flat per-SM lists,
+    fills landing at once: a global store is written through and evicts
+    any L1 copy; a global read or any local access allocates on a miss
+    (LRU, invalid ways first), a dirty victim is written back before the
+    fetch, and a local store dirties its line.  This filter differs from
+    the simulators' L1 (:class:`repro.gpu.l1.GPUL1Cache` and the fused
+    loop) in one way only: it has no MSHR file, so a miss never coalesces
+    onto an in-flight fetch.  State lives in flat per-SM lists,
     and the flags and line/set split are decoded by NumPy one trace chunk
     at a time (:meth:`~repro.workloads.trace.Trace.chunks`), like
     :class:`repro.engine.soa_sim.SoaGPUSimulator`.

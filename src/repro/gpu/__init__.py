@@ -18,7 +18,6 @@ from repro.gpu.application import (
     ApplicationResult,
     run_application,
 )
-from repro.gpu.readonly import ReadOnlyCache, ROCacheConfig
 
 __all__ = [
     "KernelDescriptor",
@@ -34,6 +33,4 @@ __all__ = [
     "simulate",
     "ApplicationResult",
     "run_application",
-    "ReadOnlyCache",
-    "ROCacheConfig",
 ]

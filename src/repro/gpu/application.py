@@ -96,8 +96,7 @@ def run_application(
 
     The L2 instance carries over between kernels — including its retention
     clocks, which keep advancing monotonically across kernel boundaries.
-    L1s and read-only caches restart cold each kernel (a new grid's CTAs
-    start fresh).
+    L1s restart cold each kernel (a new grid's CTAs start fresh).
     """
     if not kernels:
         raise SimulationError("an application needs at least one kernel")

@@ -22,7 +22,8 @@ via :meth:`GPUL1Cache.complete_fetch`; further misses to an in-flight line
 *coalesce* (no duplicate L2 request).  The characterization replays
 (Figs. 3-6) need only the filtered L2 stream with fills landing at once;
 :func:`repro.experiments.common.replay_through_l1` runs that filter on
-flat per-SM state instead of these objects.
+flat per-SM state instead of these objects.  It differs from this cache
+in one way only: it has no MSHR file.
 """
 
 from __future__ import annotations

@@ -36,19 +36,8 @@ from repro.gpu.interconnect import ButterflyNoC
 from repro.gpu.l1 import GPUL1Cache
 from repro.gpu.metrics import SimulationResult
 from repro.gpu.occupancy import compute_occupancy
-from repro.gpu.readonly import (
-    CONST_CACHE_CONFIG,
-    TEXTURE_CACHE_CONFIG,
-    ReadOnlyCache,
-)
 from repro.tracing import NULL_TRACER, TraceCollector
-from repro.workloads.trace import (
-    FLAG_CONST,
-    FLAG_LOCAL,
-    FLAG_TEXTURE,
-    FLAG_WRITE,
-    Workload,
-)
+from repro.workloads.trace import FLAG_LOCAL, FLAG_WRITE, Workload
 
 #: L1 hit service latency (cycles); GPU L1s are not latency-optimized.
 L1_HIT_CYCLES = 20.0
@@ -108,14 +97,6 @@ class GPUSimulator:
             GPUL1Cache(config.l1, name=f"l1-sm{i}", tracer=self.tracer)
             for i in range(config.num_sms)
         ]
-        self.const_caches = [
-            ReadOnlyCache(CONST_CACHE_CONFIG, name=f"const-sm{i}")
-            for i in range(config.num_sms)
-        ]
-        self.texture_caches = [
-            ReadOnlyCache(TEXTURE_CACHE_CONFIG, name=f"tex-sm{i}")
-            for i in range(config.num_sms)
-        ]
         self.banks = BankedCache(config.l2.num_banks, config.l2.line_size)
         self.noc = ButterflyNoC(
             num_sources=config.num_sms,
@@ -168,12 +149,9 @@ class GPUSimulator:
         banks_schedule = self.banks.schedule
         dram = self.dram
         l1s = self.l1s
-        const_caches = self.const_caches
-        texture_caches = self.texture_caches
         time_dilation = self.time_dilation
         l1_hit_s = L1_HIT_CYCLES * cycle_s
         noc_rt_s = noc_rt_cycles * cycle_s
-        ro_mask = FLAG_CONST | FLAG_TEXTURE
         checker = self.invariant_checker
         checker_hook = checker.after_access if checker is not None else None
 
@@ -189,17 +167,7 @@ class GPUSimulator:
                 stall_sum_s += l1_hit_s
                 read_latency_sum_s += l1_hit_s
             l1 = l1s[sm]
-            if flag & ro_mask:
-                # constant/texture reads go through their dedicated
-                # read-only caches instead of the L1D (Fig. 1 hierarchy)
-                ro = (const_caches if flag & FLAG_CONST
-                      else texture_caches)[sm]
-                ro_request = ro.access(address, now)
-                requests = [] if ro_request is None else [ro_request]
-            else:
-                requests = l1.access(
-                    address, is_write, bool(flag & FLAG_LOCAL), now
-                )
+            requests = l1.access(address, is_write, bool(flag & FLAG_LOCAL), now)
             for request in requests:
                 # the L2's clock (retention counters, refresh) runs on the
                 # dilated timebase; queueing clocks stay on the real one

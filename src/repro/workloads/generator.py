@@ -24,11 +24,11 @@ the trace's own columns it holds only chunk-sized arrays (and the local
 draws): each record's one-byte kind code is kept in what becomes the
 flags column.  Splitting a draw is safe only where the stream does
 not notice: a categorical draw (:meth:`numpy.random.Generator.choice` with
-``p``) takes one double per record, so the kind, hot, WWS, const and
-texture draws split freely.  The SM draw is one call, because bounded
-16-bit draws buffer random halves within a call, and the local draws are
-one call per kind (see :class:`~repro.workloads.patterns.LocalSegment`).
-The trace is therefore the same whatever the chunk size.
+``p``) takes one double per record, so the kind, hot and WWS draws split
+freely.  The SM draw is one call, because bounded 16-bit draws buffer
+random halves within a call, and the local draws are one call per kind
+(see :class:`~repro.workloads.patterns.LocalSegment`).  The trace is
+therefore the same whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -45,13 +45,7 @@ from repro.workloads.patterns import (
     PhasedWriteSegment,
     StreamingSegment,
 )
-from repro.workloads.trace import (
-    FLAG_CONST,
-    FLAG_LOCAL,
-    FLAG_TEXTURE,
-    FLAG_WRITE,
-    Trace,
-)
+from repro.workloads.trace import FLAG_LOCAL, FLAG_WRITE, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.workloads.profiles import BenchmarkProfile
@@ -66,8 +60,15 @@ HOT_BASE = 1 * REGION_STRIDE
 WWS_BASE = 2 * REGION_STRIDE
 LOCAL_BASE = 3 * REGION_STRIDE
 OUTPUT_BASE = 4 * REGION_STRIDE
-CONST_BASE = 5 * REGION_STRIDE
-TEXTURE_BASE = 6 * REGION_STRIDE
+
+#: Segment sizes in lines (every profile shares them): the streaming range
+#: and the output-burst range wrap after this many lines; each SM's local
+#: data spans ``LOCAL_LINES`` lines, drawn from a sliding window of
+#: ``LOCAL_WINDOW_LINES``.
+STREAM_LINES = 1 << 18
+OUTPUT_LINES = 4096
+LOCAL_LINES = 96
+LOCAL_WINDOW_LINES = 32
 
 # access kinds for the categorical draw (codes are tuple indices), with
 # the flags their records carry
@@ -79,8 +80,6 @@ _KINDS = (
     ("wws_read", 0),
     ("local_read", FLAG_LOCAL),
     ("local_write", FLAG_LOCAL | FLAG_WRITE),
-    ("const_read", FLAG_CONST),
-    ("texture_read", FLAG_TEXTURE),
 )
 _CODE = {name: code for code, (name, _) in enumerate(_KINDS)}
 
@@ -137,19 +136,12 @@ class TraceGenerator:
                 kinds[max(phase_start, phase_stop - burst_len):phase_stop] = _BURST
 
         # fresh segment state per generate() call => reproducible traces
-        stream = StreamingSegment(p.stream_lines)
-        hot = HotSegment(
-            p.hot_lines, alpha=p.hot_alpha, scatter=p.hot_scatter,
-            permutation_seed=seed + 1,
-        )
+        stream = StreamingSegment(STREAM_LINES)
+        hot = HotSegment(p.hot_lines, alpha=p.hot_alpha, permutation_seed=seed + 1)
         wws = PhasedWriteSegment(p.wws_lines, alpha=p.wws_alpha,
                                  permutation_seed=seed + 2)
-        local = LocalSegment(p.local_lines, window_lines=p.local_window_lines)
-        const = HotSegment(p.const_lines, alpha=1.0, permutation_seed=seed + 3)
-        texture = HotSegment(
-            p.texture_lines, alpha=p.texture_alpha, permutation_seed=seed + 4
-        )
-        output = StreamingSegment(max(1, p.output_lines))
+        local = LocalSegment(LOCAL_LINES, window_lines=LOCAL_WINDOW_LINES)
+        output = StreamingSegment(OUTPUT_LINES)
 
         addresses = np.zeros(n, dtype=np.int64)
 
@@ -193,18 +185,13 @@ class TraceGenerator:
                 del chunks
                 lines = local.draw(rng, len(where))
                 sm_base = sms[where].astype(np.int64)
-                sm_base *= p.local_lines
+                sm_base *= LOCAL_LINES
                 lines += sm_base
                 place(where, lines, LOCAL_BASE)
 
-        # --- constant / texture reads, then end-of-phase output bursts ------
-        for code, segment, base in (
-            (_CODE["const_read"], const, CONST_BASE),
-            (_CODE["texture_read"], texture, TEXTURE_BASE),
-            (_BURST, output, OUTPUT_BASE),
-        ):
-            for where in positions(code, 0, n):
-                place(where, segment.draw(rng, len(where)), base)
+        # --- end-of-phase output bursts ------------------------------------
+        for where in positions(_BURST, 0, n):
+            place(where, output.draw(rng, len(where)), OUTPUT_BASE)
 
         # the kind column becomes the flags column, in place
         for start, stop in _spans(0, n):

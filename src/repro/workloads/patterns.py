@@ -71,13 +71,10 @@ class StreamingSegment(SegmentSpec):
 class HotSegment(SegmentSpec):
     """Zipf-skewed reuse; rank-to-line mapping is a seeded shuffle.
 
-    The shuffle scatters hot lines across cache sets (realistic hashing);
-    pass ``scatter=False`` to keep hot ranks on consecutive lines, which
-    concentrates writes in few sets and drives intra-set variation up.
+    The shuffle scatters hot lines across cache sets (realistic hashing).
     """
 
     alpha: float = 0.8
-    scatter: bool = True
     permutation_seed: int = 12345
     _pmf: Optional[np.ndarray] = field(default=None, repr=False)
     _perm: Optional[np.ndarray] = field(default=None, repr=False)
@@ -85,11 +82,8 @@ class HotSegment(SegmentSpec):
     def _materialize(self) -> None:
         if self._pmf is None:
             self._pmf = zipf_pmf(self.num_lines, self.alpha)
-            if self.scatter:
-                perm_rng = np.random.default_rng(self.permutation_seed)
-                self._perm = perm_rng.permutation(self.num_lines)
-            else:
-                self._perm = np.arange(self.num_lines)
+            perm_rng = np.random.default_rng(self.permutation_seed)
+            self._perm = perm_rng.permutation(self.num_lines)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         self._materialize()

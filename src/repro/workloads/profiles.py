@@ -37,8 +37,6 @@ _MIX_FIELDS = (
     "p_wws_read",
     "p_local_read",
     "p_local_write",
-    "p_const_read",
-    "p_texture_read",
 )
 
 
@@ -62,21 +60,12 @@ class BenchmarkProfile:
     p_wws_read: float = 0.0
     p_local_read: float = 0.0
     p_local_write: float = 0.0
-    p_const_read: float = 0.0
-    p_texture_read: float = 0.0
-    # segment geometry (128 B lines)
-    stream_lines: int = 1 << 18
+    # segment geometry (128 B lines; the streaming, local and output
+    # segments are sized by repro.workloads.generator constants)
     hot_lines: int = 2048
     hot_alpha: float = 0.8
-    hot_scatter: bool = True
     wws_lines: int = 256
     wws_alpha: float = 1.0
-    local_lines: int = 96
-    local_window_lines: int = 32
-    const_lines: int = 64
-    texture_lines: int = 4096
-    texture_alpha: float = 0.9
-    output_lines: int = 4096
     # phase structure
     phase_fraction: float = 0.1
     burst_fraction: float = 0.02

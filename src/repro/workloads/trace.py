@@ -23,8 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a package-level import cycle
 
 FLAG_WRITE = 0x1
 FLAG_LOCAL = 0x2
-FLAG_CONST = 0x4
-FLAG_TEXTURE = 0x8
 
 #: Records per decoded chunk (:meth:`Trace.chunks`).  A replay loop's
 #: per-chunk lists stay under about 1 MB, while the fixed cost of the
@@ -45,6 +43,14 @@ class Trace:
         self.sm = np.ascontiguousarray(sm, dtype=np.int16)
         self.address = np.ascontiguousarray(address, dtype=np.int64)
         self.flags = np.ascontiguousarray(flags, dtype=np.uint8)
+        known = FLAG_WRITE | FLAG_LOCAL
+        if int(self.flags.max()) > known:
+            index = int(np.argmax(self.flags > known))
+            unknown = int(self.flags[index]) & ~known
+            raise TraceError(
+                f"record {index} carries unknown flag bits {unknown:#x}; "
+                "a record is a read or write (0x1), global or local (0x2)"
+            )
 
     def __len__(self) -> int:
         return len(self.sm)

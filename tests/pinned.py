@@ -12,8 +12,8 @@ the repo benchmark pins its own, longer workloads in
   the ``object`` and ``soa`` engines and the sharded engine at one shard
   must all produce, and the ``shards4`` digest of the sharded engine at
   four shards, a documented approximation (docs/sharding.md).
-* :data:`BRANCH_DIGESTS` holds the ``exact`` digests of three runs that
-  reach fused-loop branches the pinned scenarios never take.
+* :data:`BRANCH_DIGESTS` holds the ``exact`` digest of a run that
+  reaches a fused-loop branch the pinned scenarios never take.
 * :data:`SERVICE_DIGESTS` holds the service's coalescing digest and
   payload SHA-256 for six ``(benchmark, config)`` requests on ``soa`` at
   :data:`SERVICE_TRACE_LENGTH` accesses, seed 0.
@@ -84,17 +84,9 @@ RESULT_DIGESTS = {
 }
 
 #: ``exact`` digests of runs that take fused-loop branches no pinned
-#: scenario reaches: the const/texture-heavy ``consty`` kernel of
-#: tests/test_gpu_readonly.py (every calibrated profile issues no
-#: read-only-cache reads) and bfs/C1 with parallel tag search
+#: scenario reaches: bfs/C1 with parallel tag search
 #: (``sequential_search=False``, as the ablation study runs it).
 BRANCH_DIGESTS = {
-    "consty/baseline/4000/s0": (
-        "66fce1d7c4b8b5c6521fe78581df790960861494f731e22b2356220c8c803962"
-    ),
-    "consty/C1/4000/s0": (
-        "dcd2c5c04895ce18444afb4f983bf5a06474af7d96708e7fec9445f3e60238f8"
-    ),
     "bfs/C1-parallel/8000/s0": (
         "de531173ac2d89c152edf16faffdfb16a1dba87d420317883dcec9c2a56ec256"
     ),

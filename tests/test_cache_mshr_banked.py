@@ -34,7 +34,7 @@ class TestMSHR:
         mshr.register_miss(0x1000)
         mshr.register_miss(0x1000)
         assert mshr.complete(0x1000) == 2
-        assert not mshr.lookup(0x1000)
+        assert 0x1000 not in mshr._entries
 
     def test_complete_unknown_raises(self):
         mshr = MSHRFile(num_entries=4)
@@ -58,7 +58,7 @@ class TestMSHR:
         mshr = MSHRFile(num_entries=4)
         for lid in lines:
             mshr.register_miss(lid * 256)
-        assert 0 <= mshr.occupancy <= 4
+        assert 0 <= len(mshr._entries) <= 4
 
 
 class TestBankedCache:

@@ -23,8 +23,7 @@ from repro.config import all_configs
 from repro.engine import make_simulator
 from repro.experiments.common import replay_through_l1
 from repro.workloads import build_workload
-from tests.pinned import BRANCH_DIGESTS, RESULT_DIGESTS, TRACE_DIGESTS
-from tests.test_gpu_readonly import make_workload_with_const
+from tests.pinned import RESULT_DIGESTS, TRACE_DIGESTS
 from tests.test_workloads import moved_trace_digests
 
 SMALL_CHUNK = 97
@@ -70,14 +69,6 @@ def test_pinned_scenario_holds_across_chunk_boundaries(small_chunks, engine):
     config, workload = _bfs_c1(8000)
     result = make_simulator(config, workload, engine=engine).run()
     assert result_digest(result) == RESULT_DIGESTS["bfs/C1/8000/s0"]["exact"]
-
-
-@pytest.mark.parametrize("engine", ["soa", "object"])
-def test_read_only_branch_run_holds_across_chunk_boundaries(small_chunks, engine):
-    workload, _ = make_workload_with_const()
-    config = all_configs()["C1"]
-    result = make_simulator(config, workload, engine=engine).run()
-    assert result_digest(result) == BRANCH_DIGESTS["consty/C1/4000/s0"]
 
 
 def test_l1_filter_stream_holds_across_chunk_boundaries(monkeypatch):

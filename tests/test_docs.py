@@ -37,6 +37,26 @@ class TestLinks:
         doc.write_text("see [missing](does-not-exist.md)")
         assert check_docs_links.check([doc])
 
+    def test_stale_names_and_paths_are_detected(self, tmp_path):
+        doc = tmp_path / "doc.md"
+        doc.write_text(
+            "`repro.workloads.trace.Trace` and `repro.gpu.l1.GPUL1Cache(config)`"
+            " resolve, as do `tests/test_docs.py::TestLinks` and\n"
+            "`src/repro/cli.py:12`.  Fenced code is not scanned:\n\n"
+            "```\nrepro.gone\n```\n"
+        )
+        assert check_docs_links.check([doc]) == []
+        doc.write_text(
+            "`repro.gpu.gone`, `repro.workloads.trace.Gone`,\n"
+            "`repro.workloads.profiles.BenchmarkProfile.gone_field` and\n"
+            "`tests/test_gone.py::test_x` are stale; `repro.gpu` is not"
+        )
+        failures = check_docs_links.check([doc])
+        assert len(failures) == 4, failures
+        for reference in ("repro.gpu.gone", "repro.workloads.trace.Gone",
+                          "BenchmarkProfile.gone_field", "tests/test_gone.py"):
+            assert any(reference in line for line in failures), reference
+
 
 class TestExperimentDocs:
     def test_every_registry_entry_has_a_section(self):

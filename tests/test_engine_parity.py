@@ -5,8 +5,8 @@ replay hot path over flat vectors; its entire claim to correctness is that
 no observable output changes.  These tests enforce that claim four ways:
 
 * **Pinned scenarios** — every scenario of the tier-1 digest table
-  (``tests/pinned.py``), and three branch runs that reach the fused
-  loop's read-only-cache and parallel-search code, is run under both
+  (``tests/pinned.py``), and a branch run that reaches the fused loop's
+  parallel-search code, is run under both
   engines; both must produce the pinned SHA-256 digest, and the full
   canonical :class:`~repro.gpu.metrics.SimulationResult` dicts and the
   component counter surfaces must match exactly.
@@ -51,7 +51,6 @@ from repro.oracle import (
 )
 from repro.workloads import build_workload
 from tests.pinned import ALL_SCENARIOS, BRANCH_DIGESTS, RESULT_DIGESTS
-from tests.test_gpu_readonly import make_workload_with_const
 
 
 def _run(scenario_workload, config, trace_length, seed, engine):
@@ -76,10 +75,6 @@ def _counter_surface(simulator):
         surface[f"l1.{index}.array"] = l1.array.stats
         surface[f"l1.{index}.gpu"] = l1.gpu_stats
         surface[f"l1.{index}.mshr"] = l1.mshr.stats
-    for index, cache in enumerate(simulator.const_caches):
-        surface[f"const.{index}"] = cache.array.stats
-    for index, cache in enumerate(simulator.texture_caches):
-        surface[f"texture.{index}"] = cache.array.stats
     l2 = simulator.l2
     if hasattr(l2, "lr_array"):
         surface["l2"] = dut_counters(l2)
@@ -133,20 +128,14 @@ def _parallel_search_bfs():
 
 
 BRANCH_RUNS = {
-    "consty/baseline/4000/s0": lambda: (
-        all_configs()["baseline"], make_workload_with_const()[0]
-    ),
-    "consty/C1/4000/s0": lambda: (
-        all_configs()["C1"], make_workload_with_const()[0]
-    ),
     "bfs/C1-parallel/8000/s0": _parallel_search_bfs,
 }
 
 
 @pytest.mark.parametrize("key", sorted(BRANCH_RUNS))
 def test_branch_runs_are_engine_invariant(key):
-    """The fused loop's read-only-cache and parallel-search branches,
-    which no pinned scenario takes, match the object loop byte for byte."""
+    """The fused loop's parallel-search branch, which no pinned scenario
+    takes, matches the object loop byte for byte."""
     _assert_engines_agree(BRANCH_RUNS[key], BRANCH_DIGESTS[key])
 
 
@@ -445,8 +434,8 @@ def test_make_simulator_never_falls_back_to_the_object_engine():
 def test_soa_builds_no_per_line_objects(config_name):
     """``soa`` keeps every cache's state flat, through construction and run.
 
-    Its loop holds the L1 and read-only caches in per-SM lists and reads
-    the L2 vectors directly, so no object array may build its ``CacheSet``
+    Its loop holds the L1s in per-SM lists and reads the L2 vectors
+    directly, so no object array may build its ``CacheSet``
     list and no SoA array its set or block views.  The trace is long enough
     for C1's LR refresh sweeps to refresh lines.
     """
@@ -456,11 +445,7 @@ def test_soa_builds_no_per_line_objects(config_name):
     )
     sim = make_simulator(config, workload, engine="soa")
     sim.run()
-    object_arrays = [
-        cache.array
-        for caches in (sim.l1s, sim.const_caches, sim.texture_caches)
-        for cache in caches
-    ]
+    object_arrays = [l1.array for l1 in sim.l1s]
     assert not [a.name for a in object_arrays if "sets" in vars(a)]
     l2 = sim.l2
     soa_arrays = (

@@ -103,4 +103,4 @@ class TestDeferredFills:
             l1.complete_fetch(0x1000 + i * 128, ready_time=float(i) * 1e-9)
         l1.access(0x9000, False, False, now=1.0)
         # only the last access (0x9000) can still be outstanding
-        assert l1.mshr.occupancy <= 1
+        assert len(l1.mshr._entries) <= 1

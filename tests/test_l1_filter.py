@@ -15,18 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import L1Config, baseline_sram
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TraceError
 from repro.experiments.common import replay_through_l1
 from repro.gpu.kernel import KernelDescriptor
 from repro.gpu.simulator import TIME_DILATION
 from repro.workloads.suite import build_workload
-from repro.workloads.trace import (
-    FLAG_CONST,
-    FLAG_LOCAL,
-    FLAG_WRITE,
-    Trace,
-    Workload,
-)
+from repro.workloads.trace import FLAG_LOCAL, FLAG_WRITE, Trace, Workload
 
 #: sha256 of the ``"{address},{int(is_write)},{now!r}\n"`` lines of every
 #: L2 request for (benchmark, seed) at 4000 accesses on the baseline L1s;
@@ -109,8 +103,7 @@ records_strategy = st.lists(
     st.tuples(
         st.integers(0, 1),
         st.integers(0, 4095),
-        st.sampled_from([0, FLAG_WRITE, FLAG_LOCAL, FLAG_LOCAL | FLAG_WRITE,
-                         FLAG_CONST]),
+        st.sampled_from([0, FLAG_WRITE, FLAG_LOCAL, FLAG_LOCAL | FLAG_WRITE]),
     ),
     min_size=1,
     max_size=60,
@@ -125,6 +118,16 @@ def test_matches_naive_dict_lru(records, geometry):
     dt = (workload.kernel.compute_intensity * (1.0 / config.core_clock_hz)
           / config.num_sms * TIME_DILATION)
     assert stream(workload, config) == reference_stream(records, config, dt)
+
+
+@pytest.mark.parametrize("bit", [0x4, 0x8, 0x10])
+def test_unknown_flag_bits_rejected(bit):
+    """A trace holds only write and local records: any other flag bit is
+    refused when the trace is built, naming the bit and the first record."""
+    records = [(0, 0x0, 0), (1, 0x80, FLAG_WRITE), (0, 0x100, bit | FLAG_LOCAL),
+               (1, 0x180, bit)]
+    with pytest.raises(TraceError, match=f"record 2 .* bits {bit:#x}"):
+        tiny_workload(records)
 
 
 def test_sm_beyond_config_rejected():

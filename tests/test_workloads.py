@@ -90,17 +90,12 @@ class TestSegments:
 
     def test_hot_segment_skewed(self):
         rng = np.random.default_rng(0)
-        seg = HotSegment(256, alpha=1.2, scatter=False)
+        seg = HotSegment(256, alpha=1.2)
         lines = seg.draw(rng, 5000)
-        counts = np.bincount(lines, minlength=256)
+        # undo the rank -> line shuffle to count draws per Zipf rank
+        ranks = np.argsort(seg._perm)[lines]
+        counts = np.bincount(ranks, minlength=256)
         assert counts[0] > 10 * max(1, counts[200])
-
-    def test_hot_scatter_changes_mapping(self):
-        rng1 = np.random.default_rng(0)
-        rng2 = np.random.default_rng(0)
-        scattered = HotSegment(256, alpha=1.2, scatter=True).draw(rng1, 100)
-        sequential = HotSegment(256, alpha=1.2, scatter=False).draw(rng2, 100)
-        assert scattered.tolist() != sequential.tolist()
 
     def test_phased_wws_rerandomizes(self):
         seg = PhasedWriteSegment(128, alpha=1.2)
@@ -206,10 +201,10 @@ class TestProfiles:
     def test_mix_probabilities_must_be_non_negative(self):
         # the mix still sums to one, so only the sign can reject it
         bfs = PROFILES["bfs"]
-        assert bfs.p_texture_read == 0.0
-        with pytest.raises(ConfigurationError, match="bfs: p_texture_read"):
+        with pytest.raises(ConfigurationError, match="bfs: p_local_write"):
             replace(
-                bfs, p_texture_read=-0.3, p_stream_read=bfs.p_stream_read + 0.3
+                bfs, p_local_write=-0.3,
+                p_stream_read=bfs.p_stream_read + bfs.p_local_write + 0.3,
             )
 
     def test_fraction_bounds_are_inclusive_where_meaningful(self):
