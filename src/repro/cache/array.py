@@ -158,7 +158,6 @@ class SetAssociativeCache:
                 )
             else:
                 stats.read_hits += 1
-                cache_set.record_read(way, now)
             cache_set.touch(way)
             return self._hit_outcome(index, way)
 
@@ -197,7 +196,6 @@ class SetAssociativeCache:
                 )
             else:
                 self.stats.read_hits += 1
-                cache_set.record_read(way, now)
             cache_set.touch(way)
             return AccessOutcome(hit=True, set_index=index, way=way)
 

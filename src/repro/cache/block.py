@@ -24,9 +24,7 @@ class CacheBlock:
         "dirty",
         "write_count",
         "total_writes",
-        "total_reads",
         "last_write_time",
-        "last_access_time",
         "insert_time",
     )
 
@@ -36,9 +34,7 @@ class CacheBlock:
         self.dirty: bool = False
         self.write_count: int = 0
         self.total_writes: int = 0
-        self.total_reads: int = 0
         self.last_write_time: float = 0.0
-        self.last_access_time: float = 0.0
         self.insert_time: float = 0.0
 
     def reset(self) -> None:
@@ -48,9 +44,7 @@ class CacheBlock:
         self.dirty = False
         self.write_count = 0
         self.total_writes = 0
-        self.total_reads = 0
         self.last_write_time = 0.0
-        self.last_access_time = 0.0
         self.insert_time = 0.0
 
     def fill(self, tag: int, now: float, dirty: bool = False) -> None:
@@ -60,15 +54,8 @@ class CacheBlock:
         self.dirty = dirty
         self.write_count = 1 if dirty else 0
         self.total_writes = 1 if dirty else 0
-        self.total_reads = 0
         self.last_write_time = now if dirty else 0.0
-        self.last_access_time = now
         self.insert_time = now
-
-    def record_read(self, now: float) -> None:
-        """Account a read hit."""
-        self.total_reads += 1
-        self.last_access_time = now
 
     def record_write(self, now: float, saturate_at: int = 0) -> None:
         """Account a write hit; ``saturate_at > 0`` caps ``write_count``."""
@@ -77,7 +64,6 @@ class CacheBlock:
         if saturate_at <= 0 or self.write_count < saturate_at:
             self.write_count += 1
         self.last_write_time = now
-        self.last_access_time = now
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "V" if self.valid else "-"

@@ -98,10 +98,6 @@ class CacheSet:
         self.set_writes += 1
         self.frame_writes[way] += 1
 
-    def record_read(self, way: int, now: float) -> None:
-        """Account a read hit on ``way``."""
-        self.blocks[way].record_read(now)
-
     def occupancy(self) -> int:
         """Number of valid ways."""
         return sum(1 for b in self.blocks if b.valid)

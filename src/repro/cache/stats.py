@@ -35,29 +35,6 @@ class CacheStats:
         return self.read_hits + self.write_hits
 
     @property
-    def misses(self) -> int:
-        """Total demand misses."""
-        return self.accesses - self.hits
-
-    @property
     def hit_rate(self) -> float:
         """Demand hit rate; 0.0 when no accesses were made."""
         return self.hits / self.accesses if self.accesses else 0.0
-
-    @property
-    def evictions(self) -> int:
-        """Total evictions."""
-        return self.evictions_clean + self.evictions_dirty
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Return the element-wise sum of two counter bundles."""
-        return CacheStats(
-            reads=self.reads + other.reads,
-            writes=self.writes + other.writes,
-            read_hits=self.read_hits + other.read_hits,
-            write_hits=self.write_hits + other.write_hits,
-            fills=self.fills + other.fills,
-            evictions_clean=self.evictions_clean + other.evictions_clean,
-            evictions_dirty=self.evictions_dirty + other.evictions_dirty,
-            invalidations=self.invalidations + other.invalidations,
-        )

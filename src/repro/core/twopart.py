@@ -599,8 +599,12 @@ class TwoPartSTTL2(L2Interface):
 
     @property
     def stats(self) -> CacheStats:
-        """Merged demand statistics over both parts."""
-        return self.lr_array.stats.merge(self.hr_array.stats)
+        """Demand statistics summed over both parts."""
+        hr = self.hr_array.stats
+        return CacheStats(**{
+            name: count + getattr(hr, name)
+            for name, count in vars(self.lr_array.stats).items()
+        })
 
     @property
     def energy(self) -> EnergyLedger:

@@ -70,19 +70,9 @@ class SoaBlockView:
         return self._array.total_writes_vec[self._slot]
 
     @property
-    def total_reads(self) -> int:
-        """Reads of the current resident (resets on fill)."""
-        return self._array.total_reads_vec[self._slot]
-
-    @property
     def last_write_time(self) -> float:
         """Timestamp of the last dirty write (0.0 if never written)."""
         return self._array.last_write_time_vec[self._slot]
-
-    @property
-    def last_access_time(self) -> float:
-        """Timestamp of the last demand access."""
-        return self._array.last_access_time_vec[self._slot]
 
     @property
     def insert_time(self) -> float:
@@ -137,12 +127,8 @@ class SoaCacheArray:
         self.write_count_vec: List[int] = [0] * num_lines
         #: per-residency write totals (intra-set variation input)
         self.total_writes_vec: List[int] = [0] * num_lines
-        #: per-residency read totals
-        self.total_reads_vec: List[int] = [0] * num_lines
         #: last dirty-write timestamps (retention-clock input)
         self.last_write_time_vec: List[float] = [0.0] * num_lines
-        #: last demand-access timestamps
-        self.last_access_time_vec: List[float] = [0.0] * num_lines
         #: fill/refresh timestamps (retention-clock anchor)
         self.insert_time_vec: List[float] = [0.0] * num_lines
         #: per-set write totals
@@ -229,12 +215,9 @@ class SoaCacheArray:
                 if saturate_at <= 0 or self.write_count_vec[slot] < saturate_at:
                     self.write_count_vec[slot] += 1
                 self.last_write_time_vec[slot] = now
-                self.last_access_time_vec[slot] = now
                 self.set_writes_vec[index] += 1
             else:
                 stats.read_hits += 1
-                self.total_reads_vec[slot] += 1
-                self.last_access_time_vec[slot] = now
             order = self.lru[index]
             order.remove(way)
             order.append(way)
@@ -283,9 +266,7 @@ class SoaCacheArray:
         initial = 1 if dirty else 0
         self.write_count_vec[slot] = initial
         self.total_writes_vec[slot] = initial
-        self.total_reads_vec[slot] = 0
         self.last_write_time_vec[slot] = now if dirty else 0.0
-        self.last_access_time_vec[slot] = now
         self.insert_time_vec[slot] = now
         tag_map[tag] = way
         order = self.lru[index]
@@ -315,9 +296,7 @@ class SoaCacheArray:
         self.dirty_vec[slot] = False
         self.write_count_vec[slot] = 0
         self.total_writes_vec[slot] = 0
-        self.total_reads_vec[slot] = 0
         self.last_write_time_vec[slot] = 0.0
-        self.last_access_time_vec[slot] = 0.0
         self.insert_time_vec[slot] = 0.0
 
     def invalidate(self, address: int) -> bool:

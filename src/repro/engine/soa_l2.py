@@ -255,9 +255,7 @@ class SoaTwoPartL2(TwoPartSTTL2):
         lr.dirty_vec[slot] = True
         lr.write_count_vec[slot] = 1
         lr.total_writes_vec[slot] = 1
-        lr.total_reads_vec[slot] = 0
         lr.last_write_time_vec[slot] = now
-        lr.last_access_time_vec[slot] = now
         lr.insert_time_vec[slot] = now
         if self._lr_ret is not None:
             self._queue_due(now, slot)
@@ -323,9 +321,7 @@ class SoaTwoPartL2(TwoPartSTTL2):
             hr.dirty_vec[slot] = True
             hr.write_count_vec[slot] = 1
             hr.total_writes_vec[slot] = 1
-            hr.total_reads_vec[slot] = 0
             hr.last_write_time_vec[slot] = now
-            hr.last_access_time_vec[slot] = now
             hr.insert_time_vec[slot] = now
             tag_map[tag] = way
             hr.set_writes_vec[index] += 1
@@ -596,7 +592,6 @@ class SoaTwoPartL2(TwoPartSTTL2):
                 lr.total_writes_vec[slot] += 1
                 lr.write_count_vec[slot] += 1  # LR array never saturates
                 lr.last_write_time_vec[slot] = now
-                lr.last_access_time_vec[slot] = now
                 if retention is not None:
                     last = lr.insert_time_vec[slot]
                     self._queue_due(now if now > last else last, slot)
@@ -610,8 +605,6 @@ class SoaTwoPartL2(TwoPartSTTL2):
             else:
                 stats.reads += 1
                 stats.read_hits += 1
-                lr.total_reads_vec[slot] += 1
-                lr.last_access_time_vec[slot] = now
                 order = lr.lru[index]
                 order.remove(way)
                 order.append(way)
@@ -626,8 +619,6 @@ class SoaTwoPartL2(TwoPartSTTL2):
             if not is_write:
                 stats.reads += 1
                 stats.read_hits += 1
-                hr.total_reads_vec[hr_slot] += 1
-                hr.last_access_time_vec[hr_slot] = now
                 order = hr.lru[hr_index]
                 order.remove(hr_way)
                 order.append(hr_way)
@@ -653,7 +644,6 @@ class SoaTwoPartL2(TwoPartSTTL2):
                     if saturate_at <= 0 or hr.write_count_vec[hr_slot] < saturate_at:
                         hr.write_count_vec[hr_slot] += 1
                     hr.last_write_time_vec[hr_slot] = now
-                    hr.last_access_time_vec[hr_slot] = now
                     hr.set_writes_vec[hr_index] += 1
                     order = hr.lru[hr_index]
                     order.remove(hr_way)

@@ -29,10 +29,13 @@ accumulation and state transition happens in the object engine's order, so
 the :class:`~repro.gpu.metrics.SimulationResult` is byte-identical.  Two
 bookkeeping liberties keep that true while staying fast:
 
-* Scalar *integer* counters (cache stats, selector/monitor tallies, buffer
-  and migration tallies, DRAM request counts) accumulate in loop locals
-  and fold into the component objects after the loop -- integer addition
-  commutes with the sweep's direct mutations of the same fields.
+* Scalar *integer* counters (cache stats, buffer and migration tallies,
+  DRAM row hits) accumulate in loop locals and fold into the component
+  objects after the loop -- integer addition commutes with the sweep's
+  direct mutations of the same fields.  Counters that exact integer
+  identities determine (selector and monitor tallies, buffer pushes, LR
+  fills, data writes, DRAM reads and writes, bank requests) are not
+  counted at all; the fold derives them (docs/engine.md, "Counter fold").
 * *Float* accumulators (L2 demand/fill/migration energy, DRAM total wait)
   are order-sensitive; they live in loop locals and are written back to
   the owning objects after the loop.  The sweep adds only to the refresh
@@ -45,9 +48,13 @@ not kept.  The L1s keep no per-line wear counters
 timestamps, and the flat L2 arrays keep no per-frame write or per-set
 eviction counts (:class:`~repro.engine.soa_array.SoaCacheArray` has no
 ``per_frame_write_counts`` or ``per_set_eviction_counts``; endurance
-analyses run on the object arrays).  Aggregate ``CacheStats``,
-``L1Stats``, ``MSHRStats``, bank and DRAM counters are flushed back into
-the real component objects at the end of the run.  L2 vectors, LRU
+analyses run on the object arrays).  The loop also leaves the L2 arrays'
+``total_writes_vec`` and ``set_writes_vec`` and the LR
+``write_count_vec`` as they were: only the standalone COV arrays of
+Fig. 3 and the surrogate read the first two, and no LR line migrates.
+Aggregate ``CacheStats``, ``L1Stats``, ``MSHRStats``, bank and DRAM
+counters are flushed back into the real component objects at the end of
+the run; the L1s' MSHR and pending-fill state is not.  L2 vectors, LRU
 orders, buffer deques and the LR due queue are mutated in place; the swap
 buffers' port times and peak occupancies fold back with the counters.
 
@@ -105,24 +112,6 @@ class SoaGPUSimulator(GPUSimulator):
 
     def run(self) -> SimulationResult:  # noqa: C901 - deliberately monolithic
         """Replay the trace on the fused loop and roll up IPC and L2 power."""
-        # CPython numbers a function's locals in order of first appearance
-        # and prefixes every access to local 256 or above with EXTENDED_ARG.
-        # This function has more locals than that, so the loop's per-record
-        # and per-request temporaries are bound first and setup binds only
-        # what the loop reads; names bound on rare paths or in the fold
-        # after the loop take the high numbers.
-        sm = is_write = is_local = line = tag = set_index = None
-        reqs = pend_sm = entry = ready = pending_line = new_min = None
-        landed = mshr_sm = slot = t2w = way = order = base = None
-        candidate = slot_index = fill_way = fill_tag = fill_no = None
-        fill_set = fill_dirty = evicted_line = dirty_intent = kind = None
-        raddr = l2_write = now2 = lineno = wb_total = dram_fetch = None
-        part = index = first_hit = None
-        hr_tag = hr_index = hr_way = hr_slot = None
-        tag_latency = energy = latency = tag_map = initial = None
-        fway = fslot = evicted_dirty = bank = busy = start = wait = None
-        wait_cap = total = t_req = channel = row = None
-        d_lat = d_start = d_wait = None
         S = self.config.num_sms
         self._check_sm_ids()
         cycle_s = 1.0 / self.config.core_clock_hz
@@ -168,7 +157,6 @@ class SoaGPUSimulator(GPUSimulator):
         bank_busy = self.banks._busy_until
         bank_shift = self.banks._line_shift
         bank_mask = self.banks._bank_mask
-        bank_req = 0
         bank_conf = 0
         bank_wait_sum = 0.0
         # per-bank accumulators; the scalar aggregates above are kept
@@ -190,7 +178,7 @@ class SoaGPUSimulator(GPUSimulator):
         dram_base_lat = self.dram.base_latency_s
         dram_rowhit_lat = self.dram.row_hit_latency_s
         dram_max_wait = self.dram.max_wait_s
-        n_dram_r = n_dram_rh = n_dram_w = 0
+        n_dram_rh = 0
         dram_wait_s = self.dram.stats.total_wait_s
 
         now = self.start_time_s
@@ -217,11 +205,8 @@ class SoaGPUSimulator(GPUSimulator):
             lr = l2.lr_array
             lr_t2w = lr.tag_to_way; lr_lru_v = lr.lru
             lr_tags_v = lr.tag_vec; lr_valid_v = lr.valid_vec
-            lr_dirty_v = lr.dirty_vec; lr_wc = lr.write_count_vec
-            lr_tw = lr.total_writes_vec; lr_tr = lr.total_reads_vec
-            lr_lwt = lr.last_write_time_vec; lr_lat_v = lr.last_access_time_vec
-            lr_ins = lr.insert_time_vec
-            lr_setw = lr.set_writes_vec
+            lr_dirty_v = lr.dirty_vec
+            lr_lwt = lr.last_write_time_vec; lr_ins = lr.insert_time_vec
             lr_pow2 = l2._lr_pow2; lr_bits = l2._lr_bits
             lr_smask = l2._lr_mask; lr_nsets = l2._lr_nsets
             lr_assoc = l2._lr_assoc
@@ -273,25 +258,18 @@ class SoaGPUSimulator(GPUSimulator):
         hr_t2w = hr.tag_to_way; hr_lru_v = hr.lru
         hr_tags_v = hr.tag_vec; hr_valid_v = hr.valid_vec
         hr_dirty_v = hr.dirty_vec; hr_wc = hr.write_count_vec
-        hr_tw = hr.total_writes_vec; hr_tr = hr.total_reads_vec
-        hr_lwt = hr.last_write_time_vec; hr_lat_v = hr.last_access_time_vec
-        hr_ins = hr.insert_time_vec
-        hr_setw = hr.set_writes_vec
+        hr_lwt = hr.last_write_time_vec; hr_ins = hr.insert_time_vec
         off2 = hr._offset_bits  # both parts share the line size
         hr_pow2 = hr._pow2; hr_bits = hr._set_bits
         hr_smask = hr._set_mask; hr_nsets = hr.num_sets
         hr_assoc = hr.associativity
         hr_sat = hr.write_counter_saturation
-        # scalar counter accumulators (see the module docstring)
-        n_sel_acc = n_sel_first = n_sel_second = 0
-        n_lr_w = n_lr_wh = n_lr_r = n_lr_rh = 0
-        n_lr_evd = n_lr_fill = 0
+        # scalar counter accumulators (see the module docstring); the
+        # counters these determine are derived in the fold
+        n_lr_rh = n_lr_wh = n_lr_evd = 0
         n_hr_r = n_hr_rh = n_hr_w = n_hr_wh = 0
-        n_hr_evd = n_hr_evc = n_hr_fill = 0
-        n_mon_w = n_mon_mig = 0
-        n_lr_dw = n_hr_dw = n_wb_tot = 0
-        n_to_lr = n_to_hr = 0
-        n_h2l_push = n_h2l_over = n_l2h_push = n_l2h_over = 0
+        n_hr_evd = n_hr_evc = n_mig = n_wb_tot = 0
+        n_h2l_over = n_l2h_over = 0
 
         # --- the fused replay loop ---------------------------------------
         # A record first runs its L1 step, which queues the L2 requests it
@@ -311,14 +289,13 @@ class SoaGPUSimulator(GPUSimulator):
             pend_sm = pend[sm]
             reqs = None
             # deferred fills whose fetch landed install first; their
-            # dirty evictions queue as L2 write-backs, in landed order
+            # dirty evictions queue as L2 write-backs, in landed order.
+            # Every pending fetch got its ready time when it was served.
             if pend_sm and now >= min_ready[sm]:
                 landed = []
                 new_min = inf
                 for pending_line, entry in pend_sm.items():
                     ready = entry[0]
-                    if ready is None:
-                        continue
                     if ready <= now:
                         landed.append(pending_line)
                     elif ready < new_min:
@@ -458,7 +435,8 @@ class SoaGPUSimulator(GPUSimulator):
                     dirty_intent = False
 
             if kind == 0:
-                # shared read/local miss path: register in the MSHR file
+                # shared read/local miss path: register in the MSHR file;
+                # ``entry`` stays bound for the fetch's ready time below
                 mshr_sm = mshr_map[sm]
                 entry = pend_sm.get(line)
                 if entry is not None:
@@ -488,7 +466,7 @@ class SoaGPUSimulator(GPUSimulator):
                 else:
                     mshr_sm[line] = 1
                     m_alloc[sm] += 1
-                    pend_sm[line] = [None, dirty_intent]
+                    entry = pend_sm[line] = [None, dirty_intent]
             if reqs is None:
                 reqs = ((kind, line),)
             elif kind >= 0:
@@ -499,14 +477,13 @@ class SoaGPUSimulator(GPUSimulator):
             # _serve_miss and _migrate_and_write unrolled into it, which also
             # serves a uniform L2 (UniformL2.access) through the HR names;
             # only the two-part L2's buffer drains, due sweeps, LR probe
-            # and search-selector accounting are skipped for it.  The
+            # and search-selector costs are skipped for it.  The
             # bank/DRAM/stall block after it is the object replay loop's.
             for kind, raddr in reqs:
                 l2_write = kind != 0
                 now2 = now * time_dilation
                 lineno = raddr >> off2
                 wb_total = 0
-                dram_fetch = False
                 part = 0  # 0 miss, 1 lr, 2 hr
                 if twopart:
                     # maintenance: inline buffer drains; delegate due sweeps
@@ -550,22 +527,13 @@ class SoaGPUSimulator(GPUSimulator):
                         hr_slot = hr_index * hr_assoc + hr_way
                         part = 2
                 if twopart:
-                    # search-selector accounting (sequential or parallel)
-                    n_sel_acc += 1
-                    first_hit = part == (1 if l2_write else 2)
-                    if not sequential:
-                        if first_hit:
-                            n_sel_first += 1
-                        n_sel_second += 1
-                        tag_latency = tag_lat1
-                        energy = pe_w2 if l2_write else pe_r2
-                    elif first_hit:
-                        n_sel_first += 1
+                    # search-selector costs: a sequential search that hits
+                    # the part it probes first makes one probe
+                    if sequential and part == (1 if l2_write else 2):
                         tag_latency = tag_lat1
                         energy = pe_w1 if l2_write else pe_r1
                     else:
-                        n_sel_second += 1
-                        tag_latency = tag_lat2
+                        tag_latency = tag_lat2 if sequential else tag_lat1
                         energy = pe_w2 if l2_write else pe_r2
                 else:
                     # a uniform hit's energy and latency are whole; a miss
@@ -574,85 +542,55 @@ class SoaGPUSimulator(GPUSimulator):
                     energy = 0.0 if part else probe_en
                 # serve
                 if part == 1:
+                    order = lr_lru_v[index]
+                    order.remove(way)
+                    order.append(way)
                     if l2_write:
-                        n_lr_w += 1
                         n_lr_wh += 1
                         lr_dirty_v[slot] = True
-                        lr_tw[slot] += 1
-                        lr_wc[slot] += 1  # LR array never saturates
                         lr_lwt[slot] = now2
-                        lr_lat_v[slot] = now2
                         if lr_queued:
                             due_push((now2, slot))
-                        lr_setw[index] += 1
-                        order = lr_lru_v[index]
-                        order.remove(way)
-                        order.append(way)
                         energy += lr_w_en
                         latency = tag_latency + lr_w_lat
-                        n_lr_dw += 1
                     else:
-                        n_lr_r += 1
                         n_lr_rh += 1
-                        lr_tr[slot] += 1
-                        lr_lat_v[slot] = now2
-                        order = lr_lru_v[index]
-                        order.remove(way)
-                        order.append(way)
                         energy += lr_r_en
                         latency = tag_latency + lr_r_lat
                     demand_j += energy
                 elif part == 2:
+                    order = hr_lru_v[hr_index]
+                    order.remove(hr_way)
+                    order.append(hr_way)
                     if not l2_write:
                         n_hr_r += 1
                         n_hr_rh += 1
-                        hr_tr[hr_slot] += 1
-                        hr_lat_v[hr_slot] = now2
-                        order = hr_lru_v[hr_index]
-                        order.remove(hr_way)
-                        order.append(hr_way)
                         energy += hr_r_en
                         latency = tag_latency + hr_r_lat
                         demand_j += energy
                     elif hr_wc[hr_slot] < threshold:
-                        n_mon_w += 1
                         n_hr_w += 1
                         n_hr_wh += 1
                         hr_dirty_v[hr_slot] = True
-                        hr_tw[hr_slot] += 1
                         if hr_sat <= 0 or hr_wc[hr_slot] < hr_sat:
                             hr_wc[hr_slot] += 1
                         hr_lwt[hr_slot] = now2
-                        hr_lat_v[hr_slot] = now2
-                        hr_setw[hr_index] += 1
-                        order = hr_lru_v[hr_index]
-                        order.remove(hr_way)
-                        order.append(hr_way)
                         energy += hr_w_en
                         latency = tag_latency + hr_w_lat
-                        n_hr_dw += 1
                         demand_j += energy
                     else:
                         # ---- migration: SoaTwoPartL2._migrate_and_write --
-                        n_mon_w += 1
-                        n_mon_mig += 1
+                        n_mig += 1
                         # HR demand write hit, then extract: the extract
                         # zeroes every per-line field the hit sets
                         n_hr_w += 1
                         n_hr_wh += 1
-                        hr_setw[hr_index] += 1
-                        order = hr_lru_v[hr_index]
-                        order.remove(hr_way)
-                        order.append(hr_way)
                         del hr_t2w[hr_index][hr_tag]
                         hr_tags_v[hr_slot] = -1
                         hr_valid_v[hr_slot] = False
                         hr_dirty_v[hr_slot] = False
                         hr_wc[hr_slot] = 0
-                        hr_tw[hr_slot] = 0
-                        hr_tr[hr_slot] = 0
                         hr_lwt[hr_slot] = 0.0
-                        hr_lat_v[hr_slot] = 0.0
                         hr_ins[hr_slot] = 0.0
                         # HR->LR push; a full buffer forces its oldest out
                         if len(h2l_entries) >= h2l_cap:
@@ -664,10 +602,8 @@ class SoaGPUSimulator(GPUSimulator):
                             h2l_free = now2
                         h2l_free += h2l_service
                         h2l_entries.append((lineno << off2, True, h2l_free))
-                        n_h2l_push += 1
                         if len(h2l_entries) > h2l_peak:
                             h2l_peak = len(h2l_entries)
-                        n_to_lr += 1
                         # dirty LR fill into the victim way (the locate
                         # left the LR set and tag; LR holds no copy)
                         base = index * lr_assoc
@@ -688,11 +624,7 @@ class SoaGPUSimulator(GPUSimulator):
                         lr_tags_v[slot] = tag
                         lr_valid_v[slot] = True
                         lr_dirty_v[slot] = True
-                        lr_wc[slot] = 1
-                        lr_tw[slot] = 1
-                        lr_tr[slot] = 0
                         lr_lwt[slot] = now2
-                        lr_lat_v[slot] = now2
                         lr_ins[slot] = now2
                         if lr_queued:
                             due_push((now2, slot))
@@ -700,9 +632,6 @@ class SoaGPUSimulator(GPUSimulator):
                         order = lr_lru_v[index]
                         order.remove(way)
                         order.append(way)
-                        lr_setw[index] += 1
-                        n_lr_fill += 1
-                        n_lr_dw += 1
                         if evicted:
                             # the LR victim returns to HR through the
                             # LR->HR buffer
@@ -720,10 +649,8 @@ class SoaGPUSimulator(GPUSimulator):
                                 l2h_free = now2
                             l2h_free += l2h_service
                             l2h_entries.append((victim_no << off2, True, l2h_free))
-                            n_l2h_push += 1
                             if len(l2h_entries) > l2h_peak:
                                 l2h_peak = len(l2h_entries)
-                            n_to_hr += 1
                             # dirty HR fill into the victim way (the parts
                             # are exclusive: HR holds no copy of the line)
                             if hr_pow2:
@@ -751,19 +678,13 @@ class SoaGPUSimulator(GPUSimulator):
                             hr_valid_v[hr_slot] = True
                             hr_dirty_v[hr_slot] = True
                             hr_wc[hr_slot] = 1
-                            hr_tw[hr_slot] = 1
-                            hr_tr[hr_slot] = 0
                             hr_lwt[hr_slot] = now2
-                            hr_lat_v[hr_slot] = now2
                             hr_ins[hr_slot] = now2
                             tag_map[hr_tag] = hr_way
-                            hr_setw[hr_index] += 1
-                            n_hr_fill += 1
                             order = hr_lru_v[hr_index]
                             order.remove(hr_way)
                             order.append(hr_way)
                             migration_j += hr_w_en
-                            n_hr_dw += 1
                         demand_j += energy
                         migration_j += mig_en
                         latency = tag_latency + lr_w_lat
@@ -784,39 +705,27 @@ class SoaGPUSimulator(GPUSimulator):
                         fway = hr_lru_v[hr_index][0]
                     fslot = base + fway
                     tag_map = hr_t2w[hr_index]
-                    evicted_dirty = False
                     if hr_valid_v[fslot]:
-                        evicted_dirty = hr_dirty_v[fslot]
-                        if evicted_dirty:
+                        if hr_dirty_v[fslot]:
                             n_hr_evd += 1
+                            wb_total += 1
+                            n_wb_tot += 1
                         else:
                             n_hr_evc += 1
                         del tag_map[hr_tags_v[fslot]]
                     hr_tags_v[fslot] = hr_tag
                     hr_valid_v[fslot] = True
                     hr_dirty_v[fslot] = l2_write
-                    initial = 1 if l2_write else 0
-                    hr_wc[fslot] = initial
-                    hr_tw[fslot] = initial
-                    hr_tr[fslot] = 0
+                    hr_wc[fslot] = 1 if l2_write else 0
                     hr_lwt[fslot] = now2 if l2_write else 0.0
-                    hr_lat_v[fslot] = now2
                     hr_ins[fslot] = now2
                     tag_map[hr_tag] = fway
                     order = hr_lru_v[hr_index]
                     order.remove(fway)
                     order.append(fway)
-                    if l2_write:
-                        hr_setw[hr_index] += 1
-                    n_hr_fill += 1
-                    n_hr_dw += 1
-                    if evicted_dirty:
-                        wb_total += 1
-                        n_wb_tot += 1
                     demand_j += energy
                     fill_j += hr_fill_en
                     latency = tag_latency + hr_r_lat
-                    dram_fetch = True
                 # bank + DRAM + stall accounting (the object replay loop's
                 # per-request block)
                 l2_requests += 1
@@ -826,7 +735,6 @@ class SoaGPUSimulator(GPUSimulator):
                 start = busy if busy > now else now
                 wait = start - now
                 bank_busy[bank] = start + latency
-                bank_req += 1
                 bankv_req[bank] += 1
                 if wait > 0:
                     bank_conf += 1
@@ -839,11 +747,11 @@ class SoaGPUSimulator(GPUSimulator):
                 if wait > wait_cap:
                     wait = wait_cap
                 total = wait + latency
-                if dram_fetch:
+                if not part:
+                    # a miss fetches the line from DRAM
                     t_req = now + total
                     channel = (raddr >> dram_line_shift) % dram_channels
                     row = raddr // dram_row_size
-                    n_dram_r += 1
                     if dram_open[channel] == row:
                         n_dram_rh += 1
                         d_lat = dram_rowhit_lat
@@ -859,15 +767,13 @@ class SoaGPUSimulator(GPUSimulator):
                     dram_busy_s[channel] += dram_service
                     dram_wait_s += d_wait
                     total += d_wait + d_lat
-                if wb_total:
-                    n_dram_w += wb_total
-                    dram_writebacks += wb_total
+                dram_writebacks += wb_total
                 if kind == 0:
                     total += noc_rt_s
                     stall_sum_s += total
                     read_latency_sum_s += total
-                    entry = pend[sm].get(raddr)
-                    if entry is not None and entry[0] is None:
+                    if entry is not None:
+                        # the fetch registered by this record lands then
                         ready = now + total
                         entry[0] = ready
                         if ready < min_ready[sm]:
@@ -876,7 +782,14 @@ class SoaGPUSimulator(GPUSimulator):
                     stall_sum_s += wait + latency
 
         # --- flush local state back into the component objects ------------
+        # Counters that exact integer identities determine were not kept
+        # in the loop; they are derived here (docs/engine.md, "Counter
+        # fold"; tests/test_counter_identities.py holds each identity on
+        # the object engine).
         self.end_time_s = now
+        hr_misses = n_hr_r + n_hr_w - n_hr_rh - n_hr_wh
+        # an HR fill is a miss or an LR victim returning to HR
+        n_hr_fill = hr_misses + n_lr_evd
         hr_stats = hr.stats
         hr_stats.reads += n_hr_r
         hr_stats.read_hits += n_hr_rh
@@ -885,46 +798,58 @@ class SoaGPUSimulator(GPUSimulator):
         hr_stats.evictions_dirty += n_hr_evd
         hr_stats.evictions_clean += n_hr_evc
         hr_stats.fills += n_hr_fill
+        # every HR write hit writes HR data unless it migrates; so does
+        # every fill
+        hr_data_writes = n_hr_wh - n_mig + n_hr_fill
         led = l2._energy
         if twopart:
+            # a sequential search's first probe is LR for a write and HR
+            # for a read; a parallel search always probes both parts
+            first_hits = n_lr_wh + n_hr_rh
             sel = l2._sel_stats
-            sel.accesses += n_sel_acc
-            sel.first_probe_hits += n_sel_first
-            sel.second_probes += n_sel_second
+            sel.accesses += l2_requests
+            sel.first_probe_hits += first_hits
+            sel.second_probes += (
+                l2_requests - first_hits if sequential else l2_requests
+            )
+            # LR is reached only by hits, and filled only by migrations
             lr_stats = lr.stats
-            lr_stats.writes += n_lr_w
+            lr_stats.writes += n_lr_wh
             lr_stats.write_hits += n_lr_wh
-            lr_stats.reads += n_lr_r
+            lr_stats.reads += n_lr_rh
             lr_stats.read_hits += n_lr_rh
             lr_stats.evictions_dirty += n_lr_evd
-            lr_stats.fills += n_lr_fill
-            l2._mon_stats.writes_observed += n_mon_w
-            l2._mon_stats.migrations_triggered += n_mon_mig
-            l2.lr_data_writes += n_lr_dw
-            l2.hr_data_writes += n_hr_dw
+            lr_stats.fills += n_mig
+            # the monitor sees every HR write hit; each migration pushes
+            # one line HR->LR, and each LR victim returns one LR->HR
+            l2._mon_stats.writes_observed += n_hr_wh
+            l2._mon_stats.migrations_triggered += n_mig
+            l2.lr_data_writes += n_lr_wh + n_mig
+            l2.hr_data_writes += hr_data_writes
             l2.dram_writebacks_total += n_wb_tot
-            l2.migrations_to_lr += n_to_lr
-            l2.returns_to_hr += n_to_hr
-            h2l_stats.pushes += n_h2l_push
+            l2.migrations_to_lr += n_mig
+            l2.returns_to_hr += n_lr_evd
+            h2l_stats.pushes += n_mig
             h2l_stats.overflows += n_h2l_over
             h2l_stats.peak_occupancy = h2l_peak
             l2.hr_to_lr._port_free_at = h2l_free
-            l2h_stats.pushes += n_l2h_push
+            l2h_stats.pushes += n_lr_evd
             l2h_stats.overflows += n_l2h_over
             l2h_stats.peak_occupancy = l2h_peak
             l2.lr_to_hr._port_free_at = l2h_free
             led.migration_j = migration_j
         else:
-            l2.data_writes += n_hr_dw
+            l2.data_writes += hr_data_writes
         led.demand_j = demand_j
         led.fill_j = fill_j
+        # one DRAM read per L2 miss; every write-back is one DRAM write
         dram_stats = self.dram.stats
-        dram_stats.reads += n_dram_r
+        dram_stats.reads += hr_misses
         dram_stats.row_hits += n_dram_rh
-        dram_stats.writes += n_dram_w
+        dram_stats.writes += dram_writebacks
         dram_stats.total_wait_s = dram_wait_s
         bank_stats = self.banks.stats
-        bank_stats.requests += bank_req
+        bank_stats.requests += l2_requests
         bank_stats.conflicts += bank_conf
         bank_stats.total_wait += bank_wait_sum
         for b, per in enumerate(self.banks.per_bank):
@@ -956,10 +881,6 @@ class SoaGPUSimulator(GPUSimulator):
             mshr_stats.coalesced += m_coal[s]
             mshr_stats.stalls += m_stall[s]
             mshr_stats.completions += m_comp[s]
-            l1.mshr._entries.update(mshr_map[s])
-            l1._pending.update(pend[s])
-            if min_ready[s] < l1._min_ready:
-                l1._min_ready = min_ready[s]
 
         return self._finish({
             "reads": reads,

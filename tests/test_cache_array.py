@@ -203,11 +203,13 @@ class TestCapacityBehaviour:
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=63), st.booleans()),
                     min_size=1, max_size=200))
     def test_stats_balance(self, ops):
-        """accesses = hits + misses; fills <= misses (write-allocate)."""
+        """hits <= accesses; fills <= misses (write-allocate)."""
         cache = make_cache(capacity=2 * KB, assoc=2, line=256)
         for lid, is_write in ops:
             cache.access(lid * 256, is_write=is_write)
         stats = cache.stats
-        assert stats.accesses == stats.hits + stats.misses
-        assert stats.fills <= stats.misses
-        assert stats.evictions <= stats.fills
+        assert stats.accesses == len(ops)
+        assert stats.read_hits <= stats.reads
+        assert stats.write_hits <= stats.writes
+        assert stats.fills <= stats.accesses - stats.hits
+        assert stats.evictions_clean + stats.evictions_dirty <= stats.fills

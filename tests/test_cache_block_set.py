@@ -47,10 +47,11 @@ class TestCacheBlock:
     def test_reset_clears_everything(self):
         block = CacheBlock()
         block.fill(0x1, now=1.0, dirty=True)
-        block.record_read(2.0)
+        block.record_write(2.0)
         block.reset()
-        assert not block.valid and block.total_writes == 0
-        assert block.total_reads == 0
+        assert not block.valid and not block.dirty
+        assert block.total_writes == 0 and block.write_count == 0
+        assert block.last_write_time == 0.0 and block.insert_time == 0.0
 
 
 class TestCacheSet:

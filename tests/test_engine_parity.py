@@ -194,15 +194,9 @@ def test_fused_loop_keeps_its_state_in_plain_locals():
 
 
 def test_fused_loop_hot_locals_need_no_extended_arg():
-    """Locals numbered 256 or above cost an EXTENDED_ARG per access; the
-    loop's per-record and per-request names, counters and constants must
-    number below that."""
-    names = SoaGPUSimulator.run.__code__.co_varnames
-    hot = ["sm", "line", "entry", "ready", "reqs", "part", "energy",
-           "latency", "total", "d_wait", "now", "now2", "n_hr_r",
-           "n_sel_acc", "hr_t2w", "lr_t2w", "bank_busy", "dram_busy",
-           "demand_j", "migration_j", "h2l_entries", "due_push"]
-    assert not [name for name in hot if names.index(name) >= 256]
+    """Locals numbered 256 or above cost an EXTENDED_ARG per access, so
+    the loop's function keeps fewer than 256 of them."""
+    assert SoaGPUSimulator.run.__code__.co_nlocals < 256
 
 
 def test_fused_loop_rejects_a_due_queue_that_runs_ahead():

@@ -66,7 +66,7 @@ class TestFullStackConsistency:
 
     def test_dram_traffic_not_larger_than_l2_misses_plus_writebacks(self, run):
         sim, result = run
-        l2_misses = sim.l2.stats.misses
+        l2_misses = sim.l2.stats.accesses - sim.l2.stats.hits
         assert result.dram_accesses <= l2_misses + result.dram_writebacks + sim.l2.dirty_lines() + result.l2_requests
 
     def test_twopart_no_line_in_both_parts(self, run):
