@@ -8,9 +8,11 @@ parallel Python lists instead of one ``CacheBlock`` object per line
 object array's API those callers reach — ``access``, ``invalidate`` and
 the analysis read-outs — and each method reproduces the
 object array's semantics *exactly*: same counters bumped in the same
-order, same LRU recency updates, same shared hit outcomes, so the two
-engines stay access-for-access equivalent.  Demand hits allocate nothing:
-hit outcomes are cached and all state updates are list-element writes.
+order, same victims, same shared hit outcomes, so the two engines stay
+access-for-access equivalent.  A set's LRU order is the insertion order
+of its ``tag -> way`` dict: a hit re-inserts the tag, a fill appends it,
+and a full set evicts its first key.  Demand hits allocate nothing: hit
+outcomes are cached and all state updates are list-element writes.
 
 State snapshots still walk ``CacheBlock``-shaped objects;
 :meth:`SoaCacheArray.iter_blocks` yields read-only :class:`SoaBlockView`
@@ -133,12 +135,9 @@ class SoaCacheArray:
         self.insert_time_vec: List[float] = [0.0] * num_lines
         #: per-set write totals
         self.set_writes_vec: List[int] = [0] * num_sets
-        #: per-set tag -> way maps (the associative lookup)
+        #: per-set tag -> way maps (the associative lookup), in recency
+        #: order: LRU first, MRU last
         self.tag_to_way: List[Dict[int, int]] = [dict() for _ in range(num_sets)]
-        #: per-set LRU recency lists, LRU at the front / MRU at the back
-        self.lru: List[List[int]] = [
-            list(range(associativity)) for _ in range(num_sets)
-        ]
 
         # shared hit outcomes, exactly like the object array's
         self._hit_outcomes: dict = {}
@@ -178,7 +177,7 @@ class SoaCacheArray:
         line = address >> self._offset_bits
         if self._pow2:
             return line >> self._set_bits, line & self._set_mask
-        return divmod(line, self._num_sets)[0], line % self._num_sets
+        return divmod(line, self._num_sets)
 
     def _hit_outcome(self, index: int, way: int) -> AccessOutcome:
         """The shared plain-hit outcome for ``(index, way)``."""
@@ -196,7 +195,8 @@ class SoaCacheArray:
         :meth:`repro.cache.array.SetAssociativeCache.access`.
         """
         tag, index = self._split_fast(address)
-        way = self.tag_to_way[index].get(tag)
+        tag_map = self.tag_to_way[index]
+        way = tag_map.get(tag)
         stats = self.stats
 
         if is_write:
@@ -218,9 +218,8 @@ class SoaCacheArray:
                 self.set_writes_vec[index] += 1
             else:
                 stats.read_hits += 1
-            order = self.lru[index]
-            order.remove(way)
-            order.append(way)
+            del tag_map[tag]
+            tag_map[tag] = way
             return self._hit_outcome(index, way)
 
         return self._fill(index, tag, now, dirty=is_write)
@@ -230,19 +229,18 @@ class SoaCacheArray:
         assoc = self.associativity
         base = index * assoc
         valid = self.valid_vec
-        way = -1
-        for candidate in range(assoc):
-            if not valid[base + candidate]:
-                way = candidate
-                break
-        if way < 0:
-            way = self.lru[index][0]
-        slot = base + way
         evicted_address: Optional[int] = None
         evicted_dirty = False
         tag_map = self.tag_to_way[index]
-        if valid[slot]:
-            victim_tag = self.tag_vec[slot]
+        if len(tag_map) < assoc:
+            for way in range(assoc):
+                if not valid[base + way]:
+                    break
+            slot = base + way
+        else:
+            victim_tag = next(iter(tag_map))
+            way = tag_map.pop(victim_tag)
+            slot = base + way
             if self._pow2:
                 victim_line = (victim_tag << self._set_bits) | index
             else:
@@ -258,7 +256,6 @@ class SoaCacheArray:
                     f"cache.{self.name}.evictions_dirty" if evicted_dirty
                     else f"cache.{self.name}.evictions_clean"
                 )
-            del tag_map[victim_tag]
         # CacheBlock.fill + CacheSet.install
         self.tag_vec[slot] = tag
         valid[slot] = True
@@ -269,9 +266,6 @@ class SoaCacheArray:
         self.last_write_time_vec[slot] = now if dirty else 0.0
         self.insert_time_vec[slot] = now
         tag_map[tag] = way
-        order = self.lru[index]
-        order.remove(way)
-        order.append(way)
         if dirty:
             self.set_writes_vec[index] += 1
         self.stats.fills += 1

@@ -185,8 +185,9 @@ class SoaTwoPartL2(TwoPartSTTL2):
         writebacks = 0
 
         # --- HR demand write hit, then extract ----------------------------
-        # The extract zeroes every per-line field the write hit sets, so
-        # only the hit's stats, wear counters and LRU move remain.
+        # The extract zeroes every per-line field the write hit sets and
+        # drops the tag from the set's recency order, so only the hit's
+        # stats and wear counters remain.
         hr = self.hr_array
         if self._hr_pow2:
             tag = lineno >> self._hr_bits
@@ -198,9 +199,6 @@ class SoaTwoPartL2(TwoPartSTTL2):
         stats.writes += 1
         stats.write_hits += 1
         hr.set_writes_vec[index] += 1
-        order = hr.lru[index]
-        order.remove(way)
-        order.append(way)
         hr._reset_slot(index, way)
 
         # --- HR->LR push; a full buffer first forces its oldest entry out -
@@ -232,24 +230,23 @@ class SoaTwoPartL2(TwoPartSTTL2):
             tag, index = divmod(lineno, self._lr_nsets)
         base = index * self._lr_assoc
         valid = lr.valid_vec
-        for way in range(self._lr_assoc):
-            if not valid[base + way]:
-                break
-        else:
-            way = lr.lru[index][0]
-        slot = base + way
         tag_map = lr.tag_to_way[index]
         stats = lr.stats
-        evicted = valid[slot]
+        evicted = len(tag_map) >= self._lr_assoc
         if evicted:
             # every LR line is dirty: its only way in is a migrating write
-            victim_tag = lr.tag_vec[slot]
+            victim_tag = next(iter(tag_map))
+            way = tag_map.pop(victim_tag)
             stats.evictions_dirty += 1
-            del tag_map[victim_tag]
             if self._lr_pow2:
                 victim_lineno = (victim_tag << self._lr_bits) | index
             else:
                 victim_lineno = victim_tag * self._lr_nsets + index
+        else:
+            for way in range(self._lr_assoc):
+                if not valid[base + way]:
+                    break
+        slot = base + way
         lr.tag_vec[slot] = tag
         valid[slot] = True
         lr.dirty_vec[slot] = True
@@ -260,9 +257,6 @@ class SoaTwoPartL2(TwoPartSTTL2):
         if self._lr_ret is not None:
             self._queue_due(now, slot)
         tag_map[tag] = way
-        order = lr.lru[index]
-        order.remove(way)
-        order.append(way)
         lr.set_writes_vec[index] += 1
         stats.fills += 1
         # read out of HR, written into LR
@@ -301,21 +295,21 @@ class SoaTwoPartL2(TwoPartSTTL2):
             base = index * self._hr_assoc
             tag_map = hr.tag_to_way[index]
             valid = hr.valid_vec
-            for way in range(self._hr_assoc):
-                if not valid[base + way]:
-                    break
-            else:
-                way = hr.lru[index][0]
-            slot = base + way
             stats = hr.stats
-            if valid[slot]:
+            if len(tag_map) < self._hr_assoc:
+                for way in range(self._hr_assoc):
+                    if not valid[base + way]:
+                        break
+                slot = base + way
+            else:
+                way = tag_map.pop(next(iter(tag_map)))
+                slot = base + way
                 if hr.dirty_vec[slot]:
                     stats.evictions_dirty += 1
                     writebacks += 1
                     self.dram_writebacks_total += 1
                 else:
                     stats.evictions_clean += 1
-                del tag_map[hr.tag_vec[slot]]
             hr.tag_vec[slot] = tag
             valid[slot] = True
             hr.dirty_vec[slot] = True
@@ -326,9 +320,6 @@ class SoaTwoPartL2(TwoPartSTTL2):
             tag_map[tag] = way
             hr.set_writes_vec[index] += 1
             stats.fills += 1
-            order = hr.lru[index]
-            order.remove(way)
-            order.append(way)
             led.migration_j += self._hr_w_en
             self.hr_data_writes += 1
         led.demand_j += energy
@@ -521,7 +512,8 @@ class SoaTwoPartL2(TwoPartSTTL2):
             index = lineno & self._lr_mask
         else:
             tag, index = divmod(lineno, self._lr_nsets)
-        way = lr.tag_to_way[index].get(tag)
+        lr_map = lr.tag_to_way[index]
+        way = lr_map.get(tag)
         if way is not None:
             slot = index * self._lr_assoc + way
             retention = self._lr_ret
@@ -544,7 +536,8 @@ class SoaTwoPartL2(TwoPartSTTL2):
                 hr_index = lineno & self._hr_mask
             else:
                 hr_tag, hr_index = divmod(lineno, self._hr_nsets)
-            hr_way = hr.tag_to_way[hr_index].get(hr_tag)
+            hr_map = hr.tag_to_way[hr_index]
+            hr_way = hr_map.get(hr_tag)
             if hr_way is not None:
                 hr_slot = hr_index * self._hr_assoc + hr_way
                 last = hr.insert_time_vec[hr_slot]
@@ -596,18 +589,16 @@ class SoaTwoPartL2(TwoPartSTTL2):
                     last = lr.insert_time_vec[slot]
                     self._queue_due(now if now > last else last, slot)
                 lr.set_writes_vec[index] += 1
-                order = lr.lru[index]
-                order.remove(way)
-                order.append(way)
+                del lr_map[tag]
+                lr_map[tag] = way
                 energy += self._lr_w_en
                 latency = tag_latency + self._lr_w_lat
                 self.lr_data_writes += 1
             else:
                 stats.reads += 1
                 stats.read_hits += 1
-                order = lr.lru[index]
-                order.remove(way)
-                order.append(way)
+                del lr_map[tag]
+                lr_map[tag] = way
                 energy += self._lr_r_en
                 latency = tag_latency + self._lr_r_lat
             self._energy.demand_j += energy
@@ -619,9 +610,8 @@ class SoaTwoPartL2(TwoPartSTTL2):
             if not is_write:
                 stats.reads += 1
                 stats.read_hits += 1
-                order = hr.lru[hr_index]
-                order.remove(hr_way)
-                order.append(hr_way)
+                del hr_map[hr_tag]
+                hr_map[hr_tag] = hr_way
                 energy += self._hr_r_en
                 self._energy.demand_j += energy
                 result = L2AccessResult(
@@ -645,9 +635,8 @@ class SoaTwoPartL2(TwoPartSTTL2):
                         hr.write_count_vec[hr_slot] += 1
                     hr.last_write_time_vec[hr_slot] = now
                     hr.set_writes_vec[hr_index] += 1
-                    order = hr.lru[hr_index]
-                    order.remove(hr_way)
-                    order.append(hr_way)
+                    del hr_map[hr_tag]
+                    hr_map[hr_tag] = hr_way
                     energy += self._hr_w_en
                     latency = tag_latency + self._hr_w_lat
                     self.hr_data_writes += 1

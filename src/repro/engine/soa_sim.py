@@ -7,8 +7,10 @@ the trace is decoded with NumPy per chunk of
 tag/set/line splits), so replay memory does not grow with the trace, and
 the per-record work — L1 write policies, MSHR coalescing, deferred fills,
 the L2 serve paths, bank scheduling and DRAM — is fused into one
-interpreter loop over flat per-SM state vectors with zero per-access
-object allocation.  The L2 state lives
+interpreter loop over flat per-SM state with zero per-access object
+allocation.  Each L1 set is one ``tag -> dirty`` dict whose insertion
+order is its LRU order (LRU first), the rule the SoA L2 arrays' tag maps
+follow too (docs/engine.md, ``tag_to_way``).  The L2 state lives
 in the SoA model built by :func:`repro.core.factory.build_l2`
 (``engine="soa"``); its demand paths and HR->LR migration (with the LR
 victim's return to HR and the force-pops of full swap buffers) are
@@ -54,8 +56,8 @@ analyses run on the object arrays).  The loop also leaves the L2 arrays'
 Fig. 3 and the surrogate read the first two, and no LR line migrates.
 Aggregate ``CacheStats``, ``L1Stats``, ``MSHRStats``, bank and DRAM
 counters are flushed back into the real component objects at the end of
-the run; the L1s' MSHR and pending-fill state is not.  L2 vectors, LRU
-orders, buffer deques and the LR due queue are mutated in place; the swap
+the run; the L1s' MSHR and pending-fill state is not.  L2 vectors, tag
+maps, buffer deques and the LR due queue are mutated in place; the swap
 buffers' port times and peak occupancies fold back with the counters.
 
 Not supported (the registry raises and names the object engine, see
@@ -65,7 +67,7 @@ externally built L2s, which is how fault injection arrives.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from math import inf
 
 import numpy as np
@@ -132,12 +134,8 @@ class SoaGPUSimulator(GPUSimulator):
         l1_assoc = l1.array.associativity
 
         # --- flat per-SM state -------------------------------------------
-        l1_tags = [-1] * (S * l1_nsets * l1_assoc)
-        l1_valid = [False] * len(l1_tags)
-        l1_dirty = [False] * len(l1_tags)
-        l1_t2w = [dict() for _ in range(S * l1_nsets)]
-        # built without a comprehension, which would make l1_assoc a cell
-        l1_lru = list(map(list, repeat(range(l1_assoc), S * l1_nsets)))
+        # per-(SM, set) tag -> dirty maps, LRU first
+        l1_sets = [dict() for _ in range(S * l1_nsets)]
         pend = [dict() for _ in range(S)]      # line -> [ready, fill_dirty]
         min_ready = [inf] * S
         mshr_map = [dict() for _ in range(S)]  # line -> merged count
@@ -203,7 +201,7 @@ class SoaGPUSimulator(GPUSimulator):
             hr_fill_en = l2.hr_model.fill_energy
             threshold = l2._threshold
             lr = l2.lr_array
-            lr_t2w = lr.tag_to_way; lr_lru_v = lr.lru
+            lr_t2w = lr.tag_to_way
             lr_tags_v = lr.tag_vec; lr_valid_v = lr.valid_vec
             lr_dirty_v = lr.dirty_vec
             lr_lwt = lr.last_write_time_vec; lr_ins = lr.insert_time_vec
@@ -255,7 +253,7 @@ class SoaGPUSimulator(GPUSimulator):
             hr_fill_en = l2._fill_energy
             threshold = inf
             probe_en = l2._tag_probe_energy
-        hr_t2w = hr.tag_to_way; hr_lru_v = hr.lru
+        hr_t2w = hr.tag_to_way
         hr_tags_v = hr.tag_vec; hr_valid_v = hr.valid_vec
         hr_dirty_v = hr.dirty_vec; hr_wc = hr.write_count_vec
         hr_lwt = hr.last_write_time_vec; hr_ins = hr.insert_time_vec
@@ -310,30 +308,16 @@ class SoaGPUSimulator(GPUSimulator):
                         fill_set = fill_no & l1_mask
                     else:
                         fill_tag, fill_set = divmod(fill_no, l1_nsets)
-                    slot = sm * l1_nsets + fill_set
-                    t2w = l1_t2w[slot]
-                    fill_way = t2w.get(fill_tag)
+                    l1_set = l1_sets[sm * l1_nsets + fill_set]
+                    dirty = l1_set.pop(fill_tag, None)
                     evicted_line = -1
-                    if fill_way is not None:
+                    if dirty is not None:
                         # already present: OR in the dirty intent, touch
-                        if fill_dirty:
-                            l1_dirty[slot * l1_assoc + fill_way] = True
-                        order = l1_lru[slot]
-                        order.remove(fill_way)
-                        order.append(fill_way)
+                        l1_set[fill_tag] = dirty or fill_dirty
                     else:
-                        base = slot * l1_assoc
-                        fill_way = -1
-                        for candidate in range(l1_assoc):
-                            if not l1_valid[base + candidate]:
-                                fill_way = candidate
-                                break
-                        if fill_way < 0:
-                            fill_way = l1_lru[slot][0]
-                        slot_index = base + fill_way
-                        if l1_valid[slot_index]:
-                            victim_tag = l1_tags[slot_index]
-                            if l1_dirty[slot_index]:
+                        if len(l1_set) >= l1_assoc:
+                            victim_tag = next(iter(l1_set))
+                            if l1_set.pop(victim_tag):
                                 ar_evd[sm] += 1
                                 if l1_pow2:
                                     victim_no = (
@@ -346,14 +330,7 @@ class SoaGPUSimulator(GPUSimulator):
                                 evicted_line = victim_no << l1_off
                             else:
                                 ar_evc[sm] += 1
-                            del t2w[victim_tag]
-                        l1_tags[slot_index] = fill_tag
-                        l1_valid[slot_index] = True
-                        l1_dirty[slot_index] = fill_dirty
-                        t2w[fill_tag] = fill_way
-                        order = l1_lru[slot]
-                        order.remove(fill_way)
-                        order.append(fill_way)
+                        l1_set[fill_tag] = fill_dirty
                         ar_fills[sm] += 1
                     if mshr_sm.pop(pending_line, None) is None:
                         raise SimulationError(
@@ -367,8 +344,7 @@ class SoaGPUSimulator(GPUSimulator):
                             reqs = []
                         reqs.append((2, evicted_line))
 
-            slot = sm * l1_nsets + set_index
-            t2w = l1_t2w[slot]
+            l1_set = l1_sets[sm * l1_nsets + set_index]
             if is_local:
                 # conventional write-back/write-allocate for local data
                 if is_write:
@@ -377,16 +353,14 @@ class SoaGPUSimulator(GPUSimulator):
                 else:
                     g_lr[sm] += 1
                     ar_reads[sm] += 1
-                way = t2w.get(tag)
-                if way is not None:
+                dirty = l1_set.pop(tag, None)
+                if dirty is not None:
                     if is_write:
                         ar_wh[sm] += 1
-                        l1_dirty[slot * l1_assoc + way] = True
+                        l1_set[tag] = True
                     else:
                         ar_rh[sm] += 1
-                    order = l1_lru[slot]
-                    order.remove(way)
-                    order.append(way)
+                        l1_set[tag] = dirty
                     if reqs is None:
                         continue
                     kind = -1
@@ -397,14 +371,8 @@ class SoaGPUSimulator(GPUSimulator):
                 # global store: write-evict on hit, write-no-allocate
                 g_gw[sm] += 1
                 ar_writes[sm] += 1
-                way = t2w.get(tag)
-                if way is not None:
+                if l1_set.pop(tag, None) is not None:
                     ar_wh[sm] += 1
-                    slot_index = slot * l1_assoc + way
-                    del t2w[tag]
-                    l1_tags[slot_index] = -1
-                    l1_valid[slot_index] = False
-                    l1_dirty[slot_index] = False
                     ar_inv[sm] += 1
                     g_wev[sm] += 1
                 elif line in pend_sm:
@@ -421,12 +389,10 @@ class SoaGPUSimulator(GPUSimulator):
                 # global read: allocate-on-miss through the MSHRs
                 g_gr[sm] += 1
                 ar_reads[sm] += 1
-                way = t2w.get(tag)
-                if way is not None:
+                dirty = l1_set.pop(tag, None)
+                if dirty is not None:
                     ar_rh[sm] += 1
-                    order = l1_lru[slot]
-                    order.remove(way)
-                    order.append(way)
+                    l1_set[tag] = dirty
                     if reqs is None:
                         continue
                     kind = -1
@@ -511,7 +477,8 @@ class SoaGPUSimulator(GPUSimulator):
                         index = lineno & lr_smask
                     else:
                         tag, index = divmod(lineno, lr_nsets)
-                    way = lr_t2w[index].get(tag)
+                    lr_map = lr_t2w[index]
+                    way = lr_map.get(tag)
                     if way is not None:
                         slot = index * lr_assoc + way
                         part = 1
@@ -522,7 +489,8 @@ class SoaGPUSimulator(GPUSimulator):
                         hr_index = lineno & hr_smask
                     else:
                         hr_tag, hr_index = divmod(lineno, hr_nsets)
-                    hr_way = hr_t2w[hr_index].get(hr_tag)
+                    hr_map = hr_t2w[hr_index]
+                    hr_way = hr_map.get(hr_tag)
                     if hr_way is not None:
                         hr_slot = hr_index * hr_assoc + hr_way
                         part = 2
@@ -542,9 +510,8 @@ class SoaGPUSimulator(GPUSimulator):
                     energy = 0.0 if part else probe_en
                 # serve
                 if part == 1:
-                    order = lr_lru_v[index]
-                    order.remove(way)
-                    order.append(way)
+                    del lr_map[tag]
+                    lr_map[tag] = way
                     if l2_write:
                         n_lr_wh += 1
                         lr_dirty_v[slot] = True
@@ -559,9 +526,8 @@ class SoaGPUSimulator(GPUSimulator):
                         latency = tag_latency + lr_r_lat
                     demand_j += energy
                 elif part == 2:
-                    order = hr_lru_v[hr_index]
-                    order.remove(hr_way)
-                    order.append(hr_way)
+                    del hr_map[hr_tag]
+                    hr_map[hr_tag] = hr_way
                     if not l2_write:
                         n_hr_r += 1
                         n_hr_rh += 1
@@ -585,7 +551,7 @@ class SoaGPUSimulator(GPUSimulator):
                         # zeroes every per-line field the hit sets
                         n_hr_w += 1
                         n_hr_wh += 1
-                        del hr_t2w[hr_index][hr_tag]
+                        del hr_map[hr_tag]
                         hr_tags_v[hr_slot] = -1
                         hr_valid_v[hr_slot] = False
                         hr_dirty_v[hr_slot] = False
@@ -607,20 +573,18 @@ class SoaGPUSimulator(GPUSimulator):
                         # dirty LR fill into the victim way (the locate
                         # left the LR set and tag; LR holds no copy)
                         base = index * lr_assoc
-                        for way in range(lr_assoc):
-                            if not lr_valid_v[base + way]:
-                                break
-                        else:
-                            way = lr_lru_v[index][0]
-                        slot = base + way
-                        tag_map = lr_t2w[index]
-                        evicted = lr_valid_v[slot]
+                        evicted = len(lr_map) >= lr_assoc
                         if evicted:
                             # every LR line is dirty: its only way in is
                             # a migrating write
-                            victim_tag = lr_tags_v[slot]
+                            victim_tag = next(iter(lr_map))
+                            way = lr_map.pop(victim_tag)
                             n_lr_evd += 1
-                            del tag_map[victim_tag]
+                        else:
+                            for way in range(lr_assoc):
+                                if not lr_valid_v[base + way]:
+                                    break
+                        slot = base + way
                         lr_tags_v[slot] = tag
                         lr_valid_v[slot] = True
                         lr_dirty_v[slot] = True
@@ -628,10 +592,7 @@ class SoaGPUSimulator(GPUSimulator):
                         lr_ins[slot] = now2
                         if lr_queued:
                             due_push((now2, slot))
-                        tag_map[tag] = way
-                        order = lr_lru_v[index]
-                        order.remove(way)
-                        order.append(way)
+                        lr_map[tag] = way
                         if evicted:
                             # the LR victim returns to HR through the
                             # LR->HR buffer
@@ -659,31 +620,28 @@ class SoaGPUSimulator(GPUSimulator):
                             else:
                                 hr_tag, hr_index = divmod(victim_no, hr_nsets)
                             base = hr_index * hr_assoc
-                            tag_map = hr_t2w[hr_index]
-                            for hr_way in range(hr_assoc):
-                                if not hr_valid_v[base + hr_way]:
-                                    break
+                            hr_map = hr_t2w[hr_index]
+                            if len(hr_map) < hr_assoc:
+                                for hr_way in range(hr_assoc):
+                                    if not hr_valid_v[base + hr_way]:
+                                        break
+                                hr_slot = base + hr_way
                             else:
-                                hr_way = hr_lru_v[hr_index][0]
-                            hr_slot = base + hr_way
-                            if hr_valid_v[hr_slot]:
+                                hr_way = hr_map.pop(next(iter(hr_map)))
+                                hr_slot = base + hr_way
                                 if hr_dirty_v[hr_slot]:
                                     n_hr_evd += 1
                                     wb_total += 1
                                     n_wb_tot += 1
                                 else:
                                     n_hr_evc += 1
-                                del tag_map[hr_tags_v[hr_slot]]
                             hr_tags_v[hr_slot] = hr_tag
                             hr_valid_v[hr_slot] = True
                             hr_dirty_v[hr_slot] = True
                             hr_wc[hr_slot] = 1
                             hr_lwt[hr_slot] = now2
                             hr_ins[hr_slot] = now2
-                            tag_map[hr_tag] = hr_way
-                            order = hr_lru_v[hr_index]
-                            order.remove(hr_way)
-                            order.append(hr_way)
+                            hr_map[hr_tag] = hr_way
                             migration_j += hr_w_en
                         demand_j += energy
                         migration_j += mig_en
@@ -696,33 +654,27 @@ class SoaGPUSimulator(GPUSimulator):
                     else:
                         n_hr_r += 1
                     base = hr_index * hr_assoc
-                    fway = -1
-                    for candidate in range(hr_assoc):
-                        if not hr_valid_v[base + candidate]:
-                            fway = candidate
-                            break
-                    if fway < 0:
-                        fway = hr_lru_v[hr_index][0]
-                    fslot = base + fway
-                    tag_map = hr_t2w[hr_index]
-                    if hr_valid_v[fslot]:
-                        if hr_dirty_v[fslot]:
+                    if len(hr_map) < hr_assoc:
+                        for hr_way in range(hr_assoc):
+                            if not hr_valid_v[base + hr_way]:
+                                break
+                        hr_slot = base + hr_way
+                    else:
+                        hr_way = hr_map.pop(next(iter(hr_map)))
+                        hr_slot = base + hr_way
+                        if hr_dirty_v[hr_slot]:
                             n_hr_evd += 1
                             wb_total += 1
                             n_wb_tot += 1
                         else:
                             n_hr_evc += 1
-                        del tag_map[hr_tags_v[fslot]]
-                    hr_tags_v[fslot] = hr_tag
-                    hr_valid_v[fslot] = True
-                    hr_dirty_v[fslot] = l2_write
-                    hr_wc[fslot] = 1 if l2_write else 0
-                    hr_lwt[fslot] = now2 if l2_write else 0.0
-                    hr_ins[fslot] = now2
-                    tag_map[hr_tag] = fway
-                    order = hr_lru_v[hr_index]
-                    order.remove(fway)
-                    order.append(fway)
+                    hr_tags_v[hr_slot] = hr_tag
+                    hr_valid_v[hr_slot] = True
+                    hr_dirty_v[hr_slot] = l2_write
+                    hr_wc[hr_slot] = 1 if l2_write else 0
+                    hr_lwt[hr_slot] = now2 if l2_write else 0.0
+                    hr_ins[hr_slot] = now2
+                    hr_map[hr_tag] = hr_way
                     demand_j += energy
                     fill_j += hr_fill_en
                     latency = tag_latency + hr_r_lat

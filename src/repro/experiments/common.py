@@ -109,9 +109,10 @@ def replay_through_l1(
     fetch, and a local store dirties its line.  This filter differs from
     the simulators' L1 (:class:`repro.gpu.l1.GPUL1Cache` and the fused
     loop) in one way only: it has no MSHR file, so a miss never coalesces
-    onto an in-flight fetch.  State lives in flat per-SM lists,
-    and the flags and line/set split are decoded by NumPy one trace chunk
-    at a time (:meth:`~repro.workloads.trace.Trace.chunks`), like
+    onto an in-flight fetch.  State is one ``line -> dirty`` dict per
+    (SM, set) whose insertion order is the LRU order (LRU first), and the
+    flags and line/set split are decoded by NumPy one trace chunk at a
+    time (:meth:`~repro.workloads.trace.Trace.chunks`), like
     :class:`repro.engine.soa_sim.SoaGPUSimulator`.
     """
     config = config or baseline_sram()
@@ -137,14 +138,8 @@ def replay_through_l1(
                 set_indices.tolist(),
             )
 
-    # per-(SM, set) line->way maps and LRU orders (LRU first); per-way
-    # resident line address (-1 when empty) and dirty bit, indexed
-    # (SM * nsets + set) * assoc + way
-    groups = config.num_sms * nsets
-    resident = [-1] * (groups * assoc)
-    dirty = [False] * (groups * assoc)
-    way_of = [dict() for _ in range(groups)]
-    lru = [list(range(assoc)) for _ in range(groups)]
+    # per-(SM, set) line -> dirty maps, LRU first
+    sets = [dict() for _ in range(config.num_sms * nsets)]
 
     cycle_s = 1.0 / config.core_clock_hz
     dt = (
@@ -155,42 +150,19 @@ def replay_through_l1(
         decoded_chunks()
     ):
         now += dt
-        group = sm * nsets + set_index
-        ways = way_of[group]
-        way = ways.get(line)
+        resident = sets[sm * nsets + set_index]
         if is_write and not is_local:
             # global store: write-evict on a hit, write-no-allocate on a miss
-            if way is not None:
-                del ways[line]
-                slot = group * assoc + way
-                resident[slot] = -1
-                dirty[slot] = False
+            resident.pop(line, None)
             l2_access(line, True, now)
             continue
-        order = lru[group]
-        if way is not None:
-            if is_write:
-                dirty[group * assoc + way] = True
-            order.remove(way)
-            order.append(way)
+        dirty = resident.pop(line, None)
+        if dirty is not None:
+            resident[line] = dirty or is_write
             continue
-        base = group * assoc
-        way = -1
-        for candidate in range(assoc):
-            if resident[base + candidate] < 0:
-                way = candidate
-                break
-        if way < 0:
-            way = order[0]
-        slot = base + way
-        victim = resident[slot]
-        if victim >= 0:
-            del ways[victim]
-            if dirty[slot]:
+        if len(resident) >= assoc:
+            victim = next(iter(resident))
+            if resident.pop(victim):
                 l2_access(victim, True, now)
-        resident[slot] = line
-        dirty[slot] = is_write
-        ways[line] = way
-        order.remove(way)
-        order.append(way)
+        resident[line] = is_write
         l2_access(line, False, now)

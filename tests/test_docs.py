@@ -103,7 +103,7 @@ class TestEngineDocs:
         array = SoaCacheArray(1024, 2, 64)
         vectors = [
             name for name in vars(array)
-            if name.endswith("_vec") or name in ("tag_to_way", "lru")
+            if name.endswith("_vec") or name == "tag_to_way"
         ]
         assert vectors, "SoaCacheArray should expose flat vectors"
         missing = [name for name in vectors if f"`{name}`" not in text]
