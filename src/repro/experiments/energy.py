@@ -8,11 +8,11 @@ experiment checks that bet per benchmark.
 
 Job decomposition
 -----------------
-This experiment reuses the Fig. 6 per-benchmark jobs (:func:`fig6.compute`,
-job kind ``c1replay``) verbatim: their C1 replay also records the energy
+This experiment reuses the C1 per-benchmark jobs (:func:`fig6.compute`,
+job kind ``c1``) verbatim: their C1 replay also records the energy
 ledger, and :func:`merge` turns its raw buckets (JSON-safe joules) into
 shares and aggregates.  The parallel runner deduplicates the replays with
-``fig6`` and serves them from the shared result cache.
+``fig4``, ``fig5`` and ``fig6`` and serves them from the result cache.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.experiments.common import ExperimentResult
 
 
 def merge(names: Sequence[str], payloads: Sequence[Dict[str, Any]]) -> ExperimentResult:
-    """Assemble the ledgers of Fig. 6 job payloads into the share table."""
+    """Assemble the ledgers of C1 job payloads into the share table."""
     rows: List[List] = []
     overhead_shares = []
     for name, payload in zip(names, payloads):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence
 
 from repro.analysis.cov import write_variation
+from repro.config import baseline_sram
 from repro.engine.soa_array import SoaCacheArray
 from repro.experiments.common import (
     DEFAULT_TRACE_LENGTH,
@@ -26,7 +27,6 @@ from repro.experiments.common import (
     geomean,
     replay_through_l1,
 )
-from repro.units import KB
 from repro.workloads.profiles import PROFILES
 from repro.workloads.suite import build_workload
 
@@ -42,7 +42,10 @@ def compute(
     on disk and shipped across process boundaries unchanged.
     """
     workload = build_workload(benchmark, num_accesses=trace_length, seed=seed)
-    l2 = SoaCacheArray(384 * KB, 8, 256, name="fig3-l2")
+    main = baseline_sram().l2.main
+    l2 = SoaCacheArray(
+        main.capacity_bytes, main.associativity, main.line_size, name="fig3-l2"
+    )
     replay_through_l1(workload, l2.access)
     variation = write_variation(l2)
     pct = variation.as_percentages()

@@ -11,18 +11,21 @@ reports, normalized to TH1:
 
 Job decomposition
 -----------------
-One job per benchmark: :func:`compute` replays one benchmark at every
-threshold and returns a JSON-safe payload (threshold keys are strings so
-the payload survives a JSON round-trip through the result cache);
-:func:`merge` normalizes to TH1 and assembles the table.
+Two jobs per benchmark.  TH1 is C1 itself, so its point comes from the
+shared ``c1`` job (:func:`repro.experiments.fig6.compute`); :func:`compute`
+replays the other thresholds on C1's L2 config and returns a JSON-safe
+payload (threshold keys are strings so it survives the result cache's
+JSON round-trip); :func:`merge` adds the C1 point, normalizes to TH1 and
+assembles the table.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Sequence
 
 from repro.config import config_c1
-from repro.engine.soa_l2 import SoaTwoPartL2
+from repro.core.factory import build_l2
 from repro.experiments.common import (
     DEFAULT_TRACE_LENGTH,
     ExperimentResult,
@@ -34,49 +37,41 @@ from repro.workloads.suite import build_workload
 THRESHOLDS = (1, 3, 7, 15)
 
 
-def _build_twopart(threshold: int) -> SoaTwoPartL2:
-    l2cfg = config_c1().l2
-    assert l2cfg.lr is not None
-    return SoaTwoPartL2(
-        hr_capacity_bytes=l2cfg.main.capacity_bytes,
-        hr_associativity=l2cfg.main.associativity,
-        lr_capacity_bytes=l2cfg.lr.capacity_bytes,
-        lr_associativity=l2cfg.lr.associativity,
-        line_size=l2cfg.line_size,
-        write_threshold=threshold,
-    )
-
-
 def compute(
     benchmark: str,
     trace_length: int = DEFAULT_TRACE_LENGTH,
     seed: int = 0,
 ) -> Dict[str, Any]:
-    """One job: raw threshold-sweep measurements for ``benchmark``."""
+    """One job: the threshold sweep's non-C1 points for ``benchmark``."""
     workload = build_workload(benchmark, num_accesses=trace_length, seed=seed)
+    c1 = config_c1().l2
     lr_hr_ratio: Dict[str, float] = {}
     total_writes: Dict[str, int] = {}
     for threshold in THRESHOLDS:
-        l2 = _build_twopart(threshold)
+        if threshold == c1.write_threshold:
+            continue  # the C1 job's point
+        l2 = build_l2(replace(c1, write_threshold=threshold), engine="soa")
         replay_through_l1(workload, l2.access)
-        hr_writes = max(1, l2.hr_data_writes)
-        lr_hr_ratio[str(threshold)] = l2.lr_data_writes / hr_writes
+        lr_hr_ratio[str(threshold)] = l2.lr_data_writes / max(1, l2.hr_data_writes)
         total_writes[str(threshold)] = l2.total_data_writes
-    return {
-        "lr_hr_ratio": lr_hr_ratio,
-        "total_writes": total_writes,
-        "counters": {"total_data_writes_th1": total_writes["1"]},
-    }
+    return {"lr_hr_ratio": lr_hr_ratio, "total_writes": total_writes}
 
 
-def merge(names: Sequence[str], payloads: Sequence[Dict[str, Any]]) -> ExperimentResult:
-    """Assemble per-benchmark payloads into the TH1-normalized table."""
+def merge(
+    names: Sequence[str],
+    payloads: Sequence[Dict[str, Any]],
+    c1_payloads: Sequence[Dict[str, Any]],
+) -> ExperimentResult:
+    """Assemble sweep and C1 payloads into the TH1-normalized table."""
+    c1_threshold = str(config_c1().l2.write_threshold)
     rows: List[List] = []
     norm_ratio_cols: Dict[int, List[float]] = {t: [] for t in THRESHOLDS}
     norm_total_cols: Dict[int, List[float]] = {t: [] for t in THRESHOLDS}
-    for name, payload in zip(names, payloads):
-        lr_hr_ratio = payload["lr_hr_ratio"]
-        total_writes = payload["total_writes"]
+    for name, payload, c1 in zip(names, payloads, c1_payloads):
+        lr_hr_ratio = dict(payload["lr_hr_ratio"])
+        total_writes = dict(payload["total_writes"])
+        lr_hr_ratio[c1_threshold] = c1["lr_data_writes"] / max(1, c1["hr_data_writes"])
+        total_writes[c1_threshold] = c1["total_data_writes"]
         base_ratio = max(lr_hr_ratio["1"], 1e-9)
         base_total = max(total_writes["1"], 1)
         row: List = [name]

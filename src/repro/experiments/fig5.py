@@ -8,17 +8,20 @@ the sweet spot between utilization and lookup complexity.
 
 Job decomposition
 -----------------
-One job per benchmark: :func:`compute` replays one benchmark at every
-associativity (string keys, JSON-safe); :func:`merge` normalizes to the
+Two jobs per benchmark.  2-way is C1 itself, so its point comes from the
+shared ``c1`` job (:func:`repro.experiments.fig6.compute`); :func:`compute`
+replays the other organizations on C1's L2 config (string keys,
+JSON-safe); :func:`merge` adds the C1 point, normalizes to the
 fully-associative reference and assembles the table.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Sequence
 
 from repro.config import config_c1
-from repro.engine.soa_l2 import SoaTwoPartL2
+from repro.core.factory import build_l2
 from repro.experiments.common import (
     DEFAULT_TRACE_LENGTH,
     ExperimentResult,
@@ -30,48 +33,38 @@ from repro.workloads.suite import build_workload
 ASSOCIATIVITIES = (1, 2, 4, 8, 16)
 
 
-def _build_twopart(lr_associativity: int) -> SoaTwoPartL2:
-    l2cfg = config_c1().l2
-    assert l2cfg.lr is not None
-    return SoaTwoPartL2(
-        hr_capacity_bytes=l2cfg.main.capacity_bytes,
-        hr_associativity=l2cfg.main.associativity,
-        lr_capacity_bytes=l2cfg.lr.capacity_bytes,
-        lr_associativity=lr_associativity,
-        line_size=l2cfg.line_size,
-    )
-
-
-def _full_associativity() -> int:
-    l2cfg = config_c1().l2
-    assert l2cfg.lr is not None
-    return l2cfg.lr.capacity_bytes // l2cfg.line_size
-
-
 def compute(
     benchmark: str,
     trace_length: int = DEFAULT_TRACE_LENGTH,
     seed: int = 0,
 ) -> Dict[str, Any]:
-    """One job: LR write utilization per associativity for ``benchmark``."""
+    """One job: LR write utilization per non-C1 associativity for ``benchmark``."""
     workload = build_workload(benchmark, num_accesses=trace_length, seed=seed)
-    sweep = list(ASSOCIATIVITIES) + [_full_associativity()]
+    c1 = config_c1().l2
+    lr = c1.lr
     utilization: Dict[str, float] = {}
-    for assoc in sweep:
-        l2 = _build_twopart(assoc)
+    for assoc in ASSOCIATIVITIES + (lr.capacity_bytes // lr.line_size,):
+        if assoc == lr.associativity:
+            continue  # the C1 job's point
+        l2 = build_l2(replace(c1, lr=replace(lr, associativity=assoc)), engine="soa")
         replay_through_l1(workload, l2.access)
         utilization[str(assoc)] = l2.lr_write_share
     return {"utilization": utilization}
 
 
-def merge(names: Sequence[str], payloads: Sequence[Dict[str, Any]]) -> ExperimentResult:
-    """Assemble per-benchmark payloads into the normalized sweep table."""
-    full = _full_associativity()
+def merge(
+    names: Sequence[str],
+    payloads: Sequence[Dict[str, Any]],
+    c1_payloads: Sequence[Dict[str, Any]],
+) -> ExperimentResult:
+    """Assemble sweep and C1 payloads into the normalized sweep table."""
+    lr = config_c1().l2.lr
+    c1_assoc, full = str(lr.associativity), str(lr.capacity_bytes // lr.line_size)
     rows: List[List] = []
     norm_cols: Dict[int, List[float]] = {a: [] for a in ASSOCIATIVITIES}
-    for name, payload in zip(names, payloads):
-        utilization = payload["utilization"]
-        reference = max(utilization[str(full)], 1e-9)
+    for name, payload, c1 in zip(names, payloads, c1_payloads):
+        utilization = {**payload["utilization"], c1_assoc: c1["lr_write_share"]}
+        reference = max(utilization[full], 1e-9)
         row: List = [name]
         for assoc in ASSOCIATIVITIES:
             value = utilization[str(assoc)] / reference

@@ -7,12 +7,13 @@ justifies microsecond-scale LR retention.
 
 Job decomposition
 -----------------
-One job per benchmark: :func:`compute` replays one benchmark and returns
-the bucketed fractions plus the replay's energy-ledger buckets
-(JSON-safe); :func:`merge` averages the fractions across benchmarks and
-assembles the table.  The job kind is ``c1replay``:
-:mod:`repro.experiments.energy` merges the same payloads' ledger, so the
-parallel runner replays each benchmark once for both experiments.
+One job per benchmark, kind ``c1``: :func:`compute` replays one benchmark
+through the C1 L2 and returns the bucketed fractions, the energy-ledger
+buckets and the data-write counts (JSON-safe); :func:`merge` averages the
+fractions across benchmarks and assembles the table.  This is the one C1
+replay per benchmark: :mod:`~repro.experiments.energy` merges its ledger,
+and :mod:`~repro.experiments.fig4` and :mod:`~repro.experiments.fig5`
+their C1 point.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def compute(
     trace_length: int = DEFAULT_TRACE_LENGTH,
     seed: int = 0,
 ) -> Dict[str, Any]:
-    """One job: LR rewrite-interval buckets and C1 energy-ledger buckets."""
+    """One job: C1's rewrite-interval buckets, energy ledger and write counts."""
     workload = build_workload(benchmark, num_accesses=trace_length, seed=seed)
     l2 = build_l2(config_c1().l2, track_intervals=True, engine="soa")
     replay_through_l1(workload, l2.access)
@@ -53,6 +54,10 @@ def compute(
         "refresh_j": ledger.refresh_j,
         "fill_j": ledger.fill_j,
         "total_j": ledger.total_j,
+        "hr_data_writes": l2.hr_data_writes,
+        "lr_data_writes": l2.lr_data_writes,
+        "total_data_writes": l2.total_data_writes,
+        "lr_write_share": l2.lr_write_share,
         "counters": {"rewrite_samples": distribution.total},
     }
 

@@ -14,10 +14,11 @@ same seed regardless of worker count, scheduling order, or whether
 payloads came from the cache.
 
 Experiments intentionally share job kinds: ``fig8``, ``regions`` and
-``variance`` share ``fig8sim``, and ``fig6`` and ``energy`` share
-``c1replay`` (one C1 replay yields both the rewrite intervals and the
-energy ledger).  The runner executes each unique spec once and fans its
-payload out to every experiment that needs it.
+``variance`` share ``fig8sim``; ``fig4``, ``fig5``, ``fig6`` and
+``energy`` share ``c1``, the one C1 characterization replay per
+benchmark, which ``fig4`` and ``fig5`` merge with their own sweep jobs.
+The runner executes each unique spec once and fans its payload out to
+every experiment that needs it.
 
 :func:`run_battery` is the orchestrator: it dedupes specs across the
 requested experiments, serves what it can from a
@@ -73,35 +74,25 @@ _COMPUTE = {
     "fig3": fig3.compute,
     "fig4": fig4.compute,
     "fig5": fig5.compute,
-    "c1replay": fig6.compute,
+    "c1": fig6.compute,
     "fig8sim": fig8.compute,
     "scaling": scaling.compute,
 }
 
-#: Job kind used by each per-benchmark experiment (fig8sim and c1replay
-#: are shared).
-_KIND_BY_EXPERIMENT = {
-    "fig3": "fig3",
-    "fig4": "fig4",
-    "fig5": "fig5",
-    "fig6": "c1replay",
-    "fig8": "fig8sim",
-    "regions": "fig8sim",
-    "variance": "fig8sim",
-    "scaling": "scaling",
-    "energy": "c1replay",
-}
-
-#: Merge function for each per-benchmark experiment (variance is special).
-_MERGE_BY_EXPERIMENT = {
-    "fig3": fig3.merge,
-    "fig4": fig4.merge,
-    "fig5": fig5.merge,
-    "fig6": fig6.merge,
-    "fig8": fig8.merge,
-    "regions": regions.merge,
-    "scaling": scaling.merge,
-    "energy": energy.merge,
+#: Each per-benchmark experiment's merge and the job kinds it merges, in
+#: argument order: ``merge(names, kind_1_payloads, ...)``, each payload
+#: list in benchmark order (fig8sim and c1 are shared; variance's merge
+#: takes per-seed payloads).
+_EXPERIMENTS = {
+    "fig3": (fig3.merge, ("fig3",)),
+    "fig4": (fig4.merge, ("fig4", "c1")),
+    "fig5": (fig5.merge, ("fig5", "c1")),
+    "fig6": (fig6.merge, ("c1",)),
+    "fig8": (fig8.merge, ("fig8sim",)),
+    "regions": (regions.merge, ("fig8sim",)),
+    "variance": (variance.merge, ("fig8sim",)),
+    "scaling": (scaling.merge, ("scaling",)),
+    "energy": (energy.merge, ("c1",)),
 }
 
 
@@ -125,20 +116,20 @@ def decompose(
     """Split one experiment into its jobs, in deterministic order."""
     if experiment in ("table1", "table2"):
         return [JobSpec(experiment, None, None, None)]
-    if experiment not in _KIND_BY_EXPERIMENT:
+    if experiment not in _EXPERIMENTS:
         raise ReproError(
             f"unknown experiment {experiment!r}; choose from "
-            f"{sorted(_KIND_BY_EXPERIMENT) + ['table1', 'table2']}"
+            f"{sorted(_EXPERIMENTS) + ['table1', 'table2']}"
         )
     names = resolve_benchmarks(experiment, benchmarks)
-    kind = _KIND_BY_EXPERIMENT[experiment]
-    if experiment == "variance":
-        return [
-            JobSpec(kind, name, trace_length, s)
-            for s in variance.default_seeds(seed)
-            for name in names
-        ]
-    return [JobSpec(kind, name, trace_length, seed) for name in names]
+    _, kinds = _EXPERIMENTS[experiment]
+    seeds = variance.default_seeds(seed) if experiment == "variance" else (seed,)
+    return [
+        JobSpec(kind, name, trace_length, s)
+        for kind in kinds
+        for s in seeds
+        for name in names
+    ]
 
 
 def job_descriptor(spec: JobSpec) -> Dict[str, Any]:
@@ -273,9 +264,12 @@ def merge_experiment(
             by_seed[spec.seed].append(payloads[spec])
         names = [spec.benchmark for spec in specs if spec.seed == seeds[0]]
         return variance.merge(names, [(s, by_seed[s]) for s in seeds])
-    names = [spec.benchmark for spec in specs]
-    ordered = [payloads[spec] for spec in specs]
-    return _MERGE_BY_EXPERIMENT[experiment](names, ordered)
+    merge, kinds = _EXPERIMENTS[experiment]
+    names = [spec.benchmark for spec in specs if spec.kind == kinds[0]]
+    by_kind = [
+        [payloads[spec] for spec in specs if spec.kind == kind] for kind in kinds
+    ]
+    return merge(names, *by_kind)
 
 
 def run_battery(
@@ -312,7 +306,7 @@ def run_battery(
         for name in experiments
     }
 
-    # Dedup jobs across experiments (fig8 / regions / variance share specs).
+    # Dedup jobs across experiments (the fig8sim and c1 specs are shared).
     needed_by: Dict[JobSpec, List[str]] = {}
     for name, specs in specs_by_experiment.items():
         for spec in specs:

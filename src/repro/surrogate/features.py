@@ -32,7 +32,7 @@ from typing import Any, Dict, Mapping, Optional
 from repro.analysis.cov import write_variation
 from repro.analysis.intervals import rewrite_interval_distribution
 from repro.analysis.wws import weighted_wws_fraction, write_working_set
-from repro.config import config_c1
+from repro.config import baseline_sram, config_c1
 from repro.core.factory import build_l2
 from repro.engine.soa_array import SoaCacheArray
 from repro.errors import AnalysisError, SurrogateError
@@ -44,7 +44,6 @@ from repro.telemetry import (
     content_key,
 )
 from repro.tracing import NULL_TRACER
-from repro.units import KB
 from repro.workloads.suite import build_workload
 from repro.workloads.trace import FLAG_WRITE
 
@@ -143,7 +142,10 @@ def characterize_workload(
     )
 
     # one replay through the L1 front end feeds both measurement caches
-    cov_array = SoaCacheArray(384 * KB, 8, 256, name="surrogate-cov")
+    main = baseline_sram().l2.main
+    cov_array = SoaCacheArray(
+        main.capacity_bytes, main.associativity, main.line_size, name="surrogate-cov"
+    )
     twopart = build_l2(config_c1().l2, track_intervals=True, engine="soa")
     counts = {"requests": 0, "writes": 0}
 

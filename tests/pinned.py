@@ -17,7 +17,7 @@ the repo benchmark pins its own, longer workloads in
 * :data:`SERVICE_DIGESTS` holds the service's coalescing digest and
   payload SHA-256 for six ``(benchmark, config)`` requests on ``soa`` at
   :data:`SERVICE_TRACE_LENGTH` accesses, seed 0.
-* :data:`EXPERIMENT_DIGESTS` pins three characterization experiments'
+* :data:`EXPERIMENT_DIGESTS` pins five characterization experiments'
   merged results on :data:`EXPERIMENT_BENCHMARKS`.
 * :data:`TRACE_DIGESTS` pins the generated traces themselves, the input of
   every digest above.
@@ -129,6 +129,8 @@ EXPERIMENT_TRACE_LENGTH = 3000
 #: experiment's ``run_battery`` result, seed 0.
 EXPERIMENT_DIGESTS = {
     "fig3": "5c870d88d1713639cb16960e600caadf55cc082251ea1b23a6072517864e69e7",
+    "fig4": "6c423e825d4d6d228ebf97b2e467f69a36f645409c8e0ac354454fd4b73b8980",
+    "fig5": "d1701e8e5962a2fd365bdfddb8d879307930aea0dd9eb1a49d02800dda55bbe9",
     "fig6": "53b6e6d0be8463a4a96f0a65d9b01cf9ef4390cdb951e5a246fdb20fbbee5ff2",
     "energy": "1196884ad8c6e1c6faf55b590dc097f6203933174c2bbcf425f724c7d48ba9ce",
 }

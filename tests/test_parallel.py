@@ -1,21 +1,27 @@
 """Tests for the parallel experiment harness (decompose / execute / merge)."""
 
 import hashlib
+import inspect
 
 import pytest
 
+from repro.config import config_c1
+from repro.core.factory import twopart_kwargs
+from repro.core.twopart import TwoPartSTTL2
 from repro.errors import ReproError
-from repro.experiments import fig8
+from repro.experiments import fig6, fig8
 from repro.experiments.parallel import (
     JobSpec,
     decompose,
     execute_job,
+    job_descriptor,
     job_key,
     merge_experiment,
     run_battery,
 )
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.io import canonical_json, experiment_result_to_dict
+from repro.telemetry import ResultCache
 from tests.pinned import (
     EXPERIMENT_BENCHMARKS,
     EXPERIMENT_DIGESTS,
@@ -48,7 +54,15 @@ class TestDecompose:
     def test_fig6_and_energy_share_one_replay(self):
         fig6_specs = decompose("fig6", SMALL, SUBSET, seed=0)
         assert decompose("energy", SMALL, SUBSET, seed=0) == fig6_specs
-        assert {s.kind for s in fig6_specs} == {"c1replay"}
+        assert {s.kind for s in fig6_specs} == {"c1"}
+
+    def test_c1_characterization_specs_are_shared(self):
+        fig6_specs = decompose("fig6", SMALL, SUBSET, seed=0)
+        for name in ("fig4", "fig5", "energy"):
+            specs = decompose(name, SMALL, SUBSET, seed=0)
+            assert [s for s in specs if s.kind == "c1"] == fig6_specs, name
+        assert {s.kind for s in decompose("fig4", SMALL, SUBSET)} == {"fig4", "c1"}
+        assert {s.kind for s in decompose("fig5", SMALL, SUBSET)} == {"fig5", "c1"}
 
     def test_scaling_uses_its_default_mix(self):
         specs = decompose("scaling", trace_length=SMALL)
@@ -138,6 +152,23 @@ class TestCache:
         assert telemetry.cache_misses == 0
         assert telemetry.cache_hits == len(SUBSET)
 
+    def test_parent_format_c1replay_entry_never_reaches_fig4(self, tmp_path):
+        # an entry under the old kind name lacks the write counts fig4 merges
+        cache = ResultCache(str(tmp_path / "cache"))
+        old = JobSpec("c1replay", "nn", SMALL, 0)
+        payload = fig6.compute("nn", trace_length=SMALL)
+        for key in ("hr_data_writes", "lr_data_writes", "total_data_writes",
+                    "lr_write_share"):
+            del payload[key]
+        cache.put(job_key(old), job_descriptor(old), payload)
+        cached, telemetry = run_battery(["fig4"], trace_length=SMALL,
+                                        benchmarks=["nn"], cache=cache)
+        assert telemetry.cache_hits == 0
+        assert {r.kind for r in telemetry.records} == {"fig4", "c1"}
+        fresh, _ = run_battery(["fig4"], trace_length=SMALL, benchmarks=["nn"],
+                               use_cache=False)
+        assert cached["fig4"].rows == fresh["fig4"].rows
+
     def test_different_seed_misses(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         run_battery(["fig3"], trace_length=SMALL, benchmarks=["nn"], seed=0,
@@ -157,6 +188,29 @@ class TestBattery:
         assert len(telemetry.records) == len(SUBSET)
         for record in telemetry.records:
             assert sorted(record.experiments) == ["fig8", "regions"]
+
+    def test_c1_characterization_runs_once_per_benchmark(self, monkeypatch):
+        """fig4, fig5, fig6 and energy run 3 jobs per benchmark, and build
+        the C1 L2 once per benchmark."""
+        c1 = twopart_kwargs(config_c1().l2)
+        signature = inspect.signature(TwoPartSTTL2.__init__)
+        original = TwoPartSTTL2.__init__
+        c1_builds = []
+
+        def counting_init(self, *args, **kwargs):
+            bound = signature.bind(self, *args, **kwargs)
+            bound.apply_defaults()
+            if all(bound.arguments[k] == v for k, v in c1.items()):
+                c1_builds.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TwoPartSTTL2, "__init__", counting_init)
+        _, telemetry = run_battery(
+            ["fig4", "fig5", "fig6", "energy"], trace_length=SMALL,
+            benchmarks=SUBSET,
+        )
+        assert len(telemetry.records) == 3 * len(SUBSET)
+        assert len(c1_builds) == len(SUBSET)
 
     def test_rejects_bad_jobs_value(self):
         with pytest.raises(ReproError):
